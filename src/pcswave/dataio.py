@@ -16,6 +16,7 @@ tensors are a verification device, not an interchange format.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Dict, Tuple
 
@@ -60,6 +61,11 @@ def _read_tensor(fh) -> Tensor:
     size = 1
     for s in shape:
         size *= s
+    # a hostile header may claim any shape: check it before allocating
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 8 * size > left:
+        raise FormatError(f"shape {shape} needs {8 * size} payload bytes, "
+                          f"the file has {left} left")
     raw = _read_exact(fh, 8 * size)
     data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return Tensor(shape, FLOAT64, data)

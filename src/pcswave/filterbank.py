@@ -333,18 +333,16 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
         convention = doc["convention"]
         provenance = doc.get("provenance", GENERAL)
         filters = doc["filters"]
-    except (KeyError, TypeError, ValueError) as exc:
+        tau_doc, tau_d_doc = filters["tau"], filters["tau_d"]
+        t_docs, t_d_docs = filters["t"].items(), filters["t_d"].items()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed bank JSON: {exc}") from exc
 
     sys = make_coset_system(p, n, convention)
-    tau = filter_from_json(filters["tau"])
-    tau_d = filter_from_json(filters["tau_d"])
-    t = {}
-    t_d = {}
-    for key, fj in filters["t"].items():
-        t[_parse_nu(key, n)] = filter_from_json(fj)
-    for key, fj in filters["t_d"].items():
-        t_d[_parse_nu(key, n)] = filter_from_json(fj)
+    tau = filter_from_json(tau_doc)
+    tau_d = filter_from_json(tau_d_doc)
+    t = {_parse_nu(key, n): filter_from_json(fj) for key, fj in t_docs}
+    t_d = {_parse_nu(key, n): filter_from_json(fj) for key, fj in t_d_docs}
     expected = set(sys.gamma_prime)
     if set(t) != expected or set(t_d) != expected:
         raise FormatError("bank JSON does not cover Gamma' exactly")

@@ -1,296 +1,108 @@
-"""float64 execution backends for the fast transform inner loops.
+"""The per-level lifting steps of the fast transform, for every scalar type.
 
-Two interchangeable implementations of the per-level update steps: numba-jitted
-scalar loops (the default whenever numba imports) and a vectorized pure-numpy
-fallback built on roll-and-decimate. Selection:
+One level down is a predict/update pair: step (i) predicts each coset's
+samples from the zero coset and keeps the residual as the detail w_nu, and
+step (ii) updates the zero coset with the details into the coarse y0 (see
+:mod:`pcswave.transform` for the formulas). One level up runs the inverses
+(iii) and (iv) in the opposite order.
 
-    PCSWAVE_BACKEND=numba|numpy   force a backend (default: numba if available)
-    PCSWAVE_THREADS=k             run per-coset jitted loops on k threads
+The same code runs on float64 arrays and on object arrays of ``Fraction``:
+tap values and normalizations are taken exactly for object arrays and as
+float64 otherwise.
 
-The jitted kernels release the GIL and write disjoint outputs, so results are
-identical for any worker count. Both backends accumulate tap sums in the same
-order and apply the normalization once per output sample, so they agree with
-each other to the last bit on the same input.
+The steps work on the p^n phases y[r0::p, r1::p, ...] of the fine grid, each
+of coarse size: y(pk + s) is phase s mod p rolled by -(s // p),
+componentwise. Every tap of steps (i) and (iv) reads the zero phase, since
+nu - eta(l,nu) m is in pZ^n, so reconstruction finishes the zero phase,
+then each coset's phase, and interleaves them once. Tap sums accumulate in
+table order and each output sample is normalized once, so float64 output
+depends only on the input and the tables.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
 
-try:
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    njit = None
-    HAS_NUMBA = False
+def _accumulate(acc, a, taps):
+    """acc + sum of v * (a rolled by shift) over taps, added in table order.
 
-NUMBA = "numba"
-NUMPY = "numpy"
-
-
-def default_backend() -> str:
-    env = os.environ.get("PCSWAVE_BACKEND", "").strip()
-    if env:
-        if env not in (NUMBA, NUMPY):
-            raise DomainError(f"PCSWAVE_BACKEND must be 'numba' or 'numpy', got {env!r}")
-        if env == NUMBA and not HAS_NUMBA:
-            raise DomainError("PCSWAVE_BACKEND=numba but numba is not importable")
-        return env
-    return NUMBA if HAS_NUMBA else NUMPY
-
-
-def worker_count() -> int:
-    env = os.environ.get("PCSWAVE_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError as exc:
-        raise DomainError(f"PCSWAVE_THREADS must be an integer, got {env!r}") from exc
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _detail_kernel(yflat, shape, strides, oshape, ostrides, p, nu, offs, hvals, inv):
-        # w(k) = y(pk+nu) - inv * sum_t h_t * y(pk+nu-off_t), indices periodic
-        ndim = shape.shape[0]
-        osize = 1
-        for a in range(ndim):
-            osize *= oshape[a]
-        out = np.empty(osize, np.float64)
-        kc = np.empty(ndim, np.int64)
-        ntaps = hvals.shape[0]
-        for fi in range(osize):
-            t = fi
-            for a in range(ndim - 1, -1, -1):
-                kc[a] = t % oshape[a]
-                t //= oshape[a]
-            base = 0
-            for a in range(ndim):
-                base += ((p * kc[a] + nu[a]) % shape[a]) * strides[a]
-            s = 0.0
-            for ti in range(ntaps):
-                idx = 0
-                for a in range(ndim):
-                    idx += ((p * kc[a] + nu[a] - offs[ti, a]) % shape[a]) * strides[a]
-                s += hvals[ti] * yflat[idx]
-            out[fi] = yflat[base] - inv * s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _coarse_kernel(yflat, shape, strides, oshape, ostrides, p, wstack, shifts, gvals, inv):
-        # y0(k) = y(pk) + inv * sum_nu sum_t g_t * w_nu(k - d_{nu,t})
-        ndim = shape.shape[0]
-        osize = 1
-        for a in range(ndim):
-            osize *= oshape[a]
-        out = np.empty(osize, np.float64)
-        kc = np.empty(ndim, np.int64)
-        nnu = wstack.shape[0]
-        ntaps = gvals.shape[0]
-        for fi in range(osize):
-            t = fi
-            for a in range(ndim - 1, -1, -1):
-                kc[a] = t % oshape[a]
-                t //= oshape[a]
-            base = 0
-            for a in range(ndim):
-                base += ((p * kc[a]) % shape[a]) * strides[a]
-            s = 0.0
-            for vi in range(nnu):
-                for ti in range(ntaps):
-                    idx = 0
-                    for a in range(ndim):
-                        idx += ((kc[a] - shifts[vi, ti, a]) % oshape[a]) * ostrides[a]
-                    s += gvals[ti] * wstack[vi, idx]
-            out[fi] = yflat[base] + inv * s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _expand_zero_kernel(y0, shape, strides, oshape, ostrides, p, wstack, shifts, gvals, inv, yflat):
-        # y(pk) = y0(k) - inv * (same correction as the coarse kernel)
-        ndim = shape.shape[0]
-        osize = y0.shape[0]
-        kc = np.empty(ndim, np.int64)
-        nnu = wstack.shape[0]
-        ntaps = gvals.shape[0]
-        for fi in range(osize):
-            t = fi
-            for a in range(ndim - 1, -1, -1):
-                kc[a] = t % oshape[a]
-                t //= oshape[a]
-            base = 0
-            for a in range(ndim):
-                base += ((p * kc[a]) % shape[a]) * strides[a]
-            s = 0.0
-            for vi in range(nnu):
-                for ti in range(ntaps):
-                    idx = 0
-                    for a in range(ndim):
-                        idx += ((kc[a] - shifts[vi, ti, a]) % oshape[a]) * ostrides[a]
-                    s += gvals[ti] * wstack[vi, idx]
-            yflat[base] = y0[fi] - inv * s
-
-    @njit(cache=True, nogil=True)
-    def _expand_coset_kernel(yflat, shape, strides, oshape, ostrides, p, nu, offs, hvals, inv, w):
-        # y(pk+nu) = w(k) + inv * sum_t h_t * y(pk+nu-off_t); the gathered
-        # entries all sit on the zero coset, which is final before this runs
-        ndim = shape.shape[0]
-        osize = w.shape[0]
-        kc = np.empty(ndim, np.int64)
-        ntaps = hvals.shape[0]
-        for fi in range(osize):
-            t = fi
-            for a in range(ndim - 1, -1, -1):
-                kc[a] = t % oshape[a]
-                t //= oshape[a]
-            s = 0.0
-            for ti in range(ntaps):
-                idx = 0
-                for a in range(ndim):
-                    idx += ((p * kc[a] + nu[a] - offs[ti, a]) % shape[a]) * strides[a]
-                s += hvals[ti] * yflat[idx]
-            tgt = 0
-            for a in range(ndim):
-                tgt += ((p * kc[a] + nu[a]) % shape[a]) * strides[a]
-            yflat[tgt] = w[fi] + inv * s
-
-
-def _roll_decimate(y: np.ndarray, p: int, shift) -> np.ndarray:
-    """y[(p*k + shift) % shape] for k over the decimated grid."""
-    r = np.roll(y, tuple(int(-s) for s in shift), axis=tuple(range(y.ndim)))
-    return r[(slice(None, None, p),) * y.ndim]
-
-
-def _np_detail(y: np.ndarray, p: int, nu, offs, hvals, inv: float) -> np.ndarray:
-    acc = None
-    for off, hv in zip(offs, hvals):
-        g = _roll_decimate(y, p, [a - b for a, b in zip(nu, off)])
-        acc = hv * g if acc is None else acc + hv * g
-    base = _roll_decimate(y, p, nu)
-    if acc is None:
-        return base.copy()
-    return base - inv * acc
-
-
-def _np_correction(wlist, shifts, gvals) -> np.ndarray:
-    acc = np.zeros_like(wlist[0])
-    axes = tuple(range(wlist[0].ndim))
-    for vi, w in enumerate(wlist):
-        for sh, gv in zip(shifts[vi], gvals):
-            acc = acc + gv * np.roll(w, tuple(int(s) for s in sh), axis=axes)
+    With acc None the sum starts at the first term; None comes back when there
+    are no taps.
+    """
+    axes = tuple(range(a.ndim))
+    for shift, v in taps:
+        term = v * np.roll(a, shift, axis=axes)
+        acc = term if acc is None else acc + term
     return acc
 
 
-class _NuTapsF64:
-    """Per-coset tap tables in array form, shared by both backends."""
-
-    __slots__ = ("nu", "offs", "hvals")
-
-    def __init__(self, nu, offs, hvals):
-        self.nu = np.asarray(nu, dtype=np.int64)
-        self.offs = np.asarray(offs, dtype=np.int64).reshape(len(hvals), len(nu))
-        self.hvals = np.asarray(hvals, dtype=np.float64)
-
-
 class LevelKernels:
-    """Backend dispatcher for one bank's float64 per-level steps."""
+    """Steps (i)-(iv) of one bank, from its per-coset tap tables.
 
-    def __init__(self, p, n, nu_tables, shifts, gvals, inv_pm1, inv_corr, backend=None):
+    ``tables`` holds, for each nu in Gamma', the nu itself and its two tap
+    lists ``hi`` and ``lo`` of ((nu - eta(l,nu) m) / p, value) pairs, for H
+    and G taps m off pZ (:func:`pcswave.transform.bank_tables`).
+    """
+
+    def __init__(self, p, n, tables):
         self.p = int(p)
         self.n = int(n)
-        self.nus = [_NuTapsF64(nu, offs, hvals) for nu, offs, hvals in nu_tables]
-        nnu = len(self.nus)
-        ntaps = len(gvals)
-        self.shifts = np.asarray(shifts, dtype=np.int64).reshape(nnu, ntaps, n)
-        self.gvals = np.asarray(gvals, dtype=np.float64)
-        self.inv_pm1 = float(inv_pm1)
-        self.inv_corr = float(inv_corr)
-        self.backend = backend or default_backend()
+        # each coset's phase slices and nu // p: y(pk + nu) is the phase rolled by -(nu // p)
+        self._cosets = [(tuple(slice(x % p, None, p) for x in tb.nu),
+                         tuple(x // p for x in tb.nu)) for tb in tables]
+        self._zero = (slice(None, None, p),) * self.n
+        self._axes = tuple(range(self.n))
 
-    def _geom(self, shape):
-        shape = np.asarray(shape, dtype=np.int64)
-        oshape = shape // self.p
-        strides = np.ones(len(shape), dtype=np.int64)
-        ostrides = np.ones(len(shape), dtype=np.int64)
-        for a in range(len(shape) - 2, -1, -1):
-            strides[a] = strides[a + 1] * shape[a + 1]
-            ostrides[a] = ostrides[a + 1] * oshape[a + 1]
-        return shape, oshape, strides, ostrides
+        def typed(scalar):
+            # predict taps gather y0(k + d), update taps w_nu(k - d)
+            return (scalar(Fraction(1, p - 1)), scalar(Fraction(1, (p - 1) * p ** n)),
+                    [[(tuple(-x for x in d), scalar(v)) for d, v in tb.hi] for tb in tables],
+                    [[(d, scalar(v)) for d, v in tb.lo] for tb in tables])
+
+        self._typed = {True: typed(Fraction), False: typed(float)}
+
+    def _update(self, details, lo):
+        """The step (ii)/(iii) correction sum over every coset's detail."""
+        acc = np.zeros_like(details[0])
+        for w, taps in zip(details, lo):
+            acc = _accumulate(acc, w, taps)
+        return acc
 
     def decompose_level(self, y: np.ndarray):
         """One level down: returns (coarse, [detail per nu]) as nd arrays."""
-        p = self.p
-        if self.backend == NUMPY:
-            details = [_np_detail(y, p, t.nu, t.offs, t.hvals, self.inv_pm1)
-                       for t in self.nus]
-            corr = _np_correction(details, self.shifts, self.gvals)
-            coarse = _roll_decimate(y, p, (0,) * y.ndim) + self.inv_corr * corr
-            return coarse, details
-
-        shape, oshape, strides, ostrides = self._geom(y.shape)
-        yflat = np.ascontiguousarray(y).ravel()
-
-        def run(t):
-            return _detail_kernel(yflat, shape, strides, oshape, ostrides,
-                                  p, t.nu, t.offs, t.hvals, self.inv_pm1)
-
-        workers = worker_count()
-        if workers > 1 and len(self.nus) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                flat_details = list(pool.map(run, self.nus))
-        else:
-            flat_details = [run(t) for t in self.nus]
-        wstack = np.stack(flat_details)
-        coarse = _coarse_kernel(yflat, shape, strides, oshape, ostrides, p,
-                                wstack, self.shifts, self.gvals, self.inv_corr)
-        oshape_t = tuple(int(s) for s in oshape)
-        return coarse.reshape(oshape_t), [d.reshape(oshape_t) for d in flat_details]
+        inv_pm1, inv_corr, hi, lo = self._typed[y.dtype == object]
+        even = y[self._zero]
+        details = []
+        for (phase, lift), taps in zip(self._cosets, hi):
+            base = np.roll(y[phase], tuple(-x for x in lift), axis=self._axes)
+            acc = _accumulate(None, even, taps)
+            details.append(base if acc is None else base - inv_pm1 * acc)
+        coarse = even + inv_corr * self._update(details, lo)
+        return coarse, details
 
     def reconstruct_level(self, coarse: np.ndarray, details):
         """One level up: inverse of decompose_level."""
-        p = self.p
-        shape_t = tuple(s * p for s in coarse.shape)
-        if self.backend == NUMPY:
-            out = np.empty(shape_t, dtype=np.float64)
-            corr = _np_correction(details, self.shifts, self.gvals)
-            out[(slice(None, None, p),) * len(shape_t)] = coarse - self.inv_corr * corr
-            axes = tuple(range(len(shape_t)))
-            for t, w in zip(self.nus, details):
-                acc = None
-                for off, hv in zip(t.offs, t.hvals):
-                    g = _roll_decimate(out, p, [a - b for a, b in zip(t.nu, off)])
-                    acc = hv * g if acc is None else acc + hv * g
-                vals = w + self.inv_pm1 * acc if acc is not None else w.copy()
-                r = np.roll(out, tuple(int(-x) for x in t.nu), axis=axes)
-                r[(slice(None, None, p),) * len(shape_t)] = vals
-                out = np.roll(r, tuple(int(x) for x in t.nu), axis=axes)
-            return out
+        inv_pm1, inv_corr, hi, lo = self._typed[coarse.dtype == object]
+        even = coarse - inv_corr * self._update(details, lo)
+        out = np.empty(tuple(s * self.p for s in coarse.shape), dtype=even.dtype)
+        out[self._zero] = even
+        for (phase, lift), taps, w in zip(self._cosets, hi, details):
+            acc = _accumulate(None, even, taps)
+            out[phase] = np.roll(w if acc is None else w + inv_pm1 * acc, lift,
+                                 axis=self._axes)
+        return out
 
-        shape, oshape, strides, ostrides = self._geom(shape_t)
-        yflat = np.empty(int(np.prod(shape)), dtype=np.float64)
-        wstack = np.stack([np.ascontiguousarray(w).ravel() for w in details])
-        _expand_zero_kernel(np.ascontiguousarray(coarse).ravel(), shape, strides,
-                            oshape, ostrides, p, wstack, self.shifts, self.gvals,
-                            self.inv_corr, yflat)
+    def mults(self, coarse_samples: int) -> int:
+        """Multiplies of one decompose_level and one reconstruct_level.
 
-        def run(pair):
-            t, w = pair
-            _expand_coset_kernel(yflat, shape, strides, oshape, ostrides, p,
-                                 t.nu, t.offs, t.hvals, self.inv_pm1, w)
-
-        pairs = list(zip(self.nus, wstack))
-        workers = worker_count()
-        if workers > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, pairs))
-        else:
-            for pair in pairs:
-                run(pair)
-        return yflat.reshape(shape_t)
+        ``coarse_samples`` is the size of the coarse array. The convention is
+        that of :mod:`pcswave.transform`: one per tap, one per detail sample
+        for 1/(p-1), and n + 1 per coarse sample for 1/((p-1) p^n).
+        """
+        _, _, hi, lo = self._typed[True]
+        per_sample = (sum(len(taps) + 1 for taps in hi) + sum(len(taps) for taps in lo)
+                      + self.n + 1)
+        return 2 * per_sample * coarse_samples

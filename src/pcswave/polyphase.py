@@ -194,17 +194,6 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
     return comps
 
 
-def polyphase_1d(H: Filter1D, l: int, p: int) -> LaurentPoly:
-    """1-variable component (1/p) sum_m H(l + p m) e^{-i m xi} for residue l."""
-    r = LaurentPoly(1)
-    for k, v in H.taps.items():
-        if k % p == l % p:
-            m = (k - (l % p)) // p
-            r.terms[(m,)] = r.terms.get((m,), Fraction(0)) + Fraction(v, p)
-    r.terms = {k: v for k, v in r.terms.items() if v}
-    return r
-
-
 def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
     """Synthesis polyphase component of the lifted filter, built from H alone.
 

@@ -10,9 +10,10 @@ The fast route never touches the materialized n-D filters. One level down:
 and one level up reverses them: (iii) recovers y(pk) from y0 by subtracting
 the step-(ii) correction, then (iv) recovers y(pk+nu) from w_nu by adding back
 the step-(i) correction, reading only the already-final y(pk) values. The
-divisions by p inside step (ii)/(iii) shifts are exact: nu - eta(l,nu) m is
-congruent to 0 mod p componentwise, and the table builder refuses to proceed
-otherwise.
+divisions by p in the tap shifts are exact: nu - eta(l,nu) m is congruent to
+0 mod p componentwise, and bank_tables refuses to proceed otherwise.
+:class:`pcswave.kernels.LevelKernels` runs the four steps, in float64 and in
+rational mode alike.
 
 The direct route filters and resamples with the materialized bank filters:
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class NuTable:
     """Per-coset tap routing for the fast steps."""
 
     nu: MultiIndex
-    hi: Tuple[Tuple[MultiIndex, Fraction], ...]   # (eta(l,nu)*m, H(m)), m != 0 mod p
-    lo: Tuple[Tuple[MultiIndex, Fraction], ...]   # ((nu - eta(l,nu)*m)/p, G(m))
+    hi: Tuple[Tuple[MultiIndex, Fraction], ...]   # ((nu - eta(l,nu)*m)/p, H(m)), m != 0 mod p
+    lo: Tuple[Tuple[MultiIndex, Fraction], ...]   # ((nu - eta(l,nu)*m)/p, G(m)), m != 0 mod p
 
 
 def _require_pcs(bank: WaveletFilterBank) -> None:
@@ -83,138 +84,32 @@ def bank_tables(bank: WaveletFilterBank) -> List[NuTable]:
     _require_pcs(bank)
     sys = bank.sys
     p = sys.p
-    tables = []
-    for nu in sys.gamma_prime:
-        hi = []
-        for m, v in sorted(bank.h1d.taps.items()):
+
+    def routes(f, nu):
+        out = []
+        for m, v in sorted(f.taps.items()):
             if m % p == 0:
                 continue
-            e = eta(sys, m % p, nu)
-            hi.append((tuple(x * m for x in e), v))
-        lo = []
-        for m, v in sorted(bank.g1d.taps.items()):
-            if m % p == 0:
-                continue
-            e = eta(sys, m % p, nu)
-            num = tuple(a - m * b for a, b in zip(nu, e))
+            num = tuple(a - m * b for a, b in zip(nu, eta(sys, m % p, nu)))
             if any(x % p for x in num):
                 raise PcswaveError(
                     f"lattice congruence violated at nu={nu}, m={m}: {num} not in pZ^n")
-            lo.append((tuple(x // p for x in num), v))
-        tables.append(NuTable(nu=nu, hi=tuple(hi), lo=tuple(lo)))
-    return tables
+            out.append((tuple(x // p for x in num), v))
+        return tuple(out)
+
+    return [NuTable(nu=nu, hi=routes(bank.h1d, nu), lo=routes(bank.g1d, nu))
+            for nu in sys.gamma_prime]
 
 
-class _Tally:
-    __slots__ = ("mults",)
-
-    def __init__(self):
-        self.mults = 0
-
-
-def _iter_coords(shape):
-    return itertools.product(*(range(s) for s in shape))
+def _array(t: Tensor) -> np.ndarray:
+    """The tensor as an nd array: float64, or object of Fraction in rational mode."""
+    if t.mode == FLOAT64:
+        return t.data
+    return np.array(t.data, dtype=object).reshape(t.shape)
 
 
-def _flat(idx, shape, strides) -> int:
-    return sum(((i % s) * st) for i, s, st in zip(idx, shape, strides))
-
-
-def _strides(shape):
-    out = [1] * len(shape)
-    for a in range(len(shape) - 2, -1, -1):
-        out[a] = out[a + 1] * shape[a + 1]
-    return tuple(out)
-
-
-def _decompose_level_py(data, shape, p, tables, inv_pm1, inv_corr, zero,
-                        tally: Optional[_Tally] = None):
-    n = len(shape)
-    oshape = tuple(s // p for s in shape)
-    strides = _strides(shape)
-    ostrides = _strides(oshape)
-    osize = 1
-    for s in oshape:
-        osize *= s
-
-    details = []
-    for tb in tables:
-        w = [zero] * osize
-        for fi, k in enumerate(_iter_coords(oshape)):
-            s = zero
-            for off, hv in tb.hi:
-                idx = _flat([p * a + b - c for a, b, c in zip(k, tb.nu, off)], shape, strides)
-                s = s + hv * data[idx]
-            base = _flat([p * a + b for a, b in zip(k, tb.nu)], shape, strides)
-            w[fi] = data[base] - inv_pm1 * s
-            if tally is not None:
-                tally.mults += len(tb.hi) + 1
-        details.append(w)
-
-    coarse = [zero] * osize
-    for fi, k in enumerate(_iter_coords(oshape)):
-        s = zero
-        for vi, tb in enumerate(tables):
-            wv = details[vi]
-            for sh, gv in tb.lo:
-                idx = _flat([a - b for a, b in zip(k, sh)], oshape, ostrides)
-                s = s + gv * wv[idx]
-            if tally is not None:
-                tally.mults += len(tb.lo)
-        base = _flat([p * a for a in k], shape, strides)
-        coarse[fi] = data[base] + inv_corr * s
-        if tally is not None:
-            tally.mults += n + 1
-    return coarse, details
-
-
-def _reconstruct_level_py(coarse, details, oshape, p, tables, inv_pm1, inv_corr,
-                          zero, tally: Optional[_Tally] = None):
-    n = len(oshape)
-    shape = tuple(s * p for s in oshape)
-    strides = _strides(shape)
-    ostrides = _strides(oshape)
-    size = 1
-    for s in shape:
-        size *= s
-    data = [zero] * size
-
-    for fi, k in enumerate(_iter_coords(oshape)):
-        s = zero
-        for vi, tb in enumerate(tables):
-            wv = details[vi]
-            for sh, gv in tb.lo:
-                idx = _flat([a - b for a, b in zip(k, sh)], oshape, ostrides)
-                s = s + gv * wv[idx]
-            if tally is not None:
-                tally.mults += len(tb.lo)
-        base = _flat([p * a for a in k], shape, strides)
-        data[base] = coarse[fi] - inv_corr * s
-        if tally is not None:
-            tally.mults += n + 1
-
-    for vi, tb in enumerate(tables):
-        wv = details[vi]
-        for fi, k in enumerate(_iter_coords(oshape)):
-            s = zero
-            for off, hv in tb.hi:
-                idx = _flat([p * a + b - c for a, b, c in zip(k, tb.nu, off)], shape, strides)
-                s = s + hv * data[idx]
-            tgt = _flat([p * a + b for a, b in zip(k, tb.nu)], shape, strides)
-            data[tgt] = wv[fi] + inv_pm1 * s
-            if tally is not None:
-                tally.mults += len(tb.hi) + 1
-    return data
-
-
-def _level_kernels(bank: WaveletFilterBank, tables) -> LevelKernels:
-    p, n = bank.p, bank.n
-    nu_tables = [(tb.nu, [off for off, _ in tb.hi], [float(v) for _, v in tb.hi])
-                 for tb in tables]
-    shifts = [[sh for sh, _ in tb.lo] for tb in tables]
-    gvals = [float(v) for _, v in tables[0].lo] if tables else []
-    return LevelKernels(p, n, nu_tables, shifts, gvals,
-                        inv_pm1=1.0 / (p - 1), inv_corr=1.0 / ((p - 1) * p ** n))
+def _tensor(a: np.ndarray, mode: str) -> Tensor:
+    return Tensor(a.shape, mode, a if mode == FLOAT64 else a.ravel().tolist())
 
 
 def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
@@ -224,34 +119,15 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
     tables = bank_tables(bank)
-    p, n = bank.p, bank.n
+    kern = LevelKernels(bank.p, bank.n, tables)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
-
-    if y.mode == FLOAT64:
-        kern = _level_kernels(bank, tables)
-        cur = y.data
-        for j in range(levels, 0, -1):
-            coarse, dets = kern.decompose_level(cur)
-            for tb, w in zip(tables, dets):
-                details[(tb.nu, j - 1)] = Tensor.from_numpy(w)
-            cur = coarse
-        coarse_t = Tensor.from_numpy(cur)
-    else:
-        inv_pm1 = Fraction(1, p - 1)
-        inv_corr = Fraction(1, (p - 1) * p ** n)
-        cur = list(y.data)
-        shape = y.shape
-        for j in range(levels, 0, -1):
-            coarse, dets = _decompose_level_py(cur, shape, p, tables,
-                                               inv_pm1, inv_corr, Fraction(0))
-            oshape = tuple(s // p for s in shape)
-            for tb, w in zip(tables, dets):
-                details[(tb.nu, j - 1)] = Tensor(oshape, RATIONAL, w)
-            cur, shape = coarse, oshape
-        coarse_t = Tensor(shape, RATIONAL, cur)
-
-    return MultiresCoeffs(p=p, n=n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=coarse_t, details=details)
+    cur = _array(y)
+    for j in range(levels, 0, -1):
+        cur, dets = kern.decompose_level(cur)
+        for tb, w in zip(tables, dets):
+            details[(tb.nu, j - 1)] = _tensor(w, y.mode)
+    return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
+                          coarse=_tensor(cur, y.mode), details=details)
 
 
 def _check_coeffs(c: MultiresCoeffs, bank: WaveletFilterBank) -> None:
@@ -274,29 +150,29 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     _require_pcs(bank)
     _check_coeffs(c, bank)
     tables = bank_tables(bank)
-    p, n = bank.p, bank.n
-
-    if c.mode == FLOAT64:
-        kern = _level_kernels(bank, tables)
-        cur = c.coarse.data
-        for j in range(c.levels):
-            dets = [c.details[(tb.nu, j)].data for tb in tables]
-            cur = kern.reconstruct_level(cur, dets)
-        return Tensor.from_numpy(cur)
-
-    inv_pm1 = Fraction(1, p - 1)
-    inv_corr = Fraction(1, (p - 1) * p ** n)
-    cur = list(c.coarse.data)
-    oshape = c.coarse.shape
+    kern = LevelKernels(bank.p, bank.n, tables)
+    cur = _array(c.coarse)
     for j in range(c.levels):
-        dets = [c.details[(tb.nu, j)].data for tb in tables]
-        cur = _reconstruct_level_py(cur, dets, oshape, p, tables,
-                                    inv_pm1, inv_corr, Fraction(0))
-        oshape = tuple(s * p for s in oshape)
-    return Tensor(oshape, RATIONAL, cur)
+        cur = kern.reconstruct_level(cur, [_array(c.details[(tb.nu, j)]) for tb in tables])
+    return _tensor(cur, c.mode)
 
 
 # --- direct (filter + resample) oracle --------------------------------------
+
+def _iter_coords(shape):
+    return itertools.product(*(range(s) for s in shape))
+
+
+def _flat(idx, shape, strides) -> int:
+    return sum(((i % s) * st) for i, s, st in zip(idx, shape, strides))
+
+
+def _strides(shape):
+    out = [1] * len(shape)
+    for a in range(len(shape) - 2, -1, -1):
+        out[a] = out[a + 1] * shape[a + 1]
+    return tuple(out)
+
 
 def _subband_direct(data, shape, strides, p, q, f, zero, one_over_q):
     oshape = tuple(s // p for s in shape)
@@ -385,7 +261,7 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
 
 @dataclass(frozen=True)
 class OpCount:
-    """Measured and predicted multiplicative work for decompose+reconstruct."""
+    """Counted and predicted multiplicative work for decompose+reconstruct."""
 
     multiplicative_ops: int
     predicted: Fraction          # closed-form total over all levels
@@ -404,17 +280,19 @@ def pcs_complexity_constant(alpha_tilde: int, beta: int, p: int, n: int) -> Frac
 
 
 def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
-    """Run an instrumented decompose+reconstruct and compare with the model.
+    """Count the multiplies of a decompose+reconstruct and compare with the model.
 
-    The counter increments inside the actual step loops under the documented
-    convention (module docstring), so the measurement reflects the work the
-    implementation really schedules; the closed form is computed separately
-    and the two must agree exactly.
+    The count is structural and runs no transform: level by level, it sums
+    the multiplies per output sample of each step (one per tap plus the
+    normalization, as the module docstring counts them) times the samples the
+    step produces, over the tap tables the fast steps loop over
+    (:meth:`pcswave.kernels.LevelKernels.mults`). The closed form is computed
+    separately from the 1-D generators, and the two must agree exactly.
     """
     _require_pcs(bank)
     shape = tuple(int(s) for s in shape)
     _check_divisible(shape, bank.p, levels)
-    tables = bank_tables(bank)
+    kern = LevelKernels(bank.p, bank.n, bank_tables(bank))
     p, n = bank.p, bank.n
     q = p ** n
 
@@ -429,21 +307,9 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     predicted = sum((constant * Fraction(size, q ** j) for j in range(levels)),
                     Fraction(0))
 
-    tally = _Tally()
-    data = [0.0] * size
-    cur, cur_shape = data, shape
-    stack = []
-    for _ in range(levels):
-        coarse, dets = _decompose_level_py(cur, cur_shape, p, tables,
-                                           1.0 / (p - 1), 1.0 / ((p - 1) * q),
-                                           0.0, tally)
-        stack.append((dets, tuple(s // p for s in cur_shape)))
-        cur, cur_shape = coarse, tuple(s // p for s in cur_shape)
-    for dets, oshape in reversed(stack):
-        cur = _reconstruct_level_py(cur, dets, oshape, p, tables,
-                                    1.0 / (p - 1), 1.0 / ((p - 1) * q), 0.0, tally)
+    mults = sum(kern.mults(size // q ** j) for j in range(1, levels + 1))
 
-    return OpCount(multiplicative_ops=tally.mults, predicted=predicted,
+    return OpCount(multiplicative_ops=mults, predicted=predicted,
                    alpha=alpha, beta=beta, alpha_tilde=alpha_tilde,
                    pcs_constant=constant,
                    tensor_model=Fraction((alpha + beta) * n),

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,49 @@ def test_analyze_rejects_indivisible_shape(box_bank_path, tmp_path, capsys):
                        tmp_path / "y.pcst", "-o", tmp_path / "y.pcsc")
     assert code == 2
     assert "axis 0" in err
+
+
+def _pcst_header(extent):
+    """A 1-D PCST header that claims `extent` samples and carries no payload."""
+    return b"PCST" + struct.pack("<HBBQ", 1, 0, 1, extent)
+
+
+@pytest.mark.parametrize("extent", [2 ** 40, 2 ** 62])
+def test_analyze_rejects_oversized_pcst_header(box_bank_path, tmp_path, capsys, extent):
+    src = tmp_path / "huge.pcst"
+    src.write_bytes(_pcst_header(extent))
+    code, _, err = run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1,
+                       src, "-o", tmp_path / "y.pcsc")
+    assert code == 2
+    assert err.startswith("error:") and "payload bytes" in err
+
+
+@pytest.mark.parametrize("extent", [2 ** 40, 2 ** 62])
+def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsys, extent):
+    # PCSC header for p=3, n=2, one level, 9x9, then the coarse record's tag
+    src = tmp_path / "huge.pcsc"
+    src.write_bytes(b"PCSC" + struct.pack("<HBBBQQHH", 1, 3, 2, 1, 9, 9, 0, 0)
+                    + _pcst_header(extent))
+    code, _, err = run(capsys, "synthesize", "--bank", box_bank_path,
+                       src, "-o", tmp_path / "back.pcst")
+    assert code == 2
+    assert err.startswith("error:") and "payload bytes" in err
+
+
+@pytest.mark.parametrize("damage", ["t_is_list", "no_t_d"])
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
+    doc = json.loads(box_bank_path.read_text())
+    if damage == "t_is_list":
+        doc["filters"]["t"] = list(doc["filters"]["t"].values())
+    else:
+        del doc["filters"]["t_d"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [bad] if command == "verify" else ["--bank", bad, "--shape", "9x9"]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 2
+    assert err.startswith("error: malformed bank JSON")
 
 
 def test_synthesize_levels_mismatch(box_bank_path, tmp_path, capsys):
