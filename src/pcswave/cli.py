@@ -27,7 +27,8 @@ def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, bad UTF-8 and over-long integers
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -30,6 +30,7 @@ TENSOR_MAGIC = b"PCST"
 COEFFS_MAGIC = b"PCSC"
 VERSION = 1
 SCALAR_FLOAT64 = 0
+MAX_NDIM = 32   # numpy 1.x's array rank limit
 
 
 def _write_tensor(fh, t: Tensor) -> None:
@@ -57,7 +58,11 @@ def _read_tensor(fh) -> Tensor:
         raise FormatError(f"unsupported tensor version {version}")
     if scalar != SCALAR_FLOAT64:
         raise FormatError(f"unsupported scalar code {scalar}")
+    if not 1 <= ndim <= MAX_NDIM:
+        raise FormatError(f"tensor ndim {ndim} is outside 1..{MAX_NDIM}")
     shape = struct.unpack("<" + "Q" * ndim, _read_exact(fh, 8 * ndim))
+    if 0 in shape:
+        raise FormatError(f"tensor shape {shape} has a zero extent")
     size = 1
     for s in shape:
         size *= s

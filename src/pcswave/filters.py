@@ -237,6 +237,8 @@ def filter_from_json(data: dict) -> FilterND:
         raw = data["taps"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed filter JSON: {exc}") from exc
+    if not isinstance(raw, list):
+        raise FormatError(f"filter taps must be a list, got {raw!r}")
     taps: Dict[MultiIndex, Fraction] = {}
     for entry in raw:
         try:

@@ -20,6 +20,9 @@ MultiIndex = Tuple[int, ...]
 STANDARD = "standard"
 CENTERED = "centered"
 
+# the most cosets a PCSC record's u16 coset index can address
+MAX_COSETS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CosetSystem:
@@ -65,9 +68,13 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD, *,
     class always comes first. ``allow_composite`` skips the primality check;
     it exists only so diagnostics can demonstrate how the p^(n-1) count fails
     for composite moduli, and none of the constructions accept such a system.
+    Systems of more than MAX_COSETS cosets are refused before p is tested.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    # p^17 > 2^16 for every p >= 2, so a huge n need not be raised to
+    if p >= 2 and p ** min(n, 17) > MAX_COSETS:
+        raise DomainError(f"p^n = {p}^{n} exceeds {MAX_COSETS} cosets")
     if not allow_composite and not is_prime(p):
         raise CompositeDilation(f"dilation must be prime, got {p}")
     if convention not in (STANDARD, CENTERED):

@@ -1,13 +1,15 @@
 """Dense n-D signals with periodic indexing, in float64 or exact-rational mode.
 
 Rational mode exists for verification: every transform identity holds exactly
-there, so it is the ground truth the float64 path is judged against. Data is
-row-major; all coordinate access is reduced modulo the shape, matching the
-Z^n periodization the transforms assume.
+there, so it is the ground truth the float64 path is judged against. The data
+is an ndarray in both modes, float64 or object holding ``Fraction``, and the
+mode is read from its dtype. Coordinates of an impulse are reduced modulo the
+shape, matching the Z^n periodization the transforms assume.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -20,55 +22,59 @@ FLOAT64 = "float64"
 RATIONAL = "rational"
 
 
-def _strides(shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [1] * len(shape)
-    for a in range(len(shape) - 2, -1, -1):
-        out[a] = out[a + 1] * shape[a + 1]
-    return tuple(out)
+def _shape(shape) -> Tuple[int, ...]:
+    shape = tuple(int(s) for s in shape)
+    if not shape or any(s < 1 for s in shape):
+        raise DomainError(f"bad shape {shape}")
+    return shape
 
 
 class Tensor:
-    """Row-major dense array over float64 or Fraction scalars."""
+    """Dense ndarray over float64 or Fraction scalars.
 
-    __slots__ = ("shape", "mode", "data", "strides")
+    ``data`` has dtype float64 in float64 mode and dtype object, holding
+    ``Fraction``, in rational mode. The constructor takes the values as a
+    flat row-major sequence or as an array. In rational mode every value is
+    made a ``Fraction``, except that an object array is taken as it is.
+    """
+
+    __slots__ = ("data",)
 
     def __init__(self, shape, mode: str, data):
-        shape = tuple(int(s) for s in shape)
-        if not shape or any(s < 1 for s in shape):
-            raise DomainError(f"bad shape {shape}")
-        if mode not in (FLOAT64, RATIONAL):
-            raise DomainError(f"unknown scalar mode {mode!r}")
-        self.shape = shape
-        self.mode = mode
-        self.strides = _strides(shape)
-        size = self.size
-        if mode == FLOAT64:
-            arr = np.ascontiguousarray(data, dtype=np.float64).reshape(shape)
-            self.data = arr
+        shape = _shape(shape)
+        if mode == RATIONAL:
+            if not (isinstance(data, np.ndarray) and data.dtype == object):
+                vals = data.ravel().tolist() if isinstance(data, np.ndarray) else data
+                data = [Fraction(v) for v in vals]
+            arr = np.ascontiguousarray(data, dtype=object)
+        elif mode == FLOAT64:
+            arr = np.ascontiguousarray(data, dtype=np.float64)
         else:
-            vals = list(data)
-            if len(vals) != size:
-                raise ShapeMismatch(f"{len(vals)} values for shape {shape}")
-            self.data = [Fraction(v) for v in vals]
+            raise DomainError(f"unknown scalar mode {mode!r}")
+        if arr.size != math.prod(shape):
+            raise ShapeMismatch(f"{arr.size} values for shape {shape}")
+        self.data = arr.reshape(shape)
+
+    @property
+    def mode(self) -> str:
+        return RATIONAL if self.data.dtype == object else FLOAT64
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.data.shape
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return self.data.size
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.data.ndim
 
     @classmethod
     def zeros(cls, shape, mode: str = FLOAT64) -> "Tensor":
-        shape = tuple(int(s) for s in shape)
-        size = int(np.prod(shape))
-        if mode == FLOAT64:
-            return cls(shape, mode, np.zeros(shape))
-        return cls(shape, mode, [Fraction(0)] * size)
+        shape = _shape(shape)
+        return cls(shape, mode, np.zeros(shape))
 
     @classmethod
     def from_numpy(cls, arr) -> "Tensor":
@@ -77,49 +83,18 @@ class Tensor:
     @classmethod
     def impulse(cls, shape, at=None, mode: str = RATIONAL) -> "Tensor":
         t = cls.zeros(shape, mode)
-        at = tuple(at) if at is not None else (0,) * len(t.shape)
-        one = 1.0 if mode == FLOAT64 else Fraction(1)
-        t.set(at, one)
+        at = tuple(at) if at is not None else (0,) * t.ndim
+        t.data[tuple(i % s for i, s in zip(at, t.shape))] = Fraction(1)
         return t
 
-    def flat_index(self, idx) -> int:
-        return sum(((i % s) * st) for i, s, st in zip(idx, self.shape, self.strides))
-
-    def get(self, idx):
-        if self.mode == FLOAT64:
-            return float(self.data[tuple(i % s for i, s in zip(idx, self.shape))])
-        return self.data[self.flat_index(idx)]
-
-    def set(self, idx, value) -> None:
-        if self.mode == FLOAT64:
-            self.data[tuple(i % s for i, s in zip(idx, self.shape))] = value
-        else:
-            self.data[self.flat_index(idx)] = Fraction(value)
-
-    def flat(self):
-        """Flat row-major scalar list (a raveled view for float64)."""
-        if self.mode == FLOAT64:
-            return self.data.ravel()
-        return self.data
-
     def to_numpy(self) -> np.ndarray:
-        if self.mode == FLOAT64:
-            return self.data
-        return np.array([float(v) for v in self.data]).reshape(self.shape)
-
-    def copy(self) -> "Tensor":
-        if self.mode == FLOAT64:
-            return Tensor(self.shape, FLOAT64, self.data.copy())
-        return Tensor(self.shape, RATIONAL, list(self.data))
+        return np.asarray(self.data, dtype=np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self.shape != other.shape or self.mode != other.mode:
-            return False
-        if self.mode == FLOAT64:
-            return bool(np.array_equal(self.data, other.data))
-        return self.data == other.data
+        return (self.shape == other.shape and self.mode == other.mode
+                and bool(np.array_equal(self.data, other.data)))
 
     def max_abs_diff(self, other: "Tensor") -> float:
         if self.shape != other.shape:

@@ -43,14 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .errors import (DimensionMismatch, DomainError, PcswaveError,
                      ShapeMismatch, ShapeNotDivisible, WrongProvenance)
 from .filterbank import PRIME_COSET_SUM, WaveletFilterBank
 from .kernels import LevelKernels
 from .lattice import eta
-from .tensor import FLOAT64, RATIONAL, MultiresCoeffs, Tensor
+from .tensor import MultiresCoeffs, Tensor
 
 MultiIndex = Tuple[int, ...]
 
@@ -72,11 +70,13 @@ def _require_pcs(bank: WaveletFilterBank) -> None:
 def _check_divisible(shape, p: int, levels: int) -> None:
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
-    d = p ** levels
     for axis, s in enumerate(shape):
-        if s % d:
-            raise ShapeNotDivisible(
-                f"axis {axis} has extent {s}, not divisible by p^levels = {d}")
+        # one level at a time: a huge levels never forms p^levels
+        for _ in range(levels):
+            s, r = divmod(s, p)
+            if r:
+                raise ShapeNotDivisible(f"axis {axis} has extent {shape[axis]}, "
+                                        f"not divisible by p^levels = {p}^{levels}")
 
 
 def bank_tables(bank: WaveletFilterBank) -> List[NuTable]:
@@ -101,17 +101,6 @@ def bank_tables(bank: WaveletFilterBank) -> List[NuTable]:
             for nu in sys.gamma_prime]
 
 
-def _array(t: Tensor) -> np.ndarray:
-    """The tensor as an nd array: float64, or object of Fraction in rational mode."""
-    if t.mode == FLOAT64:
-        return t.data
-    return np.array(t.data, dtype=object).reshape(t.shape)
-
-
-def _tensor(a: np.ndarray, mode: str) -> Tensor:
-    return Tensor(a.shape, mode, a if mode == FLOAT64 else a.ravel().tolist())
-
-
 def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
     """J-level decomposition by the fast per-coset steps."""
     _require_pcs(bank)
@@ -121,13 +110,13 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
     tables = bank_tables(bank)
     kern = LevelKernels(bank.p, bank.n, tables)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
-    cur = _array(y)
+    cur = y.data
     for j in range(levels, 0, -1):
         cur, dets = kern.decompose_level(cur)
         for tb, w in zip(tables, dets):
-            details[(tb.nu, j - 1)] = _tensor(w, y.mode)
+            details[(tb.nu, j - 1)] = Tensor(w.shape, y.mode, w)
     return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=_tensor(cur, y.mode), details=details)
+                          coarse=Tensor(cur.shape, y.mode, cur), details=details)
 
 
 def _check_coeffs(c: MultiresCoeffs, bank: WaveletFilterBank) -> None:
@@ -151,10 +140,10 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     _check_coeffs(c, bank)
     tables = bank_tables(bank)
     kern = LevelKernels(bank.p, bank.n, tables)
-    cur = _array(c.coarse)
+    cur = c.coarse.data
     for j in range(c.levels):
-        cur = kern.reconstruct_level(cur, [_array(c.details[(tb.nu, j)]) for tb in tables])
-    return _tensor(cur, c.mode)
+        cur = kern.reconstruct_level(cur, [c.details[(tb.nu, j)].data for tb in tables])
+    return Tensor(cur.shape, c.mode, cur)
 
 
 # --- direct (filter + resample) oracle --------------------------------------
@@ -174,12 +163,12 @@ def _strides(shape):
     return tuple(out)
 
 
-def _subband_direct(data, shape, strides, p, q, f, zero, one_over_q):
+def _subband_direct(data, shape, strides, p, f, one_over_q):
     oshape = tuple(s // p for s in shape)
     out = []
     taps = sorted(f.taps.items())
     for k in _iter_coords(oshape):
-        s = zero
+        s = 0
         for t, v in taps:
             idx = _flat([p * a + b for a, b in zip(k, t)], shape, strides)
             s = s + v * data[idx]
@@ -191,31 +180,26 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     """Reference decomposition: correlate with each analysis filter, decimate.
 
     Works for any provenance since it only needs the materialized filters.
-    subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis.
+    subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis. The
+    same code serves both modes: the exact 1/q and taps meet Fractions in
+    rational mode and are rounded to float64 when multiplied with floats.
     """
     if len(y.shape) != bank.n:
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
-    p, q = bank.p, bank.q
-    rational = y.mode == RATIONAL
-    zero = Fraction(0) if rational else 0.0
-    scale = Fraction(1, q) if rational else 1.0 / q
-
-    data = list(y.data) if rational else [float(v) for v in y.data.ravel()]
+    p = bank.p
+    scale = Fraction(1, bank.q)
+    data = y.data.ravel().tolist()
     shape = y.shape
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
     for j in range(levels, 0, -1):
         strides = _strides(shape)
         for nu in bank.sys.gamma_prime:
-            sub, oshape = _subband_direct(data, shape, strides, p, q,
-                                          bank.t[nu], zero, scale)
-            details[(nu, j - 1)] = (Tensor(oshape, RATIONAL, sub) if rational
-                                    else Tensor(oshape, FLOAT64, np.array(sub).reshape(oshape)))
-        data, shape = _subband_direct(data, shape, strides, p, q, bank.tau, zero, scale)
-    coarse = (Tensor(shape, RATIONAL, data) if rational
-              else Tensor(shape, FLOAT64, np.array(data).reshape(shape)))
+            sub, oshape = _subband_direct(data, shape, strides, p, bank.t[nu], scale)
+            details[(nu, j - 1)] = Tensor(oshape, y.mode, sub)
+        data, shape = _subband_direct(data, shape, strides, p, bank.tau, scale)
     return MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=coarse, details=details)
+                          coarse=Tensor(shape, y.mode, data), details=details)
 
 
 def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
@@ -227,10 +211,7 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     """
     _check_coeffs(c, bank)
     p = bank.p
-    rational = c.mode == RATIONAL
-    zero = Fraction(0) if rational else 0.0
-
-    cur = list(c.coarse.data) if rational else [float(v) for v in c.coarse.data.ravel()]
+    cur = c.coarse.data.ravel().tolist()
     oshape = c.coarse.shape
     for j in range(c.levels):
         shape = tuple(s * p for s in oshape)
@@ -238,12 +219,10 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
         size = 1
         for s in shape:
             size *= s
-        out = [zero] * size
+        out = [0] * size
         pairs = [(bank.tau_d, cur)]
         for nu in bank.sys.gamma_prime:
-            w = c.details[(nu, j)]
-            pairs.append((bank.t_d[nu], w.data if rational
-                          else [float(v) for v in w.data.ravel()]))
+            pairs.append((bank.t_d[nu], c.details[(nu, j)].data.ravel().tolist()))
         for f, sub in pairs:
             taps = sorted(f.taps.items())
             for k, sval in zip(_iter_coords(oshape), sub):
@@ -253,8 +232,7 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
                     idx = _flat([p * a + b for a, b in zip(k, t)], shape, strides)
                     out[idx] = out[idx] + v * sval
         cur, oshape = out, shape
-    return (Tensor(oshape, RATIONAL, cur) if rational
-            else Tensor(oshape, FLOAT64, np.array(cur).reshape(oshape)))
+    return Tensor(oshape, c.mode, cur)
 
 
 # --- operation accounting ----------------------------------------------------

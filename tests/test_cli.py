@@ -1,5 +1,7 @@
 import json
 import struct
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -156,14 +158,23 @@ def _pcst_header(extent):
     return b"PCST" + struct.pack("<HBBQ", 1, 0, 1, extent)
 
 
-@pytest.mark.parametrize("extent", [2 ** 40, 2 ** 62])
-def test_analyze_rejects_oversized_pcst_header(box_bank_path, tmp_path, capsys, extent):
+@pytest.mark.parametrize("header, message", [
+    pytest.param(_pcst_header(2 ** 40), "payload bytes", id=str(2 ** 40)),
+    pytest.param(_pcst_header(2 ** 62), "payload bytes", id=str(2 ** 62)),
+    pytest.param(b"PCST" + struct.pack("<HBB", 1, 0, 0), "ndim 0", id="ndim0"),
+    pytest.param(b"PCST" + struct.pack("<HBB", 1, 0, 65) + bytes(8 * 65), "ndim 65",
+                 id="ndim65"),
+    pytest.param(b"PCST" + struct.pack("<HBBQQ", 1, 0, 2, 0, 2 ** 62), "zero extent",
+                 id="zero_extent"),
+])
+def test_analyze_rejects_oversized_pcst_header(box_bank_path, tmp_path, capsys,
+                                               header, message):
     src = tmp_path / "huge.pcst"
-    src.write_bytes(_pcst_header(extent))
+    src.write_bytes(header)
     code, _, err = run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1,
                        src, "-o", tmp_path / "y.pcsc")
     assert code == 2
-    assert err.startswith("error:") and "payload bytes" in err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("extent", [2 ** 40, 2 ** 62])
@@ -178,20 +189,78 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
     assert err.startswith("error:") and "payload bytes" in err
 
 
-@pytest.mark.parametrize("damage", ["t_is_list", "no_t_d"])
+@pytest.mark.parametrize("damage", ["t_is_list", "no_t_d", "taps_5", "taps_null",
+                                    "taps_1.5", "not_utf8"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
+    bad = tmp_path / "bad.json"
+    prefix = "error: malformed bank JSON"
     if damage == "t_is_list":
         doc["filters"]["t"] = list(doc["filters"]["t"].values())
-    else:
+    elif damage == "no_t_d":
         del doc["filters"]["t_d"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    elif damage.startswith("taps_"):
+        doc["filters"]["tau"]["taps"] = json.loads(damage[5:])
+        prefix = "error: filter taps must be a list"
+    if damage == "not_utf8":
+        bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
+        prefix = f"error: {bad}: not valid JSON"
+    else:
+        bad.write_text(json.dumps(doc))
     argv = [bad] if command == "verify" else ["--bank", bad, "--shape", "9x9"]
     code, _, err = run(capsys, command, *argv)
     assert code == 2
-    assert err.startswith("error: malformed bank JSON")
+    assert err.startswith(prefix)
+
+
+HOSTILE_BANK_EDITS = {"dim40": {"dim": 40}, "p_huge": {"p": 1000000000000000003}}
+
+
+def _hostile_size(case, bank_path, tmp_path):
+    """argv for one oversized request, built in tmp_path from a q = 9 bank."""
+    if case in HOSTILE_BANK_EDITS:
+        doc = json.loads(bank_path.read_text())
+        doc.update(HOSTILE_BANK_EDITS[case])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return ["verify", bad]
+    if case == "design_dim30":
+        box = FIXTURES / "box_p3_centered.json"
+        return ["design", "--p", 3, "--dim", 30, "--g", box, "--h", box,
+                "-o", tmp_path / "big.json"]
+    if case == "analyze_levels":
+        write_tensor(tmp_path / "y.pcst", Tensor.from_numpy(np.zeros((9, 9))))
+        return ["analyze", "--bank", bank_path, "--levels", 100000000,
+                tmp_path / "y.pcst", "-o", tmp_path / "y.pcsc"]
+    return ["bench", "--bank", bank_path, "--shape", "9x9", "--levels", 100000000]
+
+
+@pytest.mark.parametrize("case", ["dim40", "p_huge", "design_dim30", "analyze_levels",
+                                  "bench_levels"])
+def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
+    argv = _hostile_size(case, box_bank_path, tmp_path)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_verify_dump_polyphase(box_bank_path, tmp_path, capsys):
+    dump = tmp_path / "poly.json"
+    code, _, _ = run(capsys, "verify", box_bank_path, "--dump-polyphase", dump)
+    assert code == 0
+    doc = json.loads(dump.read_text())
+    assert set(doc) == {"A", "S"}
+    q = 9
+    for m in doc.values():
+        assert m["rows"] == m["cols"] == q
+        assert len(m["entries"]) == q and all(len(row) == q for row in m["entries"])
+        for row in m["entries"]:
+            for entry in row:
+                for term in entry:
+                    Fraction(term["v"])
 
 
 def test_synthesize_levels_mismatch(box_bank_path, tmp_path, capsys):
