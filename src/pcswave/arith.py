@@ -11,6 +11,7 @@ this field, so zero tests there are exact rather than floating-point guesses.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import CompositeDilation, DomainError
@@ -30,10 +31,23 @@ def is_prime(p: int) -> bool:
     return True
 
 
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse the "num/den" text form (denominator omitted when 1)."""
+    """Parse the "num/den" text form (denominator omitted when 1).
+
+    Only that grammar is read: an optional sign, decimal digits, and
+    optionally "/" and more digits, with surrounding whitespace ignored.
+    Exponents and decimal points are refused, so no text can make the parser
+    build a power of ten; neither part may exceed Python's int-string limit.
+    """
+    m = _RATIONAL_TEXT.fullmatch(str(text).strip())
+    if m is None:
+        raise DomainError(f"not a rational: {text!r}")
+    num, den = m.groups()
     try:
-        return Fraction(str(text).strip())
+        return Fraction(int(num), int(den) if den else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational: {text!r}") from exc
 

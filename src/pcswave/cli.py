@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 bad input
 (parse errors, violated preconditions, I/O). Reports go to stdout as plain
-text; ``--json PATH`` writes a machine-readable duplicate alongside.
+text; ``--json PATH`` writes a machine-readable duplicate alongside. The JSON
+reports of ``design`` and ``verify`` also carry ``timings``, the wall seconds
+of each stage of that run.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -47,17 +50,26 @@ def _load_filter_1d(path, p: int):
     return to_1d(f)
 
 
+def _stages(clock, *names) -> dict:
+    """Seconds between consecutive perf_counter readings, by stage name."""
+    return {name: b - a for name, a, b in zip(names, clock, clock[1:])}
+
+
 def _nu_label(nu) -> str:
     return "(" + ",".join(str(x) for x in nu) + ")"
 
 
 def cmd_design(args) -> int:
+    clock = [time.perf_counter()]
     G = _load_filter_1d(args.g, args.p)
     H = _load_filter_1d(args.h, args.p)
     bank = build_pcs_bank(G, H, args.dim, args.gamma)
+    clock.append(time.perf_counter())
     _dump_json(args.output, bank_to_json(bank))
-
+    clock.append(time.perf_counter())
     rep = bank_report(bank, args.max_order)
+    clock.append(time.perf_counter())
+
     sizes = {"tau": bank.tau.support_size, "tau_d": bank.tau_d.support_size,
              "t": sorted({f.support_size for f in bank.t.values()}),
              "t_d": sorted({f.support_size for f in bank.t_d.values()})}
@@ -70,7 +82,8 @@ def cmd_design(args) -> int:
         _dump_json(args.json, {"output": args.output, "p": bank.p, "dim": bank.n,
                                "convention": bank.sys.convention,
                                "support_sizes": sizes,
-                               "guarantee_floor": rep.guarantee_floor})
+                               "guarantee_floor": rep.guarantee_floor,
+                               "timings": _stages(clock, "build_s", "write_s", "report_s")})
     return 0
 
 
@@ -83,7 +96,9 @@ def _diag_row(name, nu, d) -> str:
 
 
 def cmd_verify(args) -> int:
+    clock = [time.perf_counter()]
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
+    clock.append(time.perf_counter())
     if args.dump_polyphase:
         from .filterbank import bank_polyphase_matrices
         from .polyphase import matrix_to_json
@@ -91,9 +106,11 @@ def cmd_verify(args) -> int:
         _dump_json(args.dump_polyphase,
                    {"A": matrix_to_json(A), "S": matrix_to_json(S)})
     ver = verify_combined_biorthogonality(bank)
+    clock.append(time.perf_counter())
     interp = is_interpolatory(bank.tau_d)
     biorth = is_biorthogonal(bank.tau, bank.tau_d)
     rep = bank_report(bank, args.max_order)
+    clock.append(time.perf_counter())
 
     checks = [
         ("combined biorthogonality (S.A = (1/q) I)", ver.passed, ver.describe()),
@@ -129,6 +146,7 @@ def cmd_verify(args) -> int:
                 "interpolatory": fr.diag.is_interpolatory,
             } for fr in rep.filters],
             "passed": ok,
+            "timings": _stages(clock, "load_s", "sa_check_s", "report_s"),
         })
     return 0 if ok else 1
 

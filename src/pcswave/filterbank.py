@@ -14,16 +14,23 @@ The correction term in tau is computed by polyphase products, never by summing
 masks over the frequency cosets numerically.
 
 ``build_pcs_bank`` feeds two 1-D lowpass filters through the prime coset sum
-and then through ``build_general``; it additionally rebuilds every highpass
-filter from the closed forms in terms of the 1-D polyphase components routed
-through eta, and refuses to return a bank where the two routes disagree.
+and then through ``build_general``. Its second route, ``pcs_bank_masks``,
+re-derives all 2q masks from G and H: tau_d as the prime coset sum of H, tau
+as above, and every highpass mask from the closed forms in terms of the 1-D
+polyphase components routed through eta. ``design`` runs both routes and
+refuses a bank where they disagree on any filter.
+
+Loading runs only the second route: ``bank_from_json`` compares each of the
+2q stored filters with ``pcs_bank_masks`` of the stored generators. All of
+this algebra runs on integer numerators over common denominators (see
+:mod:`pcswave.polyphase`); a stored tap is compared by cross-multiplying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cosetsum import prime_coset_sum
 from .errors import (DimensionMismatch, FormatError, NotInterpolatory,
@@ -33,8 +40,8 @@ from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
                       is_interpolatory, to_1d)
 from .lattice import CosetSystem, eta, make_coset_system
 from .polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix,
-                        filter_of_mask, identity_residuals, mask_poly, matmul,
-                        polyphase_decompose)
+                        common_denominator, filter_of_mask, identity_residuals,
+                        mask_poly, matmul, poly_sum, polyphase_decompose)
 
 MultiIndex = Tuple[int, ...]
 
@@ -79,13 +86,33 @@ def _require_lowpass_nd(f: FilterND, name: str) -> None:
         raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
 
 
-def _require_interpolatory_1d(H: Filter1D, name: str) -> None:
+def _require_generators(G: Filter1D, H: Filter1D) -> None:
+    """G and H share p, both are lowpass, and H is interpolatory."""
+    if G.p != H.p:
+        raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
+    if G.tap_sum != G.p:
+        raise NotLowpass(f"G tap sum is {G.tap_sum}, lowpass needs {G.p}")
+    if H.tap_sum != H.p:
+        raise NotLowpass(f"H tap sum is {H.tap_sum}, lowpass needs {H.p}")
     if H.taps.get(0, Fraction(0)) != 1:
-        raise NotInterpolatory(f"{name} is not interpolatory: {name}(0) = "
+        raise NotInterpolatory(f"H is not interpolatory: H(0) = "
                                f"{H.taps.get(0, Fraction(0))} != 1")
     for k, v in sorted(H.taps.items()):
         if k != 0 and k % H.p == 0:
-            raise NotInterpolatory(f"{name} is not interpolatory: {name}({k}) = {v} != 0")
+            raise NotInterpolatory(f"H is not interpolatory: H({k}) = {v} != 0")
+
+
+def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
+                  sys: CosetSystem) -> LaurentPoly:
+    """tau = g^ + 1 - q sum_nu Sg_nu conj(Sh_nu), the correction taken at p w.
+
+    1 - sum over the coset shifts gamma of g^(w+gamma) conj(h^(w+gamma)) equals
+    1 - q sum_nu Sg_nu(p w) conj(Sh_nu(p w)), from the synthesis polyphase
+    components Sg of g and Sh of h; the conjugate sits on the h side.
+    """
+    products = poly_sum(sys.n, (a * b.conj() for a, b in zip(sg, sh)))
+    corr = LaurentPoly.const(sys.n, 1) - products * sys.q
+    return mask_poly(g) + corr.stretch(sys.p)
 
 
 def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBank:
@@ -100,19 +127,12 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
     p, q = sys.p, sys.q
     sg = polyphase_decompose(g, sys, SYNTHESIS)
     sh = polyphase_decompose(h, sys, SYNTHESIS)
-
-    # 1 - sum_gamma g^(w+gamma) conj(h^(w+gamma)) == 1 - q sum_nu Sg_nu conj(Sh_nu)
-    # evaluated at p*w; the conjugate sits on the h side.
-    corr = LaurentPoly.const(sys.n, 1)
-    for i in range(q):
-        corr = corr - q * (sg[i] * sh[i].conj())
-
-    tau_mask = mask_poly(g) + corr.stretch(p)
+    tau_mask = _lowpass_mask(g, sg, sh, sys)
     h_mask = mask_poly(h)
 
     t: Dict[MultiIndex, FilterND] = {}
     t_d: Dict[MultiIndex, FilterND] = {}
-    for idx, nu in enumerate(sys.gamma, start=0):
+    for idx, nu in enumerate(sys.gamma):
         if idx == 0:
             continue
         e_nu = LaurentPoly.monomial(nu, 1)
@@ -135,6 +155,18 @@ def _residue_groups(F: Filter1D, p: int) -> Dict[int, List[Tuple[int, Fraction]]
     return groups
 
 
+def _eta_sum(F: Filter1D, groups, sys: CosetSystem, nu: MultiIndex) -> LaurentPoly:
+    """(1/(p-1)) sum over the taps m of F off pZ of F(m) e^{-i w.(nu - m eta(l, nu))}."""
+    den = common_denominator(F.taps.values())
+    out: Dict[MultiIndex, int] = {}
+    for l, taps in groups.items():
+        e = eta(sys, l, nu)
+        for m, v in taps:
+            k = tuple(a - m * b for a, b in zip(nu, e))
+            out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
+    return LaurentPoly.from_integers(sys.n, out, den * (sys.p - 1))
+
+
 def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
                       tau_d_mask: LaurentPoly) -> Tuple[Dict[MultiIndex, LaurentPoly],
                                                         Dict[MultiIndex, LaurentPoly]]:
@@ -147,42 +179,70 @@ def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
     (l, U_l) into a sum over the taps m of H (resp. G) with m != 0 mod p,
     contributing coefficient H(m)/(p-1) at exponent nu - m * eta(l, nu).
     """
-    p, q = sys.p, sys.q
-    invp = Fraction(1, p - 1)
-    hg = _residue_groups(H, p)
-    gg = _residue_groups(G, p)
+    hg = _residue_groups(H, sys.p)
+    gg = _residue_groups(G, sys.p)
+    scale = Fraction(1, sys.q)
     t_masks: Dict[MultiIndex, LaurentPoly] = {}
     td_masks: Dict[MultiIndex, LaurentPoly] = {}
     for nu in sys.gamma_prime:
-        t_mask = LaurentPoly.monomial(nu, 1)
-        g_sum = LaurentPoly.zero(sys.n)
-        for l, taps in hg.items():
-            e = eta(sys, l, nu)
-            for m, v in taps:
-                k = tuple(a - m * b for a, b in zip(nu, e))
-                t_mask = t_mask - LaurentPoly.monomial(k, invp * v)
-        for l, taps in gg.items():
-            e = eta(sys, l, nu)
-            for m, v in taps:
-                k = tuple(a - m * b for a, b in zip(nu, e))
-                g_sum = g_sum + LaurentPoly.monomial(k, invp * v)
-        td_mask = Fraction(1, q) * (LaurentPoly.monomial(nu, 1) - g_sum * tau_d_mask)
-        t_masks[nu] = t_mask
-        td_masks[nu] = td_mask
+        e_nu = LaurentPoly.monomial(nu, 1)
+        t_masks[nu] = e_nu - _eta_sum(H, hg, sys, nu)
+        td_masks[nu] = scale * (e_nu - _eta_sum(G, gg, sys, nu) * tau_d_mask)
     return t_masks, td_masks
+
+
+class BankMasks(NamedTuple):
+    """The masks of the 2q filters of a bank, keyed like WaveletFilterBank."""
+
+    tau: LaurentPoly
+    tau_d: LaurentPoly
+    t: Dict[MultiIndex, LaurentPoly]
+    t_d: Dict[MultiIndex, LaurentPoly]
+
+
+def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem) -> BankMasks:
+    """Every mask of the prime-coset-sum bank of (G, H), re-derived from G and H.
+
+    tau_d is the prime coset sum of H; tau is the prime coset sum g of G plus
+    the stretched polyphase correction; t and t_d are the eta-routed closed
+    forms of :func:`pcs_wavelet_masks`. This is the second construction route
+    of :func:`build_pcs_bank` and the check :func:`bank_from_json` runs.
+    """
+    _require_generators(G, H)
+    g = prime_coset_sum(G, sys.n, sys)
+    h = prime_coset_sum(H, sys.n, sys)
+    sg = polyphase_decompose(g, sys, SYNTHESIS)
+    sh = polyphase_decompose(h, sys, SYNTHESIS)
+    tau_d = mask_poly(h)
+    t, t_d = pcs_wavelet_masks(G, H, sys, tau_d)
+    return BankMasks(tau=_lowpass_mask(g, sg, sh, sys), tau_d=tau_d, t=t, t_d=t_d)
+
+
+def _has_mask(f: FilterND, mask: LaurentPoly, sys: CosetSystem) -> bool:
+    """f's taps are q times mask's coefficients; cross-multiplied, no Fraction built."""
+    if f.p != sys.p or f.dim != sys.n or f.taps.keys() != mask.num.keys():
+        return False
+    num, den, q = mask.num, mask.den, sys.q
+    return all(v.numerator * den == q * num[k] * v.denominator for k, v in f.taps.items())
+
+
+def _first_mismatch(bank: WaveletFilterBank, masks: BankMasks) -> Optional[str]:
+    """Name of the first filter of bank whose taps differ from masks, or None."""
+    sys = bank.sys
+    pairs = [("tau", bank.tau, masks.tau), ("tau_d", bank.tau_d, masks.tau_d)]
+    for name, filters, wanted in (("t", bank.t, masks.t), ("t_d", bank.t_d, masks.t_d)):
+        pairs += [(f"{name}[{_nu_key(nu)}]", filters[nu], wanted[nu])
+                  for nu in sys.gamma_prime]
+    for name, f, mask in pairs:
+        if not _has_mask(f, mask, sys):
+            return name
+    return None
 
 
 def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
                    convention: str = "centered") -> WaveletFilterBank:
     """Bank from two 1-D lowpass filters via the prime coset sum; H interpolatory."""
-    if G.p != H.p:
-        raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
-    if G.tap_sum != G.p:
-        raise NotLowpass(f"G tap sum is {G.tap_sum}, lowpass needs {G.p}")
-    if H.tap_sum != H.p:
-        raise NotLowpass(f"H tap sum is {H.tap_sum}, lowpass needs {H.p}")
-    _require_interpolatory_1d(H, "H")
-
+    _require_generators(G, H)
     sys = make_coset_system(G.p, n, convention)
     g = prime_coset_sum(G, n, sys)
     h = prime_coset_sum(H, n, sys)
@@ -191,14 +251,11 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     bank.g1d = G
     bank.h1d = H
 
-    # Construction cross-check: the polyphase route above and the eta-routed
-    # 1-D closed forms must produce identical term maps.
-    t_masks, td_masks = pcs_wavelet_masks(G, H, sys, mask_poly(h))
-    for nu in sys.gamma_prime:
-        if filter_of_mask(t_masks[nu], sys.p) != bank.t[nu]:
-            raise PcswaveError(f"highpass construction routes disagree at nu={nu}")
-        if filter_of_mask(td_masks[nu], sys.p) != bank.t_d[nu]:
-            raise PcswaveError(f"dual highpass construction routes disagree at nu={nu}")
+    # Construction cross-check: the polyphase route above and the closed
+    # forms from G and H must give the same 2q filters.
+    bad = _first_mismatch(bank, pcs_bank_masks(G, H, sys))
+    if bad is not None:
+        raise PcswaveError(f"construction routes disagree at {bad}")
     return bank
 
 
@@ -321,11 +378,13 @@ def bank_to_json(bank: WaveletFilterBank) -> dict:
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     """Rebuild a bank from its JSON form.
 
-    When the document carries 1-D generators and ``cross_check`` is true, the
-    bank is re-derived from them and every materialized filter compared
-    tap-for-tap; a mismatch raises :class:`FormatError`. Verification tools
-    pass ``cross_check=False`` so they can report exactly which identity a
-    corrupted bank violates instead of refusing to load it.
+    When the document carries 1-D generators and ``cross_check`` is true,
+    every one of the 2q materialized filters is compared tap-for-tap with one
+    exact re-derivation from the generators (:func:`pcs_bank_masks`); a
+    mismatch, or generators of another dilation than the bank's, raises
+    :class:`FormatError`. Verification tools pass ``cross_check=False`` so
+    they can report exactly which identity a corrupted bank violates instead
+    of refusing to load it.
     """
     try:
         p = int(doc["p"])
@@ -335,7 +394,7 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
         filters = doc["filters"]
         tau_doc, tau_d_doc = filters["tau"], filters["tau_d"]
         t_docs, t_d_docs = filters["t"].items(), filters["t_d"].items()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed bank JSON: {exc}") from exc
 
     sys = make_coset_system(p, n, convention)
@@ -357,10 +416,11 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
                              provenance=provenance, g1d=g1d, h1d=h1d)
 
     if cross_check and g1d is not None and h1d is not None:
-        rebuilt = build_pcs_bank(g1d, h1d, n, convention)
-        same = (rebuilt.tau == tau and rebuilt.tau_d == tau_d and
-                all(rebuilt.t[nu] == t[nu] for nu in sys.gamma_prime) and
-                all(rebuilt.t_d[nu] == t_d[nu] for nu in sys.gamma_prime))
-        if not same:
-            raise FormatError("bank filters do not match re-derivation from generators")
+        if g1d.p != p or h1d.p != p:
+            raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
+                              f"the bank has p={p}")
+        bad = _first_mismatch(bank, pcs_bank_masks(g1d, h1d, sys))
+        if bad is not None:
+            raise FormatError(f"bank filters do not match re-derivation from "
+                              f"generators: {bad} differs")
     return bank

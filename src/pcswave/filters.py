@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .arith import Cyclotomic
+from .arith import Cyclotomic, parse_rational
 from .errors import DimensionMismatch, DomainError, FormatError
 
 MultiIndex = Tuple[int, ...]
@@ -230,21 +230,37 @@ def filter_to_json(f: FilterND) -> dict:
     return {"p": f.p, "dim": f.dim, "taps": taps}
 
 
+def _tap_value(v, seen: Dict[str, Fraction]) -> Fraction:
+    """A tap value: a JSON integer (not a boolean), or "num/den" text.
+
+    ``seen`` caches parsed text; the filters of a bank repeat a few values.
+    """
+    if type(v) is int:
+        return Fraction(v)
+    if not isinstance(v, str):
+        raise DomainError(f"tap value {v!r} is neither an integer nor num/den text")
+    value = seen.get(v)
+    if value is None:
+        value = seen[v] = parse_rational(v)
+    return value
+
+
 def filter_from_json(data: dict) -> FilterND:
     try:
         p = int(data["p"])
         dim = int(data["dim"])
         raw = data["taps"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed filter JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise FormatError(f"filter taps must be a list, got {raw!r}")
     taps: Dict[MultiIndex, Fraction] = {}
+    seen: Dict[str, Fraction] = {}
     for entry in raw:
         try:
-            k = tuple(int(x) for x in entry["k"])
-            v = Fraction(str(entry["v"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            k = tuple(map(int, entry["k"]))
+            v = _tap_value(entry["v"], seen)
+        except (DomainError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed tap entry {entry!r}") from exc
         if len(k) != dim:
             raise FormatError(f"tap index {k} has length {len(k)}, expected {dim}")

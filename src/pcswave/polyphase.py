@@ -6,21 +6,33 @@ e^{-i k.w}. Under that convention, conjugating a real-coefficient polynomial
 negates exponents, and substituting w -> p*w multiplies them by p; both are
 exact exponent transforms, so the whole polyphase layer stays in Q.
 
+All of that arithmetic runs on Python integers: a polynomial is a map from
+exponents to integer numerators over one positive denominator, kept in lowest
+terms, so equality is a comparison of integers. ``Fraction`` appears only at
+the boundaries: ``LaurentPoly(n, terms)`` takes rationals, ``.terms`` reads
+them back, and :func:`mask_poly`/:func:`filter_of_mask` convert from and to
+the ``Fraction`` taps of a filter.
+
 The polyphase decomposition splits a filter into q = p^n subfilters indexed by
 Gamma. Synthesis components are (1/q) sum_k f(nu + p k) e^{-i k.w}; analysis
 components conjugate, which for real taps means (1/q) sum_k f(nu - p k)
 e^{-i k.w}. A filter bank becomes a pair of q x q matrices over this ring, and
-perfect reconstruction is the exact identity S(w) A(w) = (1/q) I.
+perfect reconstruction is the exact identity S(w) A(w) = (1/q) I, which
+:func:`matmul` and :func:`identity_residuals` decide over one common
+denominator per matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import DimensionMismatch, DomainError, NotInterpolatory, PcswaveError
-from .filters import Filter1D, FilterND, filter_nd, is_interpolatory
+from .filters import Filter1D, FilterND, is_interpolatory
 from .lattice import CosetSystem, eta
 
 MultiIndex = Tuple[int, ...]
@@ -29,14 +41,26 @@ SYNTHESIS = "synthesis"
 ANALYSIS = "analysis"
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial over Q in n variables; exponent k <-> e^{-i k.w}."""
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least common denominator of some rationals (1 for none)."""
+    return lcm(*(v.denominator for v in values))
 
-    __slots__ = ("n", "terms")
+
+class LaurentPoly:
+    """Sparse Laurent polynomial over Q in n variables; exponent k <-> e^{-i k.w}.
+
+    The coefficient at k is ``num[k] / den``: ``num`` maps exponents to
+    nonzero integers and ``den`` is a positive integer with
+    gcd(den, every numerator) == 1 (den is 1 for the zero polynomial). That
+    form is unique, so equal polynomials have equal ``num`` and ``den``.
+    Every operation returns a new polynomial; none changes its operands.
+    ``terms`` is a read-only view of the coefficients as ``Fraction``.
+    """
+
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms=None):
-        self.n = n
-        out: Dict[MultiIndex, Fraction] = {}
+        values: Dict[MultiIndex, Fraction] = {}
         if terms:
             for k, v in dict(terms).items():
                 k = tuple(int(x) for x in k)
@@ -44,8 +68,26 @@ class LaurentPoly:
                     raise DimensionMismatch(f"exponent {k} has length {len(k)}, expected {n}")
                 v = Fraction(v)
                 if v:
-                    out[k] = v
-        self.terms = out
+                    values[k] = v
+        den = common_denominator(values.values())
+        # reduced fractions over their least common denominator are in lowest terms
+        self.n = n
+        self.num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+        self.den = den
+
+    @classmethod
+    def from_integers(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "LaurentPoly":
+        """The polynomial sum num[k]/den * x^k; drops zeros and reduces. den > 0."""
+        num = {k: v for k, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+        r = cls.__new__(cls)
+        r.n = n
+        r.num = num
+        r.den = den
+        return r
 
     @classmethod
     def zero(cls, n: int) -> "LaurentPoly":
@@ -53,50 +95,52 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, n: int, value) -> "LaurentPoly":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def monomial(cls, exponent, value=1) -> "LaurentPoly":
         exponent = tuple(exponent)
-        return cls(len(exponent), {exponent: Fraction(value)})
+        return cls(len(exponent), {exponent: value})
+
+    @property
+    def terms(self) -> Mapping[MultiIndex, Fraction]:
+        """The coefficients as exponent -> Fraction, read-only."""
+        den = self.den
+        return MappingProxyType({k: Fraction(v, den) for k, v in self.num.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
-    def _check(self, other: "LaurentPoly") -> None:
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentPoly.const(self.n, other)
+        if not isinstance(other, LaurentPoly):
+            return None
         if self.n != other.n:
             raise DimensionMismatch(f"mixed variable counts {self.n} and {other.n}")
+        return other
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        out = {k: v * a for k, v in self.num.items()}
+        for k, v in other.num.items():
+            out[k] = out.get(k, 0) + v * b
+        return LaurentPoly.from_integers(self.n, out, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.n, other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = LaurentPoly(self.n)
-        r.terms = out
-        return r
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly(self.n)
-        r.terms = {k: -v for k, v in self.terms.items()}
-        return r
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.n, other)
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -104,38 +148,40 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             s = Fraction(other)
-            r = LaurentPoly(self.n)
-            if s:
-                r.terms = {k: v * s for k, v in self.terms.items()}
-            return r
-        if not isinstance(other, LaurentPoly):
+            return LaurentPoly.from_integers(
+                self.n, {k: v * s.numerator for k, v in self.num.items()},
+                self.den * s.denominator)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        self._check(other)
-        out: Dict[MultiIndex, Fraction] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                s = out.get(k, Fraction(0)) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        r = LaurentPoly(self.n)
-        r.terms = out
-        return r
+        out: Dict[MultiIndex, int] = {}
+        get = out.get
+        right = list(other.num.items())
+        for ka, va in self.num.items():
+            for kb, vb in right:
+                k = tuple(map(add, ka, kb))
+                out[k] = get(k, 0) + va * vb
+        return LaurentPoly.from_integers(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "LaurentPoly":
         """Complex conjugate; real coefficients make this exponent negation."""
-        r = LaurentPoly(self.n)
-        r.terms = {tuple(-x for x in k): v for k, v in self.terms.items()}
-        return r
+        return self._rekey(lambda k: tuple(-x for x in k))
 
     def stretch(self, factor: int) -> "LaurentPoly":
         """Substitute w -> factor * w, i.e. multiply every exponent by factor."""
-        r = LaurentPoly(self.n)
-        r.terms = {tuple(factor * x for x in k): v for k, v in self.terms.items()}
+        if factor == 0:
+            return LaurentPoly.from_integers(self.n, {(0,) * self.n: sum(self.num.values())},
+                                             self.den)
+        return self._rekey(lambda k: tuple(factor * x for x in k))
+
+    def _rekey(self, f) -> "LaurentPoly":
+        # an injective exponent map keeps the form reduced
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.n = self.n
+        r.num = {f(k): v for k, v in self.num.items()}
+        r.den = self.den
         return r
 
     def __eq__(self, other):
@@ -143,30 +189,39 @@ class LaurentPoly:
             other = LaurentPoly.const(self.n, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return hash((self.n, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "LaurentPoly(0)"
         body = " + ".join(f"({v})*x^{list(k)}" for k, v in sorted(self.terms.items()))
         return f"LaurentPoly({body})"
 
 
+def poly_sum(n: int, polys: Iterable[LaurentPoly]) -> LaurentPoly:
+    """The sum of some polynomials in n variables, over their common denominator."""
+    polys = list(polys)
+    den = lcm(*(f.den for f in polys))
+    out: Dict[MultiIndex, int] = {}
+    for f in polys:
+        scale = den // f.den
+        for k, v in f.num.items():
+            out[k] = out.get(k, 0) + v * scale
+    return LaurentPoly.from_integers(n, out, den)
+
+
 def mask_poly(f: FilterND) -> LaurentPoly:
     """The mask of f as a Laurent polynomial: (1/q) sum h(k) e^{-i k.w}."""
-    q = f.q
-    r = LaurentPoly(f.dim)
-    r.terms = {k: v / q for k, v in f.taps.items()}
-    return r
+    return LaurentPoly(f.dim, f.taps) * Fraction(1, f.q)
 
 
 def filter_of_mask(poly: LaurentPoly, p: int) -> FilterND:
     """Inverse of :func:`mask_poly`: taps are q times the coefficients."""
-    q = p ** poly.n
-    return filter_nd(p, poly.n, {k: v * q for k, v in poly.terms.items()})
+    q, den = p ** poly.n, poly.den
+    return FilterND(p=p, dim=poly.n, taps={k: Fraction(v * q, den) for k, v in poly.num.items()})
 
 
 def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) -> List[LaurentPoly]:
@@ -180,7 +235,8 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
     if f.dim != sys.n or f.p != sys.p:
         raise DimensionMismatch("filter and coset system disagree on p or dimension")
     p, q = sys.p, sys.q
-    comps = [LaurentPoly(sys.n) for _ in range(q)]
+    den = common_denominator(f.taps.values())
+    comps: List[Dict[MultiIndex, int]] = [{} for _ in range(q)]
     for x, v in f.taps.items():
         i = sys.index_of(x)
         r = sys.gamma[i]
@@ -188,10 +244,9 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
             k = tuple((a - b) // p for a, b in zip(x, r))
         else:
             k = tuple((b - a) // p for a, b in zip(x, r))
-        comps[i].terms[k] = comps[i].terms.get(k, Fraction(0)) + Fraction(v, q)
-    for c in comps:
-        c.terms = {k: v for k, v in c.terms.items() if v}
-    return comps
+        # x -> (coset, k) is one to one, so no two taps share a slot
+        comps[i][k] = v.numerator * (den // v.denominator)
+    return [LaurentPoly.from_integers(sys.n, c, den * q) for c in comps]
 
 
 def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
@@ -210,8 +265,8 @@ def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
     if nu == sys.zero or nu not in sys.gamma:
         raise DomainError(f"nu={nu} is not in Gamma'")
     p, n = sys.p, sys.n
-    scale = Fraction(1, (p - 1) * p ** (n - 1))
-    out = LaurentPoly(n)
+    den = common_denominator(H.taps.values())
+    out: Dict[MultiIndex, int] = {}
     for l in sys.fp[1:]:
         e = eta(sys, l, nu)
         base = tuple(ei * l - ni for ei, ni in zip(e, nu))  # exponent of e^{i w.(nu - e l)}
@@ -222,9 +277,9 @@ def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
                 continue
             m = (K - l) // p
             k = tuple(b + m * p * ei for b, ei in zip(base, e))
-            out.terms[k] = out.terms.get(k, Fraction(0)) + scale * Fraction(v, p)
-    out.terms = {k: v for k, v in out.terms.items() if v}
-    return out
+            out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
+    # scale 1/((p-1) p^(n-1)) times the 1/p of the 1-D polyphase component
+    return LaurentPoly.from_integers(n, out, den * (p - 1) * p ** n)
 
 
 @dataclass
@@ -237,40 +292,39 @@ class PolyphaseMatrix:
         return self.entries[rc[0]][rc[1]]
 
 
+def _integer_entries(m: PolyphaseMatrix) -> Tuple[int, List[List[List[Tuple[MultiIndex, int]]]]]:
+    """m over one common denominator D: (D, term lists of D * entry)."""
+    den = lcm(*(e.den for row in m.entries for e in row))
+    return den, [[[(k, v * (den // e.den)) for k, v in e.num.items()] for e in row]
+                 for row in m.entries]
+
+
 def matmul(left: PolyphaseMatrix, right: PolyphaseMatrix) -> PolyphaseMatrix:
+    """Exact product; both factors go over one common denominator each first."""
     if left.cols != right.rows:
         raise DimensionMismatch(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
-    n = None
-    acc: List[List[Dict[MultiIndex, Fraction]]] = [
+    n = left.entries[0][0].n if left.rows and left.cols else 1
+    dl, a = _integer_entries(left)
+    dr, b = _integer_entries(right)
+    acc: List[List[Dict[MultiIndex, int]]] = [
         [dict() for _ in range(right.cols)] for _ in range(left.rows)
     ]
     for k in range(left.cols):
-        col = [(i, left.entries[i][k]) for i in range(left.rows) if left.entries[i][k].terms]
-        row = [(j, right.entries[k][j]) for j in range(right.cols) if right.entries[k][j].terms]
-        for i, a in col:
-            for j, b in row:
-                if n is None:
-                    n = a.n
-                dst = acc[i][j]
-                for ka, va in a.terms.items():
-                    for kb, vb in b.terms.items():
-                        kk = tuple(x + y for x, y in zip(ka, kb))
-                        s = dst.get(kk, Fraction(0)) + va * vb
-                        if s:
-                            dst[kk] = s
-                        else:
-                            dst.pop(kk, None)
-    if n is None:
-        n = left.entries[0][0].n if left.rows and left.cols else 1
-    out = []
-    for i in range(left.rows):
-        row_out = []
-        for j in range(right.cols):
-            poly = LaurentPoly(n)
-            poly.terms = acc[i][j]
-            row_out.append(poly)
-        out.append(row_out)
-    return PolyphaseMatrix(rows=left.rows, cols=right.cols, entries=out)
+        col = [(i, a[i][k]) for i in range(left.rows) if a[i][k]]
+        row = [(j, b[k][j]) for j in range(right.cols) if b[k][j]]
+        for i, ta in col:
+            acc_i = acc[i]
+            for j, tb in row:
+                dst = acc_i[j]
+                get = dst.get
+                for ka, va in ta:
+                    for kb, vb in tb:
+                        kk = tuple(map(add, ka, kb))
+                        dst[kk] = get(kk, 0) + va * vb
+    den = dl * dr
+    entries = [[LaurentPoly.from_integers(n, acc[i][j], den) for j in range(right.cols)]
+               for i in range(left.rows)]
+    return PolyphaseMatrix(rows=left.rows, cols=right.cols, entries=entries)
 
 
 def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, LaurentPoly]]:
@@ -278,12 +332,13 @@ def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, Laure
     if m.rows != m.cols:
         raise DimensionMismatch("identity residual needs a square matrix")
     bad = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            expect = Fraction(1, q) if i == j else Fraction(0)
-            res = m.entries[i][j] - expect
-            if not res.is_zero():
-                bad.append((i, j, res))
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if i != j:
+                if e.num:
+                    bad.append((i, j, e))
+            elif e.den != q or e.num != {(0,) * e.n: 1}:
+                bad.append((i, j, e - Fraction(1, q)))
     return bad
 
 

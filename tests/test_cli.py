@@ -317,3 +317,56 @@ def test_outputs_byte_identical_across_runs(tmp_path, capsys):
     assert c1 == c2 == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert text1.replace("b1", "") == text2.replace("b2", "")
+
+
+def test_design_and_verify_json_report_stage_timings(tmp_path, capsys):
+    bank_path = tmp_path / "bank.json"
+    argv = ["design", "--p", 3, "--dim", 2, "--g", FIXTURES / "box_p3_centered.json",
+            "--h", FIXTURES / "interp_p3_deg4.json", "--gamma", "centered", "-o", bank_path]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json", tmp_path / "design.json")
+    assert code == 0 and out == plain
+    timings = json.loads((tmp_path / "design.json").read_text())["timings"]
+    assert set(timings) == {"build_s", "report_s", "write_s"}
+    assert all(v >= 0 for v in timings.values())
+
+    code, plain, _ = run(capsys, "verify", bank_path)
+    assert code == 0
+    code, out, _ = run(capsys, "verify", bank_path, "--json", tmp_path / "verify.json")
+    assert code == 0 and out == plain
+    timings = json.loads((tmp_path / "verify.json").read_text())["timings"]
+    assert set(timings) == {"load_s", "sa_check_s", "report_s"}
+    assert all(v >= 0 for v in timings.values())
+
+
+def _hostile_number(case, bank_path, tmp_path):
+    """argv for one command whose input holds a number no loader may expand."""
+    if case == "design_tap_exponent":
+        doc = json.loads((FIXTURES / "box_p3_centered.json").read_text())
+        doc["taps"][0]["v"] = "1e999999999"
+        gen = tmp_path / "g.json"
+        gen.write_text(json.dumps(doc))
+        return ["design", "--p", 3, "--dim", 2, "--g", gen,
+                "--h", FIXTURES / "box_p3_centered.json", "-o", tmp_path / "out.json"]
+    doc = json.loads(bank_path.read_text())
+    if case == "verify_tap_exponent":
+        doc["filters"]["tau"]["taps"][0]["v"] = "1e999999999"
+    elif case == "verify_p_infinity":
+        doc["p"] = float("inf")
+    else:
+        doc["filters"]["tau"]["taps"][0]["k"][0] = float("inf")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return ["verify", bad]
+
+
+@pytest.mark.parametrize("case", ["design_tap_exponent", "verify_tap_exponent",
+                                  "verify_p_infinity", "verify_k_infinity"])
+def test_hostile_numbers_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
+    argv = _hostile_number(case, box_bank_path, tmp_path)
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert err.startswith("error:")

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,8 @@ from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
                                 pcs_wavelet_masks,
                                 verify_combined_biorthogonality)
-from pcswave.filters import filter_1d, filter_nd, is_biorthogonal, is_interpolatory
+from pcswave.filters import (filter_1d, filter_from_json, filter_nd, is_biorthogonal,
+                             is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import LaurentPoly, filter_of_mask, mask_poly
 from pcswave.presets import box_bank, box_filter_1d, deg4_bank
@@ -277,6 +280,66 @@ def test_bank_json_cross_check_catches_corruption():
     # verification tools still load it and report the broken identity instead
     bank = bank_from_json(doc, cross_check=False)
     assert not verify_combined_biorthogonality(bank).passed
+
+
+def _damage_tap(fdoc, delta=Fraction(1, 7)):
+    """Add delta to the first tap of a filter document."""
+    tap = fdoc["taps"][0]
+    tap["v"] = str(Fraction(tap["v"]) + delta)
+
+
+@pytest.mark.parametrize("damage", ["tau", "tau_d", "t", "t_d", "G"])
+def test_bank_json_cross_check_catches_each_filter(damage):
+    doc = bank_to_json(deg4_bank(2))
+    filters = doc["filters"]
+    if damage in ("tau", "tau_d"):
+        _damage_tap(filters[damage])
+    elif damage in ("t", "t_d"):
+        _damage_tap(filters[damage][sorted(filters[damage])[-1]])
+    else:
+        # move weight from G(0) to G(1): G stays lowpass, but its lift changes
+        # (moving it between G(1) and G(-1) would not: the lift sums over l nu)
+        taps = {tuple(t["k"]): t for t in doc["G"]["taps"]}
+        taps[(0,)]["v"] = str(Fraction(taps[(0,)]["v"]) - Fraction(1, 2))
+        taps[(1,)]["v"] = str(Fraction(taps[(1,)]["v"]) + Fraction(1, 2))
+    with pytest.raises(FormatError) as err:
+        bank_from_json(doc)
+    if damage != "G":
+        assert f"{damage} differs" in str(err.value) or f"{damage}[" in str(err.value)
+    bank_from_json(doc, cross_check=False)
+
+
+def test_bank_json_cross_check_refuses_generators_of_another_dilation():
+    doc = bank_to_json(deg4_bank(2))
+    doc["G"] = bank_to_json(box_bank(5, 1))["G"]
+    with pytest.raises(FormatError):
+        bank_from_json(doc)
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _fixture_banks():
+    """(G, H, n, convention) for fixture generators sharing a dilation, q <= 125.
+
+    Box p=7 n=3 (q=343, 0.8M taps) is left out: it takes seconds per build.
+    """
+    gens = {}
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        f = to_1d(filter_from_json(json.loads(path.read_text())))
+        gens.setdefault(f.p, []).append((path.stem, f))
+    return [pytest.param(G, H, n, convention, id=f"{g_name}-{h_name}-n{n}-{convention}")
+            for p, fs in sorted(gens.items())
+            for g_name, G in fs for h_name, H in fs
+            for n in (1, 2, 3) if p ** n <= 125
+            for convention in ["standard"] + (["centered"] if p % 2 else [])]
+
+
+@pytest.mark.parametrize("G, H, n, convention", _fixture_banks())
+def test_fixture_banks_load_with_cross_check(G, H, n, convention):
+    bank = build_pcs_bank(G, H, n, convention)
+    back = bank_from_json(bank_to_json(bank))
+    assert back.tau == bank.tau and back.t_d == bank.t_d
 
 
 def test_bank_json_requires_full_gamma():

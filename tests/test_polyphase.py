@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,67 @@ def test_laurent_ring_axioms(a, b, c):
     assert (a * b).stretch(3) == a.stretch(3) * b.stretch(3)
     assert a.conj().conj() == a
     assert a.stretch(1) == a
+
+
+def _ref_combine(a, b, sign):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, Fraction(0)) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_rekey(a, f):
+    out = {}
+    for k, v in a.items():
+        out[f(k)] = out.get(f(k), Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+SPARSE = st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                         st.fractions(min_value=-20, max_value=20, max_denominator=60),
+                         max_size=6)
+SCALARS = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(a=SPARSE, b=SPARSE, s=SCALARS, factor=st.integers(-3, 3))
+def test_integer_laurent_matches_fraction_reference(a, b, s, factor):
+    # the reference is a plain exponent -> Fraction dict without zeros
+    ra = {k: Fraction(v) for k, v in a.items() if v}
+    rb = {k: Fraction(v) for k, v in b.items() if v}
+    pa, pb = LaurentPoly(2, a), LaurentPoly(2, b)
+    for poly in (pa, pb, pa * pb, pa - pb):
+        assert poly.den > 0 and gcd(poly.den, *poly.num.values()) == 1
+    assert dict(pa.terms) == ra
+    assert dict((pa + pb).terms) == _ref_combine(ra, rb, 1)
+    assert dict((pa - pb).terms) == _ref_combine(ra, rb, -1)
+    assert dict((pa * pb).terms) == _ref_mul(ra, rb)
+    scaled = {k: v * s for k, v in ra.items() if v * s}
+    assert dict((pa * s).terms) == scaled and dict((s * pa).terms) == scaled
+    assert dict((pa + s).terms) == _ref_combine(ra, {(0, 0): Fraction(s)}, 1)
+    assert dict(pa.conj().terms) == _ref_rekey(ra, lambda k: (-k[0], -k[1]))
+    assert dict(pa.stretch(factor).terms) == _ref_rekey(ra, lambda k: (factor * k[0],
+                                                                       factor * k[1]))
+    assert (pa == pb) == (ra == rb)
+    # the same polynomial reached over other denominators is equal, hash included
+    for same in ((pa + pb) - pb, (pa * 6) * Fraction(1, 6), LaurentPoly(2, ra)):
+        assert same == pa and hash(same) == hash(pa)
+
+
+def test_laurent_terms_are_read_only():
+    poly = LaurentPoly.monomial((1, 0), Fraction(1, 3))
+    with pytest.raises(TypeError):
+        poly.terms[(0, 0)] = Fraction(1)
+    assert poly.terms == {(1, 0): Fraction(1, 3)}
 
 
 def test_mask_filter_roundtrip():
