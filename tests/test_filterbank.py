@@ -6,7 +6,7 @@ import pytest
 
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
-                            NotLowpass)
+                            NotLowpass, PcswaveError)
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
                                 pcs_wavelet_masks,
@@ -242,6 +242,21 @@ def test_build_pcs_bank_preconditions():
         build_pcs_bank(filter_1d(3, {0: 1}), box_filter_1d(3), 2)
     with pytest.raises(DimensionMismatch):
         build_pcs_bank(box_filter_1d(5), box_filter_1d(3), 2)
+
+
+def test_build_pcs_bank_refuses_disagreeing_routes(monkeypatch):
+    import pcswave.filterbank as fb
+    closed_forms = fb.pcs_wavelet_masks
+
+    def skewed(G, H, sys, tau_d_mask):
+        t, t_d = closed_forms(G, H, sys, tau_d_mask)
+        nu = sys.gamma_prime[-1]
+        t_d[nu] = t_d[nu] + LaurentPoly.monomial(nu, Fraction(1, 7))
+        return t, t_d
+
+    monkeypatch.setattr(fb, "pcs_wavelet_masks", skewed)
+    with pytest.raises(PcswaveError, match=r"routes disagree at t_d\[-1,-1\]"):
+        build_pcs_bank(box_filter_1d(3), box_filter_1d(3), 2)
 
 
 def test_dyadic_reduction_to_coset_sum_masks():
