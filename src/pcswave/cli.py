@@ -50,6 +50,12 @@ def _load_filter_1d(path, p: int):
     return to_1d(f)
 
 
+def _require_max_order(max_order: int) -> None:
+    """Refuse --max-order before anything is built or written."""
+    if max_order < 1:
+        raise PcswaveError(f"--max-order must be >= 1, got {max_order}")
+
+
 def _stages(clock, *names) -> dict:
     """Seconds between consecutive perf_counter readings, by stage name."""
     return {name: b - a for name, a, b in zip(names, clock, clock[1:])}
@@ -60,6 +66,7 @@ def _nu_label(nu) -> str:
 
 
 def cmd_design(args) -> int:
+    _require_max_order(args.max_order)
     clock = [time.perf_counter()]
     G = _load_filter_1d(args.g, args.p)
     H = _load_filter_1d(args.h, args.p)
@@ -96,6 +103,7 @@ def _diag_row(name, nu, d) -> str:
 
 
 def cmd_verify(args) -> int:
+    _require_max_order(args.max_order)
     clock = [time.perf_counter()]
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
     clock.append(time.perf_counter())

@@ -38,7 +38,7 @@ from .errors import (DimensionMismatch, FormatError, NotInterpolatory,
 from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
                       diagnostics, filter_from_json, filter_to_json,
                       is_interpolatory, to_1d)
-from .lattice import CosetSystem, eta, make_coset_system
+from .lattice import CosetSystem, eta_routes, make_coset_system
 from .polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix,
                         common_denominator, filter_of_mask, identity_residuals,
                         mask_poly, matmul, poly_sum, polyphase_decompose)
@@ -145,25 +145,12 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
                              t=t, t_d=t_d, provenance=GENERAL)
 
 
-def _residue_groups(F: Filter1D, p: int) -> Dict[int, List[Tuple[int, Fraction]]]:
-    """Taps of F grouped by nonzero residue class modulo p."""
-    groups: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for m, v in sorted(F.taps.items()):
-        l = m % p
-        if l:
-            groups.setdefault(l, []).append((m, v))
-    return groups
-
-
-def _eta_sum(F: Filter1D, groups, sys: CosetSystem, nu: MultiIndex) -> LaurentPoly:
+def _eta_sum(F: Filter1D, sys: CosetSystem, nu: MultiIndex) -> LaurentPoly:
     """(1/(p-1)) sum over the taps m of F off pZ of F(m) e^{-i w.(nu - m eta(l, nu))}."""
     den = common_denominator(F.taps.values())
     out: Dict[MultiIndex, int] = {}
-    for l, taps in groups.items():
-        e = eta(sys, l, nu)
-        for m, v in taps:
-            k = tuple(a - m * b for a, b in zip(nu, e))
-            out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
+    for k, v in eta_routes(sys, F.taps, nu):
+        out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
     return LaurentPoly.from_integers(sys.n, out, den * (sys.p - 1))
 
 
@@ -175,19 +162,17 @@ def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
         t_nu   = e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{i (w.eta(l,nu)) l} conj(U_l(p w.eta(l,nu))))
         t_nu_d = (1/q) e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{...} conj(S_l(...)) tau_d(w))
 
-    expanded into term maps: grouping taps by residue turns each sum over
-    (l, U_l) into a sum over the taps m of H (resp. G) with m != 0 mod p,
-    contributing coefficient H(m)/(p-1) at exponent nu - m * eta(l, nu).
+    expanded into term maps: each sum over (l, U_l) becomes a sum over the
+    taps m of H (resp. G) with m != 0 mod p, contributing coefficient
+    H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`eta_routes`).
     """
-    hg = _residue_groups(H, sys.p)
-    gg = _residue_groups(G, sys.p)
     scale = Fraction(1, sys.q)
     t_masks: Dict[MultiIndex, LaurentPoly] = {}
     td_masks: Dict[MultiIndex, LaurentPoly] = {}
     for nu in sys.gamma_prime:
         e_nu = LaurentPoly.monomial(nu, 1)
-        t_masks[nu] = e_nu - _eta_sum(H, hg, sys, nu)
-        td_masks[nu] = scale * (e_nu - _eta_sum(G, gg, sys, nu) * tau_d_mask)
+        t_masks[nu] = e_nu - _eta_sum(H, sys, nu)
+        td_masks[nu] = scale * (e_nu - _eta_sum(G, sys, nu) * tau_d_mask)
     return t_masks, td_masks
 
 

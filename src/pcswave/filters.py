@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Tuple
 
 from .arith import Cyclotomic, parse_rational
@@ -157,42 +158,25 @@ def _compositions(n: int, total: int):
             yield (first,) + rest
 
 
-def _moment(f: FilterND, mu: MultiIndex) -> Fraction:
-    s = Fraction(0)
-    for k, v in f.taps.items():
-        w = 1
-        for x, m in zip(k, mu):
-            w *= x ** m
-        s += v * w
-    return s
+def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
+    """Smallest order in [start, max_order) at which some derivative sum
+    sum_k f(k) k^mu zeta_p^(k.g), |mu| = order, is nonzero at some frequency g
+    of ``frequencies``; max_order if all of them vanish.
 
-
-def _first_nonzero_moment_order(f: FilterND, max_order: int) -> int:
-    """Smallest order >= 1 with a nonzero moment sum; max_order if none found."""
-    for order in range(1, max_order):
-        for mu in _compositions(f.dim, order):
-            if _moment(f, mu):
-                return order
-    return max_order
-
-
-def _accuracy(f: FilterND, max_order: int) -> int:
-    p, n = f.p, f.dim
-    gs = [g for g in itertools.product(range(p), repeat=n) if any(g)]
+    The search stops at the first nonzero sum, and k.g mod p is worked out
+    for a frequency only when the search first reaches it.
+    """
+    p = f.p
     taps = list(f.taps.items())
-    # k.g mod p per tap is reused for every derivative order
-    dots = [[sum(a * b for a, b in zip(k, g)) % p for k, _ in taps] for g in gs]
-    for order in range(max_order):
-        for mu in _compositions(n, order):
-            weights = []
-            for k, v in taps:
-                w = 1
-                for x, m in zip(k, mu):
-                    w *= x ** m
-                weights.append(v * w)
-            for dot in dots:
+    dots = []
+    for order in range(start, max_order):
+        for mu in _compositions(f.dim, order):
+            weights = [v * prod(x ** m for x, m in zip(k, mu)) for k, v in taps]
+            for i, g in enumerate(frequencies):
+                if i == len(dots):
+                    dots.append([sum(a * b for a, b in zip(k, g)) % p for k, _ in taps])
                 coords = [Fraction(0)] * p
-                for w, d in zip(weights, dot):
+                for w, d in zip(weights, dots[i]):
                     coords[d] += w
                 if not Cyclotomic(p, coords).is_zero():
                     return order
@@ -211,11 +195,13 @@ def diagnostics(f: FilterND, max_order: int = DEFAULT_MAX_ORDER) -> MaskDiagnost
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
     s = f.tap_sum
-    moment_order = _first_nonzero_moment_order(f, max_order)
+    # the moments are the derivative sums at g = 0; accuracy looks at g != 0
+    moment_order = _zero_order(f, [(0,) * f.dim], 1, max_order)
+    nonzero = [g for g in itertools.product(range(f.p), repeat=f.dim) if any(g)]
     return MaskDiagnostics(
         is_lowpass=(s == f.q),
         is_interpolatory=is_interpolatory(f),
-        accuracy=_accuracy(f, max_order),
+        accuracy=_zero_order(f, nonzero, 0, max_order),
         vanishing_moments=0 if s else moment_order,
         flatness=moment_order if s == f.q else 0,
         support_size=f.support_size,

@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lattice import eta_routes
+
 
 def _accumulate(acc, a, taps):
     """acc + sum of v * (a rolled by shift) over taps, added in table order.
@@ -40,27 +42,32 @@ def _accumulate(acc, a, taps):
 
 
 class LevelKernels:
-    """Steps (i)-(iv) of one bank, from its per-coset tap tables.
+    """Steps (i)-(iv) of one bank, planned from its coset system and G, H alone.
 
-    ``tables`` holds, for each nu in Gamma', the nu itself and its two tap
-    lists ``hi`` and ``lo`` of ((nu - eta(l,nu) m) / p, value) pairs, for H
-    and G taps m off pZ (:func:`pcswave.transform.bank_tables`).
+    For each nu in Gamma', the tap lists of H (predict) and G (update) are
+    the routes of :func:`pcswave.lattice.eta_routes` divided by p, in
+    increasing m: with d = (nu - eta(l,nu) m) / p, predict taps gather
+    y0(k + d) and update taps w_nu(k - d).
     """
 
-    def __init__(self, p, n, tables):
-        self.p = int(p)
-        self.n = int(n)
+    def __init__(self, sys, G, H):
+        p, n = sys.p, sys.n
+        self.p = p
+        self.n = n
         # each coset's phase slices and nu // p: y(pk + nu) is the phase rolled by -(nu // p)
-        self._cosets = [(tuple(slice(x % p, None, p) for x in tb.nu),
-                         tuple(x // p for x in tb.nu)) for tb in tables]
-        self._zero = (slice(None, None, p),) * self.n
-        self._axes = tuple(range(self.n))
+        self._cosets = [(tuple(slice(x % p, None, p) for x in nu),
+                         tuple(x // p for x in nu)) for nu in sys.gamma_prime]
+        self._zero = (slice(None, None, p),) * n
+        self._axes = tuple(range(n))
+        hi = [[(tuple(-x // p for x in k), v) for k, v in eta_routes(sys, H.taps, nu)]
+              for nu in sys.gamma_prime]
+        lo = [[(tuple(x // p for x in k), v) for k, v in eta_routes(sys, G.taps, nu)]
+              for nu in sys.gamma_prime]
 
         def typed(scalar):
-            # predict taps gather y0(k + d), update taps w_nu(k - d)
             return (scalar(Fraction(1, p - 1)), scalar(Fraction(1, (p - 1) * p ** n)),
-                    [[(tuple(-x for x in d), scalar(v)) for d, v in tb.hi] for tb in tables],
-                    [[(d, scalar(v)) for d, v in tb.lo] for tb in tables])
+                    [[(d, scalar(v)) for d, v in taps] for taps in hi],
+                    [[(d, scalar(v)) for d, v in taps] for taps in lo])
 
         self._typed = {True: typed(Fraction), False: typed(float)}
 

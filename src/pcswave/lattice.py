@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from .arith import is_prime
-from .errors import CompositeDilation, DomainError, InvalidConvention, ZeroResidue
+from .errors import (CompositeDilation, DomainError, InvalidConvention,
+                     PcswaveError, ZeroResidue)
 
 MultiIndex = Tuple[int, ...]
 
@@ -110,6 +111,27 @@ def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
         raise DomainError(f"nu={nu} is not in Gamma'")
     r = mult_inverse(l, sys.p)
     return sys.rep(r * x for x in nu)
+
+
+def eta_routes(sys: CosetSystem, taps, nu: MultiIndex):
+    """(nu - eta(m mod p, nu) * m, value) for each 1-D tap m off pZ, by increasing m.
+
+    ``taps`` maps the taps m of G or H to their values. This routing gives
+    the closed-form highpass masks, the coset-sum polyphase components and the
+    tap tables of the fast steps. Every exponent lies in pZ^n; one that does
+    not means a broken eta and raises.
+    """
+    p, nu = sys.p, tuple(nu)
+    etas = {l: eta(sys, l, nu) for l in sys.fp[1:]}
+    out = []
+    for m, v in sorted(taps.items()):
+        if m % p:
+            k = tuple(a - m * b for a, b in zip(nu, etas[m % p]))
+            if any(x % p for x in k):
+                raise PcswaveError(f"lattice congruence violated at nu={nu}, "
+                                   f"m={m}: {k} not in pZ^n")
+            out.append((k, v))
+    return out
 
 
 def coset_zero_count(sys: CosetSystem, g) -> int:

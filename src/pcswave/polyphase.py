@@ -31,9 +31,9 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .errors import DimensionMismatch, DomainError, NotInterpolatory, PcswaveError
+from .errors import DimensionMismatch, DomainError, NotInterpolatory
 from .filters import Filter1D, FilterND, is_interpolatory
-from .lattice import CosetSystem, eta
+from .lattice import CosetSystem, eta_routes
 
 MultiIndex = Tuple[int, ...]
 
@@ -258,28 +258,16 @@ def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
             e^{i w.(nu - eta(l,nu) l)} * (H(l + p.))^ ( p w . eta(l,nu) )
 
     which equals the nu-component of the lifted filter's polyphase vector with
-    its variable substituted w -> p w. The phase exponent nu - eta(l,nu)*l is
-    divisible by p componentwise; anything else means a broken eta and raises.
+    its variable substituted w -> p w. Tap m = l + p m' of H lands at exponent
+    eta(l,nu) m - nu, the negated route of :func:`pcswave.lattice.eta_routes`.
     """
-    nu = tuple(nu)
-    if nu == sys.zero or nu not in sys.gamma:
-        raise DomainError(f"nu={nu} is not in Gamma'")
-    p, n = sys.p, sys.n
     den = common_denominator(H.taps.values())
     out: Dict[MultiIndex, int] = {}
-    for l in sys.fp[1:]:
-        e = eta(sys, l, nu)
-        base = tuple(ei * l - ni for ei, ni in zip(e, nu))  # exponent of e^{i w.(nu - e l)}
-        if any(b % p for b in base):
-            raise PcswaveError(f"eta broke the lattice congruence at l={l}, nu={nu}")
-        for K, v in H.taps.items():
-            if K % p != l:
-                continue
-            m = (K - l) // p
-            k = tuple(b + m * p * ei for b, ei in zip(base, e))
-            out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
+    for k, v in eta_routes(sys, H.taps, nu):
+        k = tuple(-x for x in k)
+        out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
     # scale 1/((p-1) p^(n-1)) times the 1/p of the 1-D polyphase component
-    return LaurentPoly.from_integers(n, out, den * (p - 1) * p ** n)
+    return LaurentPoly.from_integers(sys.n, out, den * (sys.p - 1) * sys.q)
 
 
 @dataclass

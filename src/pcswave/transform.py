@@ -11,8 +11,9 @@ and one level up reverses them: (iii) recovers y(pk) from y0 by subtracting
 the step-(ii) correction, then (iv) recovers y(pk+nu) from w_nu by adding back
 the step-(i) correction, reading only the already-final y(pk) values. The
 divisions by p in the tap shifts are exact: nu - eta(l,nu) m is congruent to
-0 mod p componentwise, and bank_tables refuses to proceed otherwise.
-:class:`pcswave.kernels.LevelKernels` runs the four steps, in float64 and in
+0 mod p componentwise, and :func:`pcswave.lattice.eta_routes` refuses to
+proceed otherwise. :class:`pcswave.kernels.LevelKernels` plans the four steps
+from the coset system and G, H alone, and runs them in float64 and in
 rational mode alike.
 
 The direct route filters and resamples with the materialized bank filters:
@@ -41,25 +42,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from .errors import (DimensionMismatch, DomainError, PcswaveError,
-                     ShapeMismatch, ShapeNotDivisible, WrongProvenance)
+from .errors import (DimensionMismatch, DomainError, ShapeMismatch,
+                     ShapeNotDivisible, WrongProvenance)
 from .filterbank import PRIME_COSET_SUM, WaveletFilterBank
 from .kernels import LevelKernels
-from .lattice import eta
 from .tensor import MultiresCoeffs, Tensor
 
 MultiIndex = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NuTable:
-    """Per-coset tap routing for the fast steps."""
-
-    nu: MultiIndex
-    hi: Tuple[Tuple[MultiIndex, Fraction], ...]   # ((nu - eta(l,nu)*m)/p, H(m)), m != 0 mod p
-    lo: Tuple[Tuple[MultiIndex, Fraction], ...]   # ((nu - eta(l,nu)*m)/p, G(m)), m != 0 mod p
 
 
 def _require_pcs(bank: WaveletFilterBank) -> None:
@@ -79,42 +70,19 @@ def _check_divisible(shape, p: int, levels: int) -> None:
                                         f"not divisible by p^levels = {p}^{levels}")
 
 
-def bank_tables(bank: WaveletFilterBank) -> List[NuTable]:
-    """Tap routing tables for every nu in Gamma', with the divisibility check."""
-    _require_pcs(bank)
-    sys = bank.sys
-    p = sys.p
-
-    def routes(f, nu):
-        out = []
-        for m, v in sorted(f.taps.items()):
-            if m % p == 0:
-                continue
-            num = tuple(a - m * b for a, b in zip(nu, eta(sys, m % p, nu)))
-            if any(x % p for x in num):
-                raise PcswaveError(
-                    f"lattice congruence violated at nu={nu}, m={m}: {num} not in pZ^n")
-            out.append((tuple(x // p for x in num), v))
-        return tuple(out)
-
-    return [NuTable(nu=nu, hi=routes(bank.h1d, nu), lo=routes(bank.g1d, nu))
-            for nu in sys.gamma_prime]
-
-
 def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
     """J-level decomposition by the fast per-coset steps."""
     _require_pcs(bank)
     if len(y.shape) != bank.n:
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
-    tables = bank_tables(bank)
-    kern = LevelKernels(bank.p, bank.n, tables)
+    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
     cur = y.data
     for j in range(levels, 0, -1):
         cur, dets = kern.decompose_level(cur)
-        for tb, w in zip(tables, dets):
-            details[(tb.nu, j - 1)] = Tensor(w.shape, y.mode, w)
+        for nu, w in zip(bank.sys.gamma_prime, dets):
+            details[(nu, j - 1)] = Tensor(w.shape, y.mode, w)
     return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
                           coarse=Tensor(cur.shape, y.mode, cur), details=details)
 
@@ -138,11 +106,11 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     """Inverse of :func:`decompose_fast`; exact in rational mode."""
     _require_pcs(bank)
     _check_coeffs(c, bank)
-    tables = bank_tables(bank)
-    kern = LevelKernels(bank.p, bank.n, tables)
+    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     cur = c.coarse.data
     for j in range(c.levels):
-        cur = kern.reconstruct_level(cur, [c.details[(tb.nu, j)].data for tb in tables])
+        cur = kern.reconstruct_level(
+            cur, [c.details[(nu, j)].data for nu in bank.sys.gamma_prime])
     return Tensor(cur.shape, c.mode, cur)
 
 
@@ -270,7 +238,7 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     _require_pcs(bank)
     shape = tuple(int(s) for s in shape)
     _check_divisible(shape, bank.p, levels)
-    kern = LevelKernels(bank.p, bank.n, bank_tables(bank))
+    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     p, n = bank.p, bank.n
     q = p ** n
 

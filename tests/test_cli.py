@@ -133,16 +133,26 @@ def test_analyze_synthesize_roundtrip(box_bank_path, tmp_path, capsys):
     data = rng.standard_normal((27, 27))
     write_tensor(tmp_path / "y.pcst", Tensor.from_numpy(data))
     code, out, _ = run(capsys, "analyze", "--bank", box_bank_path, "--levels", 3,
-                       tmp_path / "y.pcst", "-o", tmp_path / "y.pcsc", "--oracle")
+                       tmp_path / "y.pcst", "-o", tmp_path / "y.pcsc", "--oracle",
+                       "--json", tmp_path / "analyze.json")
     assert code == 0
     assert "oracle cross-check" in out
+    rep = json.loads((tmp_path / "analyze.json").read_text())
+    assert rep["shape"] == [27, 27] and rep["levels"] == 3
+    assert rep["output"] == str(tmp_path / "y.pcsc")
+    assert 0 <= rep["oracle_max_abs_deviation"] <= 1e-12 * np.max(np.abs(data))
     code, out, _ = run(capsys, "synthesize", "--bank", box_bank_path,
                        tmp_path / "y.pcsc", "-o", tmp_path / "back.pcst",
-                       "--check-against", tmp_path / "y.pcst")
+                       "--check-against", tmp_path / "y.pcst",
+                       "--json", tmp_path / "synthesize.json")
     assert code == 0
     back = read_tensor(tmp_path / "back.pcst")
-    assert np.max(np.abs(back.data - data)) <= 1e-12 * np.max(np.abs(data))
+    err = np.max(np.abs(back.data - data))
+    assert err <= 1e-12 * np.max(np.abs(data))
     assert "round-trip check" in out
+    rep = json.loads((tmp_path / "synthesize.json").read_text())
+    assert rep["shape"] == [27, 27] and rep["levels"] == 3
+    assert rep["max_abs_error"] == err
 
 
 def test_analyze_rejects_indivisible_shape(box_bank_path, tmp_path, capsys):
@@ -259,6 +269,70 @@ def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert err.startswith("error:")
+
+
+def _pcst(shape):
+    """PCST bytes of a float64 zero tensor."""
+    size = int(np.prod(shape))
+    return (b"PCST" + struct.pack(f"<HBB{len(shape)}Q", 1, 0, len(shape), *shape)
+            + bytes(8 * size))
+
+
+def _pcsc_9x9(records):
+    """A one-level PCSC file for the p=3, n=2 bank on 9x9 data: the coarse
+    record, then one detail record per (level, index, shape)."""
+    raw = b"PCSC" + struct.pack("<HBBBQQHH", 1, 3, 2, 1, 9, 9, 0, 0) + _pcst((3, 3))
+    for level, idx, shape in records:
+        raw += struct.pack("<HH", level, idx) + _pcst(shape)
+    return raw
+
+
+def _bad_input(case, bank_path, tmp_path):
+    """argv for one malformed request whose output would go to tmp_path/out."""
+    out = tmp_path / "out"
+    if case == "missing_input":
+        return ["analyze", "--bank", bank_path, "--levels", 1, tmp_path / "none.pcst",
+                "-o", out]
+    if case == "missing_bank":
+        return ["bench", "--bank", tmp_path / "none.json", "--shape", "9x9"]
+    if case.startswith("shape_"):
+        return ["bench", "--bank", bank_path, "--shape", case[6:], "--json", out]
+    if case == "pcst_3d":
+        (tmp_path / "y.pcst").write_bytes(_pcst((9, 9, 9)))
+        return ["analyze", "--bank", bank_path, "--levels", 1, tmp_path / "y.pcst",
+                "-o", out]
+    records = ([(0, 1, (3, 3))] * 2 if case == "pcsc_duplicate"
+               else [(0, 1, (3, 4))])
+    (tmp_path / "y.pcsc").write_bytes(_pcsc_9x9(records))
+    return ["synthesize", "--bank", bank_path, tmp_path / "y.pcsc", "-o", out]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("missing_input", "No such file"), ("missing_bank", "No such file"),
+    ("shape_81", "is 1-D, bank is 2-D"), ("shape_abc", "bad shape 'abc'"),
+    ("shape_0x9", "bad shape '0x9'"), ("pcst_3d", "tensor is 3-D, bank is 2-D"),
+    ("pcsc_duplicate", "duplicate record (level=0, index=1)"),
+    ("pcsc_detail_shape", "shape (3, 4), expected (3, 3)"),
+])
+def test_bad_input_exits_2(box_bank_path, tmp_path, capsys, case, message):
+    code, out, err = run(capsys, *_bad_input(case, box_bank_path, tmp_path))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["design", "verify"])
+def test_max_order_refused_before_writing(box_bank_path, tmp_path, capsys, command):
+    box = FIXTURES / "box_p3_centered.json"
+    out = tmp_path / "out.json"
+    if command == "design":
+        argv = ["design", "--p", 3, "--dim", 2, "--g", box, "--h", box, "-o", out]
+    else:
+        argv = ["verify", box_bank_path, "--dump-polyphase", out]
+    code, _, err = run(capsys, *argv, "--max-order", 0)
+    assert code == 2
+    assert err.startswith("error:") and "--max-order" in err
+    assert not out.exists()
 
 
 def test_verify_dump_polyphase(box_bank_path, tmp_path, capsys):

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcswave.arith import Cyclotomic
 from pcswave.cosetsum import prime_coset_sum
@@ -160,6 +163,72 @@ def test_max_order_saturation():
     d = diagnostics(box_filter_1d(3).to_nd(), max_order=1)
     assert d.accuracy == 1
     assert d.max_order_searched == 1
+
+
+def _brute_force_orders(f, max_order):
+    """(accuracy, vanishing moments, flatness) with no early exit: every
+    derivative sum sum_k f(k) k^mu zeta^(k.g), |mu| < max_order, at every
+    lattice frequency g, summed in Q(zeta_p) from powers of zeta."""
+    p, n = f.p, f.dim
+    roots = [Cyclotomic.root(p, r) for r in range(p)]
+    nonzero = {}          # (order, g == 0) -> some derivative sum is nonzero
+    for g in itertools.product(range(p), repeat=n):
+        for mu in itertools.product(range(max_order), repeat=n):
+            if sum(mu) >= max_order:
+                continue
+            at = [Fraction(0)] * p       # the sum's coefficient of zeta^r
+            for k, v in f.taps.items():
+                w = v
+                for x, m in zip(k, mu):
+                    w *= x ** m
+                at[sum(a * b for a, b in zip(k, g)) % p] += w
+            total = sum((root * c for root, c in zip(roots, at)), Cyclotomic.zero(p))
+            key = (sum(mu), not any(g))
+            nonzero[key] = nonzero.get(key, False) or not total.is_zero()
+    accuracy = min((o for o in range(max_order) if nonzero[(o, False)]), default=max_order)
+    moments = min((o for o in range(1, max_order) if nonzero[(o, True)]), default=max_order)
+    s = f.tap_sum
+    return accuracy, 0 if s else moments, moments if s == f.q else 0
+
+
+@st.composite
+def small_filters(draw):
+    """A random n-D filter of tap sum 0, q or anything, convolved with up to
+    two box factors so that zeros of higher order occur: the coset-summed box
+    vanishes at every nonzero frequency, a 1-D box along one axis only where
+    that axis's frequency is nonzero."""
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]))
+    keys = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=5,
+                         unique=True))
+    taps = {k: Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for k in keys}
+    target = draw(st.sampled_from([0, p ** n, None]))
+    if target is not None:
+        taps[keys[0]] += target - sum(taps.values())
+    box = box_filter_1d(p, centered=False)
+    for axis in draw(st.lists(st.sampled_from([None] + list(range(n))),
+                              max_size=2 if n == 1 else 1)):
+        if axis is None:
+            factor = prime_coset_sum(box, n, make_coset_system(p, n, "standard")).taps
+        else:
+            factor = {tuple(m if a == axis else 0 for a in range(n)): v * p ** (n - 1)
+                      for m, v in box.taps.items()}
+        conv = {}
+        for a, v in taps.items():
+            for b, u in factor.items():
+                k = tuple(x + y for x, y in zip(a, b))
+                conv[k] = conv.get(k, 0) + v * u / p ** n
+        taps = conv
+    return filter_nd(p, n, taps), draw(st.integers(1, 4))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(small_filters())
+def test_diagnostics_match_brute_force(case):
+    f, max_order = case
+    if f.taps:
+        d = diagnostics(f, max_order)
+        assert (d.accuracy, d.vanishing_moments, d.flatness) == \
+            _brute_force_orders(f, max_order)
 
 
 def test_filter_json_roundtrip():

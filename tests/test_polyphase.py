@@ -170,8 +170,11 @@ def test_coset_sum_polyphase_box_explicit():
 
 @pytest.mark.parametrize("p,n,convention", [(2, 2, "standard"), (2, 3, "standard"),
                                             (3, 2, "centered"), (3, 2, "standard"),
-                                            (5, 1, "centered")])
+                                            (5, 1, "centered"), (2, 1, "standard"),
+                                            (3, 3, "centered"), (5, 2, "standard"),
+                                            (5, 3, "centered")])
 def test_coset_sum_polyphase_identity_on_corpus(rng, p, n, convention):
+    # the eta routing every construction uses, against the polyphase split of h
     sys = make_coset_system(p, n, convention)
     for _ in range(4):
         H = random_lowpass_1d(rng, p)

@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 from pcswave.dataio import write_coeffs
-from pcswave.errors import (DomainError, ShapeMismatch, ShapeNotDivisible,
-                            WrongProvenance)
-from pcswave.filterbank import build_general
-from pcswave.lattice import make_coset_system
-from pcswave.presets import box_bank, deg4_bank
+from pcswave import lattice
+from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
+                            ShapeNotDivisible, WrongProvenance)
+from pcswave.filterbank import build_general, pcs_bank_masks
+from pcswave.kernels import LevelKernels
+from pcswave.lattice import eta_routes, make_coset_system
+from pcswave.polyphase import coset_sum_polyphase
+from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
+                             interp_deg4_filter_1d)
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.tensor import Tensor
-from pcswave.transform import (bank_tables, count_ops, decompose_direct,
-                               decompose_fast, pcs_complexity_constant,
-                               reconstruct_direct, reconstruct_fast)
+from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
+                               pcs_complexity_constant, reconstruct_direct,
+                               reconstruct_fast)
 
 from conftest import random_interpolatory_1d, random_lowpass_1d
 
@@ -218,14 +222,33 @@ def test_coeffs_bank_consistency(rng):
 
 
 def test_tables_respect_lattice_congruence():
-    for bank in (box_bank(3, 2), box_bank(2, 3), deg4_bank(2)):
-        for tb in bank_tables(bank):
-            p = bank.p
-            for off, _ in tb.hi:
-                assert len(off) == bank.n
-            for sh, _ in tb.lo:
-                # shifts were divided by p exactly; rebuild and verify
-                assert all(isinstance(x, int) for x in sh)
+    for p in (2, 3, 5, 7):
+        taps = {m: Fraction(m, p) for m in range(-2 * p, 2 * p + 1) if m}
+        off = [m for m in sorted(taps) if m % p]
+        for n in (1, 2, 3):
+            for convention in ("standard", "centered") if p > 2 else ("standard",):
+                sys = make_coset_system(p, n, convention)
+                for nu in sys.gamma_prime:
+                    routes = eta_routes(sys, taps, nu)
+                    # one route per tap off pZ, in increasing m, every exponent in pZ^n
+                    assert [v for _, v in routes] == [taps[m] for m in off]
+                    for k, _ in routes:
+                        assert len(k) == n and all(x % p == 0 for x in k)
+
+
+def test_wrong_eta_is_refused_everywhere(monkeypatch):
+    sys = make_coset_system(3, 2, "centered")
+    G, H = box_filter_1d(3), interp_deg4_filter_1d()
+    # eta(l, nu) = nu drops rho(l), so nu - m nu leaves pZ^n for m = 2 mod 3
+    monkeypatch.setattr(lattice, "eta", lambda sys, l, nu: tuple(nu))
+    with pytest.raises(PcswaveError, match="lattice congruence"):
+        eta_routes(sys, G.taps, (1, 0))
+    with pytest.raises(PcswaveError, match="lattice congruence"):
+        LevelKernels(sys, G, H)
+    with pytest.raises(PcswaveError, match="lattice congruence"):
+        coset_sum_polyphase(H, sys, (1, 0))
+    with pytest.raises(PcswaveError, match="lattice congruence"):
+        pcs_bank_masks(G, H, sys)
 
 
 @pytest.mark.parametrize("p,n,shape", [(2, 2, (8, 8)), (3, 2, (27, 27)),
