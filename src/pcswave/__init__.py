@@ -7,7 +7,7 @@ and runs the associated fast decomposition/reconstruction on periodic n-D
 data with operation accounting.
 """
 
-from .arith import Cyclotomic, Rational, format_rational, is_prime, parse_rational
+from .arith import Cyclotomic, LaurentPoly, format_rational, is_prime, parse_rational
 from .cosetsum import coset_sum_mask_eval, prime_coset_sum
 from .errors import (CompositeDilation, DimensionMismatch, DomainError,
                      FormatError, InvalidConvention, NotInterpolatory,
@@ -21,8 +21,7 @@ from .filters import (Filter1D, FilterND, MaskDiagnostics, diagnostics,
                       is_biorthogonal, is_interpolatory, mask_eval, to_1d)
 from .lattice import (CENTERED, STANDARD, CosetSystem, coset_zero_count, eta,
                       make_coset_system, mult_inverse)
-from .polyphase import (LaurentPoly, PolyphaseMatrix, build_A_S,
-                        coset_sum_polyphase, filter_of_mask, mask_poly,
+from .polyphase import (PolyphaseMatrix, build_A_S, coset_sum_polyphase,
                         matmul_check, polyphase_decompose)
 from .tensor import MultiresCoeffs, Tensor
 from .transform import (OpCount, count_ops, decompose_direct, decompose_fast,

@@ -8,7 +8,8 @@ The n-D filter h built from a 1-D lowpass filter H with prime dilation p is
 for k != 0. The l-sum is never materialized as a set: iterating over pairs
 (nu, l) in Gamma' x (supp H \\ 0) and accumulating at k = l * nu reproduces it
 exactly, because for a fixed l there is at most one nu with k = l * nu. Taps
-that cancel to zero are dropped.
+that cancel to zero are dropped. The sums run on the integer numerators of
+H's mask, and the result is the mask of h over one denominator.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .arith import Cyclotomic
+from .arith import Cyclotomic, LaurentPoly
 from .errors import DimensionMismatch, NotLowpass
-from .filters import Filter1D, FilterND, filter_nd
+from .filters import Filter1D, FilterND
 from .lattice import CosetSystem
 
 MultiIndex = Tuple[int, ...]
@@ -36,19 +37,17 @@ def _require_compatible(H: Filter1D, n: int, sys: CosetSystem) -> None:
 def prime_coset_sum(H: Filter1D, n: int, sys: CosetSystem) -> FilterND:
     """Lift the 1-D lowpass filter H to an n-D lowpass filter with dilation p*I_n."""
     _require_compatible(H, n, sys)
-    p = sys.p
-    inv = Fraction(1, p - 1)
-    taps: Dict[MultiIndex, Fraction] = {}
-    h0 = inv * (p - p ** n + (p ** n - 1) * H.taps.get(0, Fraction(0)))
-    if h0:
-        taps[(0,) * n] = h0
+    p, q = sys.p, sys.q
+    num, den = H.mask.num, H.mask.den
+    # H(l) = p num[l] / den, so over D = den (p-1) p^(n-1) the mask h(k) / q has
+    # numerator (1 - p^(n-1)) den + (q-1) num[0] at 0 and the sum of num[l] at k
+    out: Dict[MultiIndex, int] = {(0,) * n: (1 - p ** (n - 1)) * den + (q - 1) * num.get((0,), 0)}
     for nu in sys.gamma_prime:
-        for l, v in H.taps.items():
-            if l == 0:
-                continue
-            k = tuple(l * x for x in nu)
-            taps[k] = taps.get(k, Fraction(0)) + inv * v
-    return filter_nd(p, n, taps)
+        for (l,), v in num.items():
+            if l:
+                k = tuple(l * x for x in nu)
+                out[k] = out.get(k, 0) + v
+    return FilterND(p, LaurentPoly.from_integers(n, out, den * (p - 1) * p ** (n - 1)))
 
 
 def coset_sum_mask_eval(H: Filter1D, n: int, sys: CosetSystem, g) -> Cyclotomic:
@@ -66,8 +65,8 @@ def coset_sum_mask_eval(H: Filter1D, n: int, sys: CosetSystem, g) -> Cyclotomic:
     acc = Cyclotomic.from_rational(p, 1 - p ** (n - 1))
     for nu in sys.gamma_prime:
         m = sum(a * b for a, b in zip(g, nu))
-        coords = [Fraction(0)] * p
-        for k, v in H.taps.items():
+        coords = [0] * p
+        for (k,), v in H.mask.num.items():
             coords[(k * m) % p] += v
-        acc = acc + Cyclotomic(p, coords) * Fraction(1, p)
+        acc = acc + Cyclotomic(p, coords) * Fraction(1, H.mask.den)
     return acc * Fraction(1, (p - 1) * p ** (n - 1))

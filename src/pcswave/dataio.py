@@ -93,6 +93,9 @@ def write_coeffs(path, c: MultiresCoeffs) -> None:
     if len(c.details) != c.levels * (q - 1):
         raise ShapeMismatch(f"expected {c.levels * (q - 1)} detail tensors, "
                             f"have {len(c.details)}")
+    if not all(0 <= x <= 255 for x in (c.p, c.n, c.levels)):
+        raise DomainError(f"a PCSC header holds p, n and levels in one byte each, "
+                          f"got p={c.p}, n={c.n}, levels={c.levels}")
     shape = c.input_shape()
     nu_index = {nu: i for i, nu in enumerate(c.gamma)}
     with open(path, "wb") as fh:

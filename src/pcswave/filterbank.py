@@ -21,9 +21,10 @@ polyphase components routed through eta. ``design`` runs both routes and
 refuses a bank where they disagree on any filter.
 
 Loading runs only the second route: ``bank_from_json`` compares each of the
-2q stored filters with ``pcs_bank_masks`` of the stored generators. All of
-this algebra runs on integer numerators over common denominators (see
-:mod:`pcswave.polyphase`); a stored tap is compared by cross-multiplying.
+2q stored filters with ``pcs_bank_masks`` of the stored generators. A filter
+is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
+on integer numerators over common denominators, and a stored filter matches
+a derived mask when the two integer forms are equal.
 """
 
 from __future__ import annotations
@@ -32,16 +33,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from .arith import LaurentPoly, poly_sum
 from .cosetsum import prime_coset_sum
 from .errors import (DimensionMismatch, FormatError, NotInterpolatory,
                      NotLowpass, PcswaveError)
 from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
                       diagnostics, filter_from_json, filter_to_json,
                       is_interpolatory, to_1d)
-from .lattice import CosetSystem, eta_routes, make_coset_system
-from .polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix,
-                        common_denominator, filter_of_mask, identity_residuals,
-                        mask_poly, matmul, poly_sum, polyphase_decompose)
+from .lattice import CosetSystem, make_coset_system
+from .polyphase import (ANALYSIS, SYNTHESIS, PolyphaseMatrix, eta_sum,
+                        identity_residuals, matmul, polyphase_decompose)
 
 MultiIndex = Tuple[int, ...]
 
@@ -90,16 +91,14 @@ def _require_generators(G: Filter1D, H: Filter1D) -> None:
     """G and H share p, both are lowpass, and H is interpolatory."""
     if G.p != H.p:
         raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
-    if G.tap_sum != G.p:
-        raise NotLowpass(f"G tap sum is {G.tap_sum}, lowpass needs {G.p}")
-    if H.tap_sum != H.p:
-        raise NotLowpass(f"H tap sum is {H.tap_sum}, lowpass needs {H.p}")
-    if H.taps.get(0, Fraction(0)) != 1:
-        raise NotInterpolatory(f"H is not interpolatory: H(0) = "
-                               f"{H.taps.get(0, Fraction(0))} != 1")
-    for k, v in sorted(H.taps.items()):
+    _require_lowpass_nd(G, "G")
+    _require_lowpass_nd(H, "H")
+    num = H.mask.num
+    if H.p * num.get((0,), 0) != H.mask.den:
+        raise NotInterpolatory(f"H is not interpolatory: H(0) = {H.taps.get(0, 0)} != 1")
+    for (k,) in sorted(num):
         if k != 0 and k % H.p == 0:
-            raise NotInterpolatory(f"H is not interpolatory: H({k}) = {v} != 0")
+            raise NotInterpolatory(f"H is not interpolatory: H({k}) = {H.taps[k]} != 0")
 
 
 def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
@@ -112,7 +111,7 @@ def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
     """
     products = poly_sum(sys.n, (a * b.conj() for a, b in zip(sg, sh)))
     corr = LaurentPoly.const(sys.n, 1) - products * sys.q
-    return mask_poly(g) + corr.stretch(sys.p)
+    return g.mask + corr.stretch(sys.p)
 
 
 def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBank:
@@ -127,8 +126,6 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
     p, q = sys.p, sys.q
     sg = polyphase_decompose(g, sys, SYNTHESIS)
     sh = polyphase_decompose(h, sys, SYNTHESIS)
-    tau_mask = _lowpass_mask(g, sg, sh, sys)
-    h_mask = mask_poly(h)
 
     t: Dict[MultiIndex, FilterND] = {}
     t_d: Dict[MultiIndex, FilterND] = {}
@@ -136,22 +133,11 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
         if idx == 0:
             continue
         e_nu = LaurentPoly.monomial(nu, 1)
-        t_mask = e_nu - q * sh[idx].conj().stretch(p)
-        td_mask = Fraction(1, q) * e_nu - sg[idx].conj().stretch(p) * h_mask
-        t[nu] = filter_of_mask(t_mask, p)
-        t_d[nu] = filter_of_mask(td_mask, p)
+        t[nu] = FilterND(p, e_nu - q * sh[idx].conj().stretch(p))
+        t_d[nu] = FilterND(p, Fraction(1, q) * e_nu - sg[idx].conj().stretch(p) * h.mask)
 
-    return WaveletFilterBank(sys=sys, tau=filter_of_mask(tau_mask, p), tau_d=h,
+    return WaveletFilterBank(sys=sys, tau=FilterND(p, _lowpass_mask(g, sg, sh, sys)), tau_d=h,
                              t=t, t_d=t_d, provenance=GENERAL)
-
-
-def _eta_sum(F: Filter1D, sys: CosetSystem, nu: MultiIndex) -> LaurentPoly:
-    """(1/(p-1)) sum over the taps m of F off pZ of F(m) e^{-i w.(nu - m eta(l, nu))}."""
-    den = common_denominator(F.taps.values())
-    out: Dict[MultiIndex, int] = {}
-    for k, v in eta_routes(sys, F.taps, nu):
-        out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
-    return LaurentPoly.from_integers(sys.n, out, den * (sys.p - 1))
 
 
 def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
@@ -164,15 +150,15 @@ def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
 
     expanded into term maps: each sum over (l, U_l) becomes a sum over the
     taps m of H (resp. G) with m != 0 mod p, contributing coefficient
-    H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`eta_routes`).
+    H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`~pcswave.polyphase.eta_sum`).
     """
     scale = Fraction(1, sys.q)
     t_masks: Dict[MultiIndex, LaurentPoly] = {}
     td_masks: Dict[MultiIndex, LaurentPoly] = {}
     for nu in sys.gamma_prime:
         e_nu = LaurentPoly.monomial(nu, 1)
-        t_masks[nu] = e_nu - _eta_sum(H, sys, nu)
-        td_masks[nu] = scale * (e_nu - _eta_sum(G, sys, nu) * tau_d_mask)
+        t_masks[nu] = e_nu - eta_sum(H, sys, nu)
+        td_masks[nu] = scale * (e_nu - eta_sum(G, sys, nu) * tau_d_mask)
     return t_masks, td_masks
 
 
@@ -198,28 +184,20 @@ def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem) -> BankMasks:
     h = prime_coset_sum(H, sys.n, sys)
     sg = polyphase_decompose(g, sys, SYNTHESIS)
     sh = polyphase_decompose(h, sys, SYNTHESIS)
-    tau_d = mask_poly(h)
+    tau_d = h.mask
     t, t_d = pcs_wavelet_masks(G, H, sys, tau_d)
     return BankMasks(tau=_lowpass_mask(g, sg, sh, sys), tau_d=tau_d, t=t, t_d=t_d)
 
 
-def _has_mask(f: FilterND, mask: LaurentPoly, sys: CosetSystem) -> bool:
-    """f's taps are q times mask's coefficients; cross-multiplied, no Fraction built."""
-    if f.p != sys.p or f.dim != sys.n or f.taps.keys() != mask.num.keys():
-        return False
-    num, den, q = mask.num, mask.den, sys.q
-    return all(v.numerator * den == q * num[k] * v.denominator for k, v in f.taps.items())
-
-
 def _first_mismatch(bank: WaveletFilterBank, masks: BankMasks) -> Optional[str]:
-    """Name of the first filter of bank whose taps differ from masks, or None."""
+    """Name of the first filter of bank whose (unique, integer) mask differs from masks."""
     sys = bank.sys
     pairs = [("tau", bank.tau, masks.tau), ("tau_d", bank.tau_d, masks.tau_d)]
     for name, filters, wanted in (("t", bank.t, masks.t), ("t_d", bank.t_d, masks.t_d)):
         pairs += [(f"{name}[{_nu_key(nu)}]", filters[nu], wanted[nu])
                   for nu in sys.gamma_prime]
     for name, f, mask in pairs:
-        if not _has_mask(f, mask, sys):
+        if not (f.p == sys.p and f.mask == mask):
             return name
     return None
 
@@ -343,7 +321,7 @@ def _parse_nu(key: str, n: int) -> MultiIndex:
 
 
 def bank_to_json(bank: WaveletFilterBank) -> dict:
-    doc = {
+    return {
         "p": bank.p,
         "dim": bank.n,
         "convention": bank.sys.convention,
@@ -357,7 +335,6 @@ def bank_to_json(bank: WaveletFilterBank) -> dict:
             "t_d": {_nu_key(nu): filter_to_json(bank.t_d[nu]) for nu in bank.sys.gamma_prime},
         },
     }
-    return doc
 
 
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
@@ -372,15 +349,16 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     of refusing to load it.
     """
     try:
-        p = int(doc["p"])
-        n = int(doc["dim"])
+        p, n = doc["p"], doc["dim"]
         convention = doc["convention"]
         provenance = doc.get("provenance", GENERAL)
         filters = doc["filters"]
         tau_doc, tau_d_doc = filters["tau"], filters["tau_d"]
         t_docs, t_d_docs = filters["t"].items(), filters["t_d"].items()
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise FormatError(f"malformed bank JSON: {exc}") from exc
+    if type(p) is not int or type(n) is not int:
+        raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
 
     sys = make_coset_system(p, n, convention)
     tau = filter_from_json(tau_doc)

@@ -1,13 +1,17 @@
 """Finitely supported rational-coefficient filters and their exact diagnostics.
 
-A filter h with dilation p on Z^n is stored as its nonzero taps only. Its mask
-is the normalized Fourier transform (1/q) * sum_k h(k) e^{-i k.w} with
-q = p^n; the 1/q normalization is applied on evaluation and never stored, so
-Haar-type filters keep integer taps.
+A filter h with dilation p on Z^n is stored as its mask, the Laurent
+polynomial (1/q) * sum_k h(k) e^{-i k.w} with q = p^n, in the integer form of
+:class:`~pcswave.arith.LaurentPoly`: tap h(k) is q * mask.num[k] / mask.den.
+That form is unique, so two filters are equal exactly when their p and masks
+are, and the polyphase layer, the coset sum, the bank checks, the
+diagnostics and the JSON form all read integers. ``.taps`` is a read-only
+``Fraction`` view for reports and the direct transform.
 
 All diagnostics are exact. Evaluation points are lattice frequencies
-(2*pi/p) * g, so every value lives in Q(zeta_p) and zero tests are decided in
-:class:`~pcswave.arith.Cyclotomic` with no tolerances.
+(2*pi/p) * g, so every value lives in Q(zeta_p); a sum of integer weights
+times powers of zeta_p is decided by its p residue-class sums, with no
+tolerances.
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Dict, Tuple
+from math import lcm, prod
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
-from .arith import Cyclotomic, parse_rational
+from .arith import Cyclotomic, LaurentPoly, format_rational, split_rational
 from .errors import DimensionMismatch, DomainError, FormatError
+from .lattice import MAX_COSETS, too_many_cosets
 
 MultiIndex = Tuple[int, ...]
 
@@ -28,68 +34,63 @@ DEFAULT_MAX_ORDER = 20
 
 @dataclass(frozen=True)
 class FilterND:
-    """Finitely supported filter on Z^dim with scalar dilation p."""
+    """Finitely supported filter on Z^dim with scalar dilation p, held as its mask."""
 
     p: int
-    dim: int
-    taps: Dict[MultiIndex, Fraction]
+    mask: LaurentPoly
+
+    @property
+    def dim(self) -> int:
+        return self.mask.n
 
     @property
     def q(self) -> int:
         return self.p ** self.dim
 
     @property
+    def taps(self) -> Mapping[MultiIndex, Fraction]:
+        """The taps h(k) = q * mask.num[k] / mask.den, read-only."""
+        q, den = self.q, self.mask.den
+        return MappingProxyType({k: Fraction(q * v, den) for k, v in self.mask.num.items()})
+
+    @property
     def support_size(self) -> int:
-        return len(self.taps)
+        return len(self.mask.num)
 
     @property
     def tap_sum(self) -> Fraction:
-        return sum(self.taps.values(), Fraction(0))
+        return Fraction(self.q * sum(self.mask.num.values()), self.mask.den)
 
 
 @dataclass(frozen=True)
-class Filter1D:
-    """Thin 1-D facade; everything heavy runs on the FilterND view."""
-
-    p: int
-    taps: Dict[int, Fraction]
+class Filter1D(FilterND):
+    """A filter on Z: the same (p, mask) pair, with taps keyed by int."""
 
     @property
-    def support_size(self) -> int:
-        return len(self.taps)
-
-    @property
-    def tap_sum(self) -> Fraction:
-        return sum(self.taps.values(), Fraction(0))
+    def taps(self) -> Mapping[int, Fraction]:
+        p, den = self.p, self.mask.den
+        return MappingProxyType({k: Fraction(p * v, den) for (k,), v in self.mask.num.items()})
 
     def to_nd(self) -> FilterND:
-        return filter_nd(self.p, 1, {(k,): v for k, v in self.taps.items()})
+        return FilterND(self.p, self.mask)
 
 
 def filter_nd(p: int, dim: int, taps) -> FilterND:
-    """Normalize a tap map: coerce to Fraction, drop exact zeros."""
+    """The filter with these rational taps (index tuple -> value); zeros are dropped."""
     if dim < 1:
         raise DomainError(f"dimension must be >= 1, got {dim}")
-    out: Dict[MultiIndex, Fraction] = {}
-    for k, v in dict(taps).items():
-        k = tuple(int(x) for x in k)
-        if len(k) != dim:
-            raise DimensionMismatch(f"tap index {k} has length {len(k)}, expected {dim}")
-        v = Fraction(v)
-        if v:
-            out[k] = v
-    return FilterND(p=p, dim=dim, taps=out)
+    return FilterND(p, LaurentPoly(dim, taps) * Fraction(1, p ** dim))
 
 
 def filter_1d(p: int, taps) -> Filter1D:
-    out = {int(k): Fraction(v) for k, v in dict(taps).items() if Fraction(v)}
-    return Filter1D(p=p, taps=out)
+    """The 1-D filter with these rational taps (int -> value); zeros are dropped."""
+    return Filter1D(p, LaurentPoly(1, {(k,): v for k, v in dict(taps).items()}) * Fraction(1, p))
 
 
 def to_1d(f: FilterND) -> Filter1D:
     if f.dim != 1:
         raise DimensionMismatch(f"expected a 1-D filter, got dim={f.dim}")
-    return Filter1D(p=f.p, taps={k[0]: v for k, v in f.taps.items()})
+    return Filter1D(f.p, f.mask)
 
 
 def mask_eval(f: FilterND, g) -> Cyclotomic:
@@ -98,21 +99,19 @@ def mask_eval(f: FilterND, g) -> Cyclotomic:
     if len(g) != f.dim:
         raise DimensionMismatch(f"g has length {len(g)}, expected {f.dim}")
     p = f.p
-    coords = [Fraction(0)] * p
-    for k, v in f.taps.items():
+    coords = [0] * p
+    for k, v in f.mask.num.items():
         coords[sum(a * b for a, b in zip(k, g)) % p] += v
-    return Cyclotomic(p, coords) * Fraction(1, f.q)
+    return Cyclotomic(p, coords) * Fraction(1, f.mask.den)
 
 
 def is_interpolatory(f: FilterND) -> bool:
     """h(0) = 1 and h vanishes on p Z^n away from the origin."""
     zero = (0,) * f.dim
-    if f.taps.get(zero, Fraction(0)) != 1:
+    num = f.mask.num
+    if f.q * num.get(zero, 0) != f.mask.den:
         return False
-    for k in f.taps:
-        if k != zero and all(x % f.p == 0 for x in k):
-            return False
-    return True
+    return not any(k != zero and all(x % f.p == 0 for x in k) for k in num)
 
 
 def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
@@ -120,21 +119,18 @@ def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
     if h.p != g.p or h.dim != g.dim:
         raise DimensionMismatch("biorthogonality needs matching p and dimension")
     p = h.p
-    buckets: Dict[MultiIndex, Fraction] = {}
-    for k1, v1 in h.taps.items():
-        for k2, v2 in g.taps.items():
+    # the sum at l is q^2 / (den_h den_g) times the sum of numerator products
+    buckets: Dict[MultiIndex, int] = {}
+    for k1, v1 in h.mask.num.items():
+        for k2, v2 in g.mask.num.items():
             d = tuple(b - a for a, b in zip(k1, k2))
             if all(x % p == 0 for x in d):
                 l = tuple(x // p for x in d)
-                buckets[l] = buckets.get(l, Fraction(0)) + v1 * v2
+                buckets[l] = buckets.get(l, 0) + v1 * v2
     zero = (0,) * h.dim
-    for l, s in buckets.items():
-        if l == zero:
-            if s != h.q:
-                return False
-        elif s:
-            return False
-    return buckets.get(zero, Fraction(0)) == h.q
+    if h.q * buckets.pop(zero, 0) != h.mask.den * g.mask.den:
+        return False
+    return not any(buckets.values())
 
 
 @dataclass(frozen=True)
@@ -163,11 +159,15 @@ def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
     sum_k f(k) k^mu zeta_p^(k.g), |mu| = order, is nonzero at some frequency g
     of ``frequencies``; max_order if all of them vanish.
 
-    The search stops at the first nonzero sum, and k.g mod p is worked out
-    for a frequency only when the search first reaches it.
+    The sums run over the integer numerators of the mask, a positive multiple
+    of the taps. A sum of integer weights w_k times zeta_p^(k.g) is zero
+    exactly when its p class sums (the w_k with k.g = r mod p, for each r)
+    are all equal, because 1 + x + ... + x^(p-1) is the minimal polynomial of
+    zeta_p. The search stops at the first nonzero sum, and k.g mod p is
+    worked out for a frequency only when the search first reaches it.
     """
     p = f.p
-    taps = list(f.taps.items())
+    taps = list(f.mask.num.items())
     dots = []
     for order in range(start, max_order):
         for mu in _compositions(f.dim, order):
@@ -175,10 +175,10 @@ def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
             for i, g in enumerate(frequencies):
                 if i == len(dots):
                     dots.append([sum(a * b for a, b in zip(k, g)) % p for k, _ in taps])
-                coords = [Fraction(0)] * p
+                sums = [0] * p
                 for w, d in zip(weights, dots[i]):
-                    coords[d] += w
-                if not Cyclotomic(p, coords).is_zero():
+                    sums[d] += w
+                if sums.count(sums[0]) != p:
                     return order
     return max_order
 
@@ -194,16 +194,16 @@ def diagnostics(f: FilterND, max_order: int = DEFAULT_MAX_ORDER) -> MaskDiagnost
     """
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
-    s = f.tap_sum
+    total, den = sum(f.mask.num.values()), f.mask.den  # the tap sum is q * total / den
     # the moments are the derivative sums at g = 0; accuracy looks at g != 0
     moment_order = _zero_order(f, [(0,) * f.dim], 1, max_order)
     nonzero = [g for g in itertools.product(range(f.p), repeat=f.dim) if any(g)]
     return MaskDiagnostics(
-        is_lowpass=(s == f.q),
+        is_lowpass=(total == den),
         is_interpolatory=is_interpolatory(f),
         accuracy=_zero_order(f, nonzero, 0, max_order),
-        vanishing_moments=0 if s else moment_order,
-        flatness=moment_order if s == f.q else 0,
+        vanishing_moments=0 if total else moment_order,
+        flatness=moment_order if total == den else 0,
         support_size=f.support_size,
         max_order_searched=max_order,
     )
@@ -212,47 +212,50 @@ def diagnostics(f: FilterND, max_order: int = DEFAULT_MAX_ORDER) -> MaskDiagnost
 # --- JSON form: {"p": int, "dim": int, "taps": [{"k": [...], "v": "num/den"}]} ---
 
 def filter_to_json(f: FilterND) -> dict:
-    taps = [{"k": list(k), "v": str(v)} for k, v in sorted(f.taps.items())]
+    q, den = f.q, f.mask.den
+    # the filters of a bank repeat a few values, so each is formatted once
+    text = {v: format_rational(q * v, den) for v in set(f.mask.num.values())}
+    taps = [{"k": list(k), "v": text[v]} for k, v in sorted(f.mask.num.items())]
     return {"p": f.p, "dim": f.dim, "taps": taps}
 
 
-def _tap_value(v, seen: Dict[str, Fraction]) -> Fraction:
-    """A tap value: a JSON integer (not a boolean), or "num/den" text.
-
-    ``seen`` caches parsed text; the filters of a bank repeat a few values.
-    """
-    if type(v) is int:
-        return Fraction(v)
-    if not isinstance(v, str):
-        raise DomainError(f"tap value {v!r} is neither an integer nor num/den text")
-    value = seen.get(v)
-    if value is None:
-        value = seen[v] = parse_rational(v)
-    return value
-
-
 def filter_from_json(data: dict) -> FilterND:
+    """The filter of a JSON document; p, dim and every tap index must be JSON integers."""
     try:
-        p = int(data["p"])
-        dim = int(data["dim"])
-        raw = data["taps"]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        p, dim, raw = data["p"], data["dim"], data["taps"]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed filter JSON: {exc}") from exc
+    # q = p^dim is formed below, so its size is refused first
+    if (type(p) is not int or type(dim) is not int or p < 2 or dim < 1
+            or too_many_cosets(p, dim)):
+        raise FormatError(f"filter p={p!r}, dim={dim!r} are not integers with p >= 2, "
+                          f"dim >= 1 and p^dim <= {MAX_COSETS}")
     if not isinstance(raw, list):
         raise FormatError(f"filter taps must be a list, got {raw!r}")
-    taps: Dict[MultiIndex, Fraction] = {}
-    seen: Dict[str, Fraction] = {}
+    taps: Dict[MultiIndex, Tuple[int, int]] = {}
+    seen: Dict[str, Tuple[int, int]] = {}  # parsed text: a bank repeats a few values
     for entry in raw:
         try:
-            k = tuple(map(int, entry["k"]))
-            v = _tap_value(entry["v"], seen)
-        except (DomainError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            k, v = tuple(entry["k"]), entry["v"]
+            # a tap value is a JSON integer (not a boolean) or "num/den" text
+            if type(v) is int:
+                v = (v, 1)
+            elif type(v) is str:
+                v = seen.get(v) or seen.setdefault(v, split_rational(v))
+            else:
+                raise DomainError(f"tap value {v!r} is neither an integer nor num/den text")
+            if k in taps:  # an unhashable index, such as [[0]], raises TypeError here
+                raise FormatError(f"duplicate tap at {k}")
+        except (DomainError, KeyError, TypeError) as exc:
             raise FormatError(f"malformed tap entry {entry!r}") from exc
         if len(k) != dim:
             raise FormatError(f"tap index {k} has length {len(k)}, expected {dim}")
-        if v == 0:
+        if not v[0]:
             raise FormatError(f"explicit zero tap at {k} rejected")
-        if k in taps:
-            raise FormatError(f"duplicate tap at {k}")
         taps[k] = v
-    return FilterND(p=p, dim=dim, taps=taps)
+    if not set(map(type, itertools.chain.from_iterable(taps))) <= {int}:
+        raise FormatError("tap indices must be lists of integers")
+    # tap num/den over the common denominator D is a mask coefficient over q D
+    den = lcm(*{d for _, d in taps.values()})
+    num = {k: n * (den // d) for k, (n, d) in taps.items()}
+    return FilterND(p, LaurentPoly.from_integers(dim, num, den * p ** dim))

@@ -59,10 +59,10 @@ class LevelKernels:
                          tuple(x // p for x in nu)) for nu in sys.gamma_prime]
         self._zero = (slice(None, None, p),) * n
         self._axes = tuple(range(n))
-        hi = [[(tuple(-x // p for x in k), v) for k, v in eta_routes(sys, H.taps, nu)]
-              for nu in sys.gamma_prime]
-        lo = [[(tuple(x // p for x in k), v) for k, v in eta_routes(sys, G.taps, nu)]
-              for nu in sys.gamma_prime]
+        # tap m of G or H is p num[m] / den; predict (H) offsets are negated
+        hi, lo = ([[(tuple(sign * x // p for x in k), Fraction(p * v, F.mask.den))
+                    for k, v in eta_routes(sys, F.mask.num, nu)] for nu in sys.gamma_prime]
+                  for F, sign in ((H, -1), (G, 1)))
 
         def typed(scalar):
             return (scalar(Fraction(1, p - 1)), scalar(Fraction(1, (p - 1) * p ** n)),

@@ -57,6 +57,12 @@ class CosetSystem:
         return self._index[tuple(x % self.p for x in v)]
 
 
+def too_many_cosets(p: int, n: int) -> bool:
+    """p^n > MAX_COSETS for p >= 2, decided without forming p^n for a huge n."""
+    # p^17 > 2^16 for every p >= 2
+    return p >= 2 and p ** min(n, 17) > MAX_COSETS
+
+
 def _center(r: int, p: int) -> int:
     return r if r <= (p - 1) // 2 else r - p
 
@@ -73,8 +79,7 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD, *,
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    # p^17 > 2^16 for every p >= 2, so a huge n need not be raised to
-    if p >= 2 and p ** min(n, 17) > MAX_COSETS:
+    if too_many_cosets(p, n):
         raise DomainError(f"p^n = {p}^{n} exceeds {MAX_COSETS} cosets")
     if not allow_composite and not is_prime(p):
         raise CompositeDilation(f"dilation must be prime, got {p}")
@@ -113,18 +118,18 @@ def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
     return sys.rep(r * x for x in nu)
 
 
-def eta_routes(sys: CosetSystem, taps, nu: MultiIndex):
+def eta_routes(sys: CosetSystem, num, nu: MultiIndex):
     """(nu - eta(m mod p, nu) * m, value) for each 1-D tap m off pZ, by increasing m.
 
-    ``taps`` maps the taps m of G or H to their values. This routing gives
-    the closed-form highpass masks, the coset-sum polyphase components and the
-    tap tables of the fast steps. Every exponent lies in pZ^n; one that does
-    not means a broken eta and raises.
+    ``num`` maps each tap (m,) of G or H to a value, e.g. its mask numerator.
+    This routing gives the closed-form highpass masks, the coset-sum
+    polyphase components and the tap tables of the fast steps. Every exponent
+    lies in pZ^n; one that does not means a broken eta and raises.
     """
     p, nu = sys.p, tuple(nu)
     etas = {l: eta(sys, l, nu) for l in sys.fp[1:]}
     out = []
-    for m, v in sorted(taps.items()):
+    for (m,), v in sorted(num.items()):
         if m % p:
             k = tuple(a - m * b for a, b in zip(nu, etas[m % p]))
             if any(x % p for x in k):

@@ -1,17 +1,12 @@
-"""Laurent polynomial algebra and polyphase representations of filters.
+"""Polyphase representations of filters, and the S.A = (1/q) I identity.
 
-A :class:`LaurentPoly` in n variables is a finite map from integer exponent
-vectors to rationals, where the exponent k stands for the basis function
-e^{-i k.w}. Under that convention, conjugating a real-coefficient polynomial
-negates exponents, and substituting w -> p*w multiplies them by p; both are
-exact exponent transforms, so the whole polyphase layer stays in Q.
-
-All of that arithmetic runs on Python integers: a polynomial is a map from
-exponents to integer numerators over one positive denominator, kept in lowest
-terms, so equality is a comparison of integers. ``Fraction`` appears only at
-the boundaries: ``LaurentPoly(n, terms)`` takes rationals, ``.terms`` reads
-them back, and :func:`mask_poly`/:func:`filter_of_mask` convert from and to
-the ``Fraction`` taps of a filter.
+Masks are :class:`~pcswave.arith.LaurentPoly` values, where the exponent k
+stands for the basis function e^{-i k.w}. Under that convention, conjugating
+a real-coefficient polynomial negates exponents, and substituting w -> p*w
+multiplies them by p; both are exact exponent transforms, so the whole
+polyphase layer stays in Q. It runs on integer numerators over one
+denominator: a filter is its mask (see :mod:`pcswave.filters`), so no tap is
+converted. ``Fraction`` appears only where a scalar such as 1/q enters.
 
 The polyphase decomposition splits a filter into q = p^n subfilters indexed by
 Gamma. Synthesis components are (1/q) sum_k f(nu + p k) e^{-i k.w}; analysis
@@ -26,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
+from .arith import LaurentPoly, format_rational
 from .errors import DimensionMismatch, DomainError, NotInterpolatory
 from .filters import Filter1D, FilterND, is_interpolatory
 from .lattice import CosetSystem, eta_routes
@@ -39,189 +34,6 @@ MultiIndex = Tuple[int, ...]
 
 SYNTHESIS = "synthesis"
 ANALYSIS = "analysis"
-
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """The least common denominator of some rationals (1 for none)."""
-    return lcm(*(v.denominator for v in values))
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial over Q in n variables; exponent k <-> e^{-i k.w}.
-
-    The coefficient at k is ``num[k] / den``: ``num`` maps exponents to
-    nonzero integers and ``den`` is a positive integer with
-    gcd(den, every numerator) == 1 (den is 1 for the zero polynomial). That
-    form is unique, so equal polynomials have equal ``num`` and ``den``.
-    Every operation returns a new polynomial; none changes its operands.
-    ``terms`` is a read-only view of the coefficients as ``Fraction``.
-    """
-
-    __slots__ = ("n", "num", "den")
-
-    def __init__(self, n: int, terms=None):
-        values: Dict[MultiIndex, Fraction] = {}
-        if terms:
-            for k, v in dict(terms).items():
-                k = tuple(int(x) for x in k)
-                if len(k) != n:
-                    raise DimensionMismatch(f"exponent {k} has length {len(k)}, expected {n}")
-                v = Fraction(v)
-                if v:
-                    values[k] = v
-        den = common_denominator(values.values())
-        # reduced fractions over their least common denominator are in lowest terms
-        self.n = n
-        self.num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self.den = den
-
-    @classmethod
-    def from_integers(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "LaurentPoly":
-        """The polynomial sum num[k]/den * x^k; drops zeros and reduces. den > 0."""
-        num = {k: v for k, v in num.items() if v}
-        g = gcd(den, *num.values())
-        if g != 1:
-            num = {k: v // g for k, v in num.items()}
-            den //= g
-        r = cls.__new__(cls)
-        r.n = n
-        r.num = num
-        r.den = den
-        return r
-
-    @classmethod
-    def zero(cls, n: int) -> "LaurentPoly":
-        return cls(n)
-
-    @classmethod
-    def const(cls, n: int, value) -> "LaurentPoly":
-        return cls(n, {(0,) * n: value})
-
-    @classmethod
-    def monomial(cls, exponent, value=1) -> "LaurentPoly":
-        exponent = tuple(exponent)
-        return cls(len(exponent), {exponent: value})
-
-    @property
-    def terms(self) -> Mapping[MultiIndex, Fraction]:
-        """The coefficients as exponent -> Fraction, read-only."""
-        den = self.den
-        return MappingProxyType({k: Fraction(v, den) for k, v in self.num.items()})
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly.const(self.n, other)
-        if not isinstance(other, LaurentPoly):
-            return None
-        if self.n != other.n:
-            raise DimensionMismatch(f"mixed variable counts {self.n} and {other.n}")
-        return other
-
-    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other over the least common denominator."""
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        out = {k: v * a for k, v in self.num.items()}
-        for k, v in other.num.items():
-            out[k] = out.get(k, 0) + v * b
-        return LaurentPoly.from_integers(self.n, out, den)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return LaurentPoly.from_integers(
-                self.n, {k: v * s.numerator for k, v in self.num.items()},
-                self.den * s.denominator)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out: Dict[MultiIndex, int] = {}
-        get = out.get
-        right = list(other.num.items())
-        for ka, va in self.num.items():
-            for kb, vb in right:
-                k = tuple(map(add, ka, kb))
-                out[k] = get(k, 0) + va * vb
-        return LaurentPoly.from_integers(self.n, out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "LaurentPoly":
-        """Complex conjugate; real coefficients make this exponent negation."""
-        return self._rekey(lambda k: tuple(-x for x in k))
-
-    def stretch(self, factor: int) -> "LaurentPoly":
-        """Substitute w -> factor * w, i.e. multiply every exponent by factor."""
-        if factor == 0:
-            return LaurentPoly.from_integers(self.n, {(0,) * self.n: sum(self.num.values())},
-                                             self.den)
-        return self._rekey(lambda k: tuple(factor * x for x in k))
-
-    def _rekey(self, f) -> "LaurentPoly":
-        # an injective exponent map keeps the form reduced
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.n = self.n
-        r.num = {f(k): v for k, v in self.num.items()}
-        r.den = self.den
-        return r
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.n, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.n == other.n and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.n, self.den, frozenset(self.num.items())))
-
-    def __repr__(self):
-        if not self.num:
-            return "LaurentPoly(0)"
-        body = " + ".join(f"({v})*x^{list(k)}" for k, v in sorted(self.terms.items()))
-        return f"LaurentPoly({body})"
-
-
-def poly_sum(n: int, polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """The sum of some polynomials in n variables, over their common denominator."""
-    polys = list(polys)
-    den = lcm(*(f.den for f in polys))
-    out: Dict[MultiIndex, int] = {}
-    for f in polys:
-        scale = den // f.den
-        for k, v in f.num.items():
-            out[k] = out.get(k, 0) + v * scale
-    return LaurentPoly.from_integers(n, out, den)
-
-
-def mask_poly(f: FilterND) -> LaurentPoly:
-    """The mask of f as a Laurent polynomial: (1/q) sum h(k) e^{-i k.w}."""
-    return LaurentPoly(f.dim, f.taps) * Fraction(1, f.q)
-
-
-def filter_of_mask(poly: LaurentPoly, p: int) -> FilterND:
-    """Inverse of :func:`mask_poly`: taps are q times the coefficients."""
-    q, den = p ** poly.n, poly.den
-    return FilterND(p=p, dim=poly.n, taps={k: Fraction(v * q, den) for k, v in poly.num.items()})
 
 
 def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) -> List[LaurentPoly]:
@@ -235,9 +47,8 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
     if f.dim != sys.n or f.p != sys.p:
         raise DimensionMismatch("filter and coset system disagree on p or dimension")
     p, q = sys.p, sys.q
-    den = common_denominator(f.taps.values())
     comps: List[Dict[MultiIndex, int]] = [{} for _ in range(q)]
-    for x, v in f.taps.items():
+    for x, v in f.mask.num.items():
         i = sys.index_of(x)
         r = sys.gamma[i]
         if side == SYNTHESIS:
@@ -245,8 +56,21 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
         else:
             k = tuple((b - a) // p for a, b in zip(x, r))
         # x -> (coset, k) is one to one, so no two taps share a slot
-        comps[i][k] = v.numerator * (den // v.denominator)
-    return [LaurentPoly.from_integers(sys.n, c, den * q) for c in comps]
+        comps[i][k] = v
+    # f(x) / q is the mask coefficient num[x] / den
+    return [LaurentPoly.from_integers(sys.n, c, f.mask.den) for c in comps]
+
+
+def eta_sum(F: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
+    """(1/(p-1)) sum over the taps m of F off pZ of F(m) e^{-i w.(nu - m eta(m mod p, nu))}.
+
+    The exponents are the routes of :func:`pcswave.lattice.eta_routes`.
+    """
+    out: Dict[MultiIndex, int] = {}
+    for k, v in eta_routes(sys, F.mask.num, nu):
+        out[k] = out.get(k, 0) + v
+    # F(m) = p num[m] / den
+    return LaurentPoly.from_integers(sys.n, out, F.mask.den * (sys.p - 1)) * sys.p
 
 
 def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
@@ -259,15 +83,9 @@ def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
 
     which equals the nu-component of the lifted filter's polyphase vector with
     its variable substituted w -> p w. Tap m = l + p m' of H lands at exponent
-    eta(l,nu) m - nu, the negated route of :func:`pcswave.lattice.eta_routes`.
+    eta(l,nu) m - nu, so this is the conjugate of :func:`eta_sum` over q.
     """
-    den = common_denominator(H.taps.values())
-    out: Dict[MultiIndex, int] = {}
-    for k, v in eta_routes(sys, H.taps, nu):
-        k = tuple(-x for x in k)
-        out[k] = out.get(k, 0) + v.numerator * (den // v.denominator)
-    # scale 1/((p-1) p^(n-1)) times the 1/p of the 1-D polyphase component
-    return LaurentPoly.from_integers(sys.n, out, den * (sys.p - 1) * sys.q)
+    return eta_sum(H, sys, nu).conj() * Fraction(1, sys.q)
 
 
 @dataclass
@@ -402,6 +220,6 @@ def matmul_check(S: PolyphaseMatrix, A: PolyphaseMatrix, q: int) -> bool:
 
 def matrix_to_json(m: PolyphaseMatrix) -> dict:
     """Debug export: every entry as a sorted exponent -> coefficient list."""
-    entries = [[[{"k": list(k), "v": str(v)} for k, v in sorted(e.terms.items())]
+    entries = [[[{"k": list(k), "v": format_rational(v, e.den)} for k, v in sorted(e.num.items())]
                 for e in row] for row in m.entries]
     return {"rows": m.rows, "cols": m.cols, "entries": entries}

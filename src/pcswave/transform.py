@@ -244,7 +244,7 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
 
     alpha = bank.g1d.support_size
     beta = bank.h1d.support_size
-    alpha_tilde = sum(1 for m in bank.g1d.taps if m % p)
+    alpha_tilde = sum(1 for (m,) in bank.g1d.mask.num if m % p)
     constant = pcs_complexity_constant(alpha_tilde, beta, p, n)
 
     size = 1

@@ -200,7 +200,7 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
 
 
 @pytest.mark.parametrize("damage", ["t_is_list", "no_t_d", "taps_5", "taps_null",
-                                    "taps_1.5", "not_utf8"])
+                                    "taps_1.5", "not_utf8", "p_float"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -210,6 +210,8 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
         doc["filters"]["t"] = list(doc["filters"]["t"].values())
     elif damage == "no_t_d":
         del doc["filters"]["t_d"]
+    elif damage == "p_float":
+        doc["p"] = 3.5
     elif damage.startswith("taps_"):
         doc["filters"]["tau"]["taps"] = json.loads(damage[5:])
         prefix = "error: filter taps must be a list"
@@ -245,9 +247,12 @@ def _hostile_size(case, bank_path, tmp_path):
     if case == "design_dim30":
         return ["design", "--p", 3, "--dim", 30, "--g", box, "--h", box,
                 "-o", tmp_path / "big.json"]
-    if case == "design_tap_exponent":
-        doc = json.loads(box.read_text())
-        doc["taps"][0]["v"] = "1e999999999"
+    if case in ("design_tap_exponent", "design_filter_dim_huge"):
+        if case == "design_tap_exponent":
+            doc = json.loads(box.read_text())
+            doc["taps"][0]["v"] = "1e999999999"
+        else:
+            doc = {"p": 3, "dim": 10 ** 9, "taps": []}
         gen = tmp_path / "g.json"
         gen.write_text(json.dumps(doc))
         return ["design", "--p", 3, "--dim", 2, "--g", gen, "--h", box,
@@ -261,7 +266,8 @@ def _hostile_size(case, bank_path, tmp_path):
 
 @pytest.mark.parametrize("case", ["dim40", "p_huge", "design_dim30", "analyze_levels",
                                   "bench_levels", "p_infinity", "tap_exponent",
-                                  "tap_index_infinity", "design_tap_exponent"])
+                                  "tap_index_infinity", "design_tap_exponent",
+                                  "design_filter_dim_huge"])
 def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     argv = _hostile_size(case, box_bank_path, tmp_path)
     start = time.perf_counter()

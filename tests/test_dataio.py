@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pcswave.dataio import read_coeffs, read_tensor, write_coeffs, write_tensor
-from pcswave.errors import DomainError, FormatError, ShapeMismatch
+from pcswave.errors import DomainError, FormatError, PcswaveError, ShapeMismatch
+from pcswave.filterbank import build_pcs_bank
+from pcswave.filters import filter_1d
 from pcswave.presets import box_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast, reconstruct_fast
@@ -96,3 +98,14 @@ def test_coeffs_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(FormatError):
         read_coeffs(path, bank)
+
+
+def test_coeffs_refuse_p_beyond_header_byte(tmp_path):
+    # a valid p = 257 bank: its coefficients cannot be written, and no file is left
+    H = filter_1d(257, {-1: 128, 0: 1, 1: 128})
+    bank = build_pcs_bank(H, H, 1, "standard")
+    c = decompose_fast(Tensor.from_numpy(np.zeros(257)), bank, 1)
+    path = tmp_path / "c.pcsc"
+    with pytest.raises(PcswaveError, match="one byte"):
+        write_coeffs(path, c)
+    assert not path.exists()

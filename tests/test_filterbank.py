@@ -11,10 +11,10 @@ from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
                                 pcs_wavelet_masks,
                                 verify_combined_biorthogonality)
-from pcswave.filters import (filter_1d, filter_from_json, filter_nd, is_biorthogonal,
-                             is_interpolatory, to_1d)
+from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
+                             is_biorthogonal, is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import LaurentPoly, filter_of_mask, mask_poly
+from pcswave.polyphase import LaurentPoly
 from pcswave.presets import box_bank, box_filter_1d, deg4_bank
 
 from conftest import random_interpolatory_1d, random_lowpass_1d
@@ -88,11 +88,11 @@ def test_deg4_bank_matches_expected_masks():
     bank = deg4_bank(2)
     sys = bank.sys
     tau, tau_d, t, t_d = _deg4_expected_masks(sys)
-    assert mask_poly(bank.tau) == LaurentPoly(2, tau)
-    assert mask_poly(bank.tau_d) == LaurentPoly(2, tau_d)
+    assert bank.tau.mask == LaurentPoly(2, tau)
+    assert bank.tau_d.mask == LaurentPoly(2, tau_d)
     for nu in sys.gamma_prime:
-        assert mask_poly(bank.t[nu]) == LaurentPoly(2, t[nu])
-        assert mask_poly(bank.t_d[nu]) == LaurentPoly(2, t_d[nu])
+        assert bank.t[nu].mask == LaurentPoly(2, t[nu])
+        assert bank.t_d[nu].mask == LaurentPoly(2, t_d[nu])
         assert bank.t[nu].support_size == 5
 
 
@@ -128,10 +128,10 @@ def test_closed_form_routes_agree(rng):
         H = random_interpolatory_1d(rng, p)
         bank = build_pcs_bank(G, H, n, convention)
         sys = bank.sys
-        t_masks, td_masks = pcs_wavelet_masks(G, H, sys, mask_poly(bank.tau_d))
+        t_masks, td_masks = pcs_wavelet_masks(G, H, sys, bank.tau_d.mask)
         for nu in sys.gamma_prime:
-            assert filter_of_mask(t_masks[nu], p) == bank.t[nu]
-            assert filter_of_mask(td_masks[nu], p) == bank.t_d[nu]
+            assert FilterND(p, t_masks[nu]) == bank.t[nu]
+            assert FilterND(p, td_masks[nu]) == bank.t_d[nu]
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (5, 1)])
@@ -271,7 +271,7 @@ def test_dyadic_reduction_to_coset_sum_masks():
                 sign = -1 if K % 2 else 1
                 k = tuple((1 - K) * x for x in nu)
                 cs = cs + LaurentPoly.monomial(k, Fraction(sign * v, 2))
-            assert mask_poly(bank.t[nu]) == 2 * cs
+            assert bank.t[nu].mask == 2 * cs
 
 
 def test_bank_json_roundtrip():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcswave.arith import Cyclotomic
+from pcswave.arith import Cyclotomic, LaurentPoly
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DimensionMismatch, FormatError
-from pcswave.filters import (diagnostics, filter_1d, filter_from_json,
+from pcswave.filters import (FilterND, diagnostics, filter_1d, filter_from_json,
                              filter_nd, filter_to_json, is_biorthogonal,
                              is_interpolatory, mask_eval, to_1d)
 from pcswave.lattice import make_coset_system
@@ -246,10 +246,47 @@ def test_filter_json_rejects_zero_tap():
         filter_from_json(doc)
 
 
+def _box_doc(**edits):
+    doc = {"p": 3, "dim": 1, "taps": [{"k": [k], "v": 1} for k in (-1, 0, 1)]}
+    doc.update(edits)
+    return doc
+
+
 def test_filter_json_rejects_bad_entries():
-    with pytest.raises(FormatError):
-        filter_from_json({"p": 3, "dim": 1, "taps": [{"k": [0, 1], "v": "1"}]})
-    with pytest.raises(FormatError):
-        filter_from_json({"p": 3, "dim": 1, "taps": [{"k": [0], "v": "a"}]})
-    with pytest.raises(FormatError):
-        filter_from_json({"p": 3, "taps": []})
+    for doc in [
+        {"p": 3, "dim": 1, "taps": [{"k": [0, 1], "v": "1"}]},
+        {"p": 3, "dim": 1, "taps": [{"k": [0], "v": "a"}]},
+        {"p": 3, "taps": []},
+        # p, dim and tap indices must be JSON integers: nothing is truncated
+        _box_doc(p=3.9), _box_doc(dim=1.5), _box_doc(p=3.5, dim=2.2), _box_doc(p=True),
+        _box_doc(taps=[{"k": [-1.5], "v": 1}, {"k": [0.2], "v": 1}, {"k": [1.7], "v": 1}]),
+        _box_doc(taps=[{"k": "12", "v": 1}]), _box_doc(dim=2, taps=[{"k": "12", "v": 1}]),
+        _box_doc(taps=[{"k": [True], "v": 1}]),
+        # q = p^dim is refused before it is formed
+        {"p": 3, "dim": 10 ** 9, "taps": []}, _box_doc(p=1), _box_doc(dim=0),
+        # a boolean tap value stays refused after an equal integer one
+        _box_doc(taps=[{"k": [0], "v": 1}, {"k": [1], "v": True}]),
+    ]:
+        with pytest.raises(FormatError):
+            filter_from_json(doc)
+
+
+@st.composite
+def integer_masks(draw):
+    """A filter from a random integer mask: signs, reducible and integer-valued taps."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6, unique=True))
+    num = {k: draw(st.integers(-50, 50).filter(bool)) for k in keys}
+    den = draw(st.sampled_from([1, 2, 6, p ** n, 4 * p ** n, 105]))
+    return FilterND(p, LaurentPoly.from_integers(n, num, den))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_masks())
+def test_filter_json_tap_text_is_exact(f):
+    # the text of each tap is that of its Fraction, taken from the .taps view
+    doc = filter_to_json(f)
+    assert [tap["v"] for tap in doc["taps"]] == \
+        [str(f.taps[tuple(tap["k"])]) for tap in doc["taps"]]
+    assert filter_from_json(doc) == f

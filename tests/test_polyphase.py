@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from pcswave.arith import Cyclotomic
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DomainError, NotInterpolatory
-from pcswave.filters import filter_nd
+from pcswave.filters import FilterND, filter_nd
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, build_A_S,
-                               coset_sum_polyphase, filter_of_mask,
-                               identity_residuals, mask_poly, matmul,
+                               coset_sum_polyphase, identity_residuals, matmul,
                                matmul_check, polyphase_decompose,
                                triangular_factors)
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
@@ -115,7 +114,7 @@ def test_laurent_terms_are_read_only():
 
 def test_mask_filter_roundtrip():
     f = prime_coset_sum(box_filter_1d(3), 2, make_coset_system(3, 2, "centered"))
-    assert filter_of_mask(mask_poly(f), 3) == f
+    assert FilterND(3, f.mask) == f
 
 
 def test_zero_component_of_interpolatory_is_constant():
@@ -134,7 +133,7 @@ def test_recomposition_identity(rng):
         acc = LaurentPoly.zero(2)
         for nu, comp in zip(sys.gamma, comps):
             acc = acc + LaurentPoly.monomial(nu) * comp.stretch(3)
-        assert acc == mask_poly(f)
+        assert acc == f.mask
 
 
 def test_box_1d_components_are_thirds():

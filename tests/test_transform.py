@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pcswave.dataio import write_coeffs
 from pcswave import lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
-from pcswave.filterbank import build_general, pcs_bank_masks
+from pcswave.filterbank import bank_to_json, build_general, pcs_bank_masks
 from pcswave.kernels import LevelKernels
 from pcswave.lattice import eta_routes, make_coset_system
 from pcswave.polyphase import coset_sum_polyphase
@@ -187,6 +188,19 @@ def test_float64_output_bits_pinned(bank_fn, shape, digest, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("bank_fn,digest", [
+    (lambda: box_bank(3, 2), "db88133b502dbdc9665694986bcfcffe10e1ee58ccbfaecfe12ab73cb0d001b3"),
+    (lambda: deg4_bank(2), "4d2f45b72a4397f852438dfb08887622583d9cde2dfe21f54327b5ca246865f3"),
+    (lambda: box_bank(7, 2), "860f0439e3755e4fd5252b423d1304a5a838250476fda1c9f247371a787cb9c8"),
+    (lambda: deg4_bank(3), "9a56a64b77d8a86c9100a7c94582fe14a5cba4cb6e76ae9d196c6902c59b37ff"),
+], ids=["box_p3_n2", "deg4_p3_n2", "box_p7_n2", "deg4_p3_n3"])
+def test_bank_json_bytes_pinned(bank_fn, digest):
+    # SHA-256 of the bank file `design` writes: any change to a tap's text,
+    # the tap order or the document layout shows up here
+    text = json.dumps(bank_to_json(bank_fn()), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_float64_matches_rational_ground_truth():
     rng = np.random.default_rng(11)
     ints = rng.integers(-8, 9, size=(9, 9))
@@ -223,15 +237,15 @@ def test_coeffs_bank_consistency(rng):
 
 def test_tables_respect_lattice_congruence():
     for p in (2, 3, 5, 7):
-        taps = {m: Fraction(m, p) for m in range(-2 * p, 2 * p + 1) if m}
-        off = [m for m in sorted(taps) if m % p]
+        taps = {(m,): Fraction(m, p) for m in range(-2 * p, 2 * p + 1) if m}
+        off = [m for (m,) in sorted(taps) if m % p]
         for n in (1, 2, 3):
             for convention in ("standard", "centered") if p > 2 else ("standard",):
                 sys = make_coset_system(p, n, convention)
                 for nu in sys.gamma_prime:
                     routes = eta_routes(sys, taps, nu)
                     # one route per tap off pZ, in increasing m, every exponent in pZ^n
-                    assert [v for _, v in routes] == [taps[m] for m in off]
+                    assert [v for _, v in routes] == [taps[(m,)] for m in off]
                     for k, _ in routes:
                         assert len(k) == n and all(x % p == 0 for x in k)
 
@@ -242,7 +256,7 @@ def test_wrong_eta_is_refused_everywhere(monkeypatch):
     # eta(l, nu) = nu drops rho(l), so nu - m nu leaves pZ^n for m = 2 mod 3
     monkeypatch.setattr(lattice, "eta", lambda sys, l, nu: tuple(nu))
     with pytest.raises(PcswaveError, match="lattice congruence"):
-        eta_routes(sys, G.taps, (1, 0))
+        eta_routes(sys, G.mask.num, (1, 0))
     with pytest.raises(PcswaveError, match="lattice congruence"):
         LevelKernels(sys, G, H)
     with pytest.raises(PcswaveError, match="lattice congruence"):
