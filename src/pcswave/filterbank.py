@@ -317,6 +317,9 @@ def _parse_nu(key: str, n: int) -> MultiIndex:
         raise FormatError(f"bad coset key {key!r}") from exc
     if len(nu) != n:
         raise FormatError(f"coset key {key!r} has length {len(nu)}, expected {n}")
+    # one spelling per coset, or a second spelling would replace its filter
+    if key != _nu_key(nu):
+        raise FormatError(f"coset key {key!r} is not written as {_nu_key(nu)!r}")
     return nu
 
 

@@ -112,7 +112,8 @@ def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
     if l not in sys.fp or l == 0:
         raise DomainError(f"l={l} is not in F_p' for p={sys.p}")
     nu = tuple(nu)
-    if nu not in sys.gamma or nu == sys.zero:
+    i = sys._index.get(tuple(x % sys.p for x in nu))
+    if not i or sys.gamma[i] != nu:
         raise DomainError(f"nu={nu} is not in Gamma'")
     r = mult_inverse(l, sys.p)
     return sys.rep(r * x for x in nu)
@@ -127,7 +128,7 @@ def eta_routes(sys: CosetSystem, num, nu: MultiIndex):
     lies in pZ^n; one that does not means a broken eta and raises.
     """
     p, nu = sys.p, tuple(nu)
-    etas = {l: eta(sys, l, nu) for l in sys.fp[1:]}
+    etas = {l: eta(sys, l, nu) for l in {m % p for (m,) in num} - {0}}
     out = []
     for (m,), v in sorted(num.items()):
         if m % p:

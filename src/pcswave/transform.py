@@ -13,8 +13,9 @@ the step-(i) correction, reading only the already-final y(pk) values. The
 divisions by p in the tap shifts are exact: nu - eta(l,nu) m is congruent to
 0 mod p componentwise, and :func:`pcswave.lattice.eta_routes` refuses to
 proceed otherwise. :class:`pcswave.kernels.LevelKernels` plans the four steps
-from the coset system and G, H alone, and runs them in float64 and in
-rational mode alike.
+from the coset system and G, H alone and runs the same steps in both modes:
+on float64 arrays, and in rational mode on integer numerators over one
+denominator per level, with ``Fraction`` values only at the level boundary.
 
 The direct route filters and resamples with the materialized bank filters:
 

@@ -200,7 +200,8 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
 
 
 @pytest.mark.parametrize("damage", ["t_is_list", "no_t_d", "taps_5", "taps_null",
-                                    "taps_1.5", "not_utf8", "p_float"])
+                                    "taps_1.5", "not_utf8", "p_float",
+                                    "key_+1, 00", "key_1,00"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -215,6 +216,10 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
     elif damage.startswith("taps_"):
         doc["filters"]["tau"]["taps"] = json.loads(damage[5:])
         prefix = "error: filter taps must be a list"
+    elif damage.startswith("key_"):
+        # a second spelling of coset (1, 0), holding another coset's filter
+        doc["filters"]["t"][damage[4:]] = doc["filters"]["t"]["-1,0"]
+        prefix = f"error: coset key {damage[4:]!r}"
     if damage == "not_utf8":
         bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
         prefix = f"error: {bad}: not valid JSON"

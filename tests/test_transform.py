@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcswave.dataio import write_coeffs
 from pcswave import lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
-from pcswave.filterbank import bank_to_json, build_general, pcs_bank_masks
+from pcswave.filterbank import (bank_to_json, build_general, build_pcs_bank,
+                                pcs_bank_masks)
 from pcswave.kernels import LevelKernels
 from pcswave.lattice import eta_routes, make_coset_system
 from pcswave.polyphase import coset_sum_polyphase
@@ -150,6 +153,49 @@ def test_p7_bank_roundtrip(rng):
     c = decompose_fast(y, bank, 2)
     assert coeffs_equal(c, decompose_direct(y, bank, 2))
     assert reconstruct_fast(c, bank) == y
+
+
+EXACT_VALUES = st.one_of(
+    st.just(0), st.integers(-10 ** 6, 10 ** 6),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+@st.composite
+def exact_transform_cases(draw, p, n):
+    """A bank from random generators and a rational input of 1-2 levels' extent."""
+    # two levels only where the direct oracle stays quick
+    levels = draw(st.integers(1, 2 if p ** (2 * n) <= 81 else 1))
+    convention = draw(st.sampled_from(["standard", "centered"] if p % 2 else ["standard"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bank = build_pcs_bank(random_lowpass_1d(rng, p), random_interpolatory_1d(rng, p),
+                          n, convention)
+    size = p ** (levels * n)
+    if draw(st.booleans()):
+        # plain Python ints in an object array, as a Tensor takes it
+        data = np.array(draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                      min_size=size, max_size=size)), dtype=object)
+    else:
+        data = draw(st.lists(EXACT_VALUES, min_size=size, max_size=size))
+    return bank, Tensor((p ** levels,) * n, "rational", data), levels
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_exact_fast_equals_direct_on_random_banks(p, n):
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(exact_transform_cases(p, n))
+    def check(case):
+        bank, y, levels = case
+        c = decompose_fast(y, bank, levels)
+        assert coeffs_equal(c, decompose_direct(y, bank, levels))
+        back = reconstruct_fast(c, bank)
+        assert back == y
+        # Fractions of Python ints: a numpy integer inside would overflow silently
+        for t in (c.coarse, back, *c.details.values()):
+            assert all(type(v) is Fraction and type(v.numerator) is int
+                       and type(v.denominator) is int for v in t.data.flat)
+
+    check()
 
 
 def test_float64_roundtrip_error_bound():
