@@ -52,16 +52,22 @@ PRIME_COSET_SUM = "prime_coset_sum"
 
 @dataclass
 class WaveletFilterBank:
-    """The 2q filters of a perfect-reconstruction bank, plus their provenance."""
+    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any."""
 
     sys: CosetSystem
     tau: FilterND
     tau_d: FilterND
     t: Dict[MultiIndex, FilterND]
     t_d: Dict[MultiIndex, FilterND]
-    provenance: str
     g1d: Optional[Filter1D] = None
     h1d: Optional[Filter1D] = None
+
+    @property
+    def provenance(self) -> str:
+        """``prime_coset_sum`` exactly when both 1-D generators are present."""
+        if self.g1d is not None and self.h1d is not None:
+            return PRIME_COSET_SUM
+        return GENERAL
 
     @property
     def p(self) -> int:
@@ -137,7 +143,7 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
         t_d[nu] = FilterND(p, Fraction(1, q) * e_nu - sg[idx].conj().stretch(p) * h.mask)
 
     return WaveletFilterBank(sys=sys, tau=FilterND(p, _lowpass_mask(g, sg, sh, sys)), tau_d=h,
-                             t=t, t_d=t_d, provenance=GENERAL)
+                             t=t, t_d=t_d)
 
 
 def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
@@ -210,7 +216,6 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     g = prime_coset_sum(G, n, sys)
     h = prime_coset_sum(H, n, sys)
     bank = build_general(g, h, sys)
-    bank.provenance = PRIME_COSET_SUM
     bank.g1d = G
     bank.h1d = H
 
@@ -273,13 +278,25 @@ class BankReport:
     max_order: int
 
 
+def guarantee_floor(bank: WaveletFilterBank,
+                    max_order: int = DEFAULT_MAX_ORDER) -> Optional[int]:
+    """The vanishing-moment floor of a generator-backed bank, None for another.
+
+    It is min(accuracy of H's mask, accuracy of G's mask, flatness of G's
+    mask), read from the 1-D generators alone.
+    """
+    if bank.g1d is None or bank.h1d is None:
+        return None
+    dh = diagnostics(bank.h1d.to_nd(), max_order)
+    dg = diagnostics(bank.g1d.to_nd(), max_order)
+    return min(dh.accuracy, dg.accuracy, dg.flatness)
+
+
 def bank_report(bank: WaveletFilterBank, max_order: int = DEFAULT_MAX_ORDER) -> BankReport:
     """Diagnostics for all 2q filters, plus the vanishing-moment floor.
 
-    For generator-backed banks the floor is min(accuracy of H's mask,
-    accuracy of G's mask, flatness of G's mask), computed from the 1-D
-    generators; the analysis lowpass must meet it in accuracy and every
-    highpass filter in vanishing moments.
+    The analysis lowpass must meet :func:`guarantee_floor` in accuracy and
+    every highpass filter in vanishing moments.
     """
     reports = [FilterReport("tau", None, diagnostics(bank.tau, max_order)),
                FilterReport("tau_d", None, diagnostics(bank.tau_d, max_order))]
@@ -288,12 +305,9 @@ def bank_report(bank: WaveletFilterBank, max_order: int = DEFAULT_MAX_ORDER) -> 
     for nu in bank.sys.gamma_prime:
         reports.append(FilterReport("t_d", nu, diagnostics(bank.t_d[nu], max_order)))
 
-    floor = None
+    floor = guarantee_floor(bank, max_order)
     violations: List[str] = []
-    if bank.g1d is not None and bank.h1d is not None:
-        dh = diagnostics(bank.h1d.to_nd(), max_order)
-        dg = diagnostics(bank.g1d.to_nd(), max_order)
-        floor = min(dh.accuracy, dg.accuracy, dg.flatness)
+    if floor is not None:
         for r in reports:
             if r.name == "tau" and r.diag.accuracy < floor:
                 violations.append(f"tau accuracy {r.diag.accuracy} < floor {floor}")
@@ -350,11 +364,15 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     :class:`FormatError`. Verification tools pass ``cross_check=False`` so
     they can report exactly which identity a corrupted bank violates instead
     of refusing to load it.
+
+    A document carries both generators or neither, and the provenance it
+    names, if any, must be the one they imply (see
+    :attr:`WaveletFilterBank.provenance`); otherwise :class:`FormatError`.
     """
     try:
         p, n = doc["p"], doc["dim"]
         convention = doc["convention"]
-        provenance = doc.get("provenance", GENERAL)
+        g_doc, h_doc = doc.get("G"), doc.get("H")
         filters = doc["filters"]
         tau_doc, tau_d_doc = filters["tau"], filters["tau_d"]
         t_docs, t_d_docs = filters["t"].items(), filters["t_d"].items()
@@ -362,6 +380,13 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
         raise FormatError(f"malformed bank JSON: {exc}") from exc
     if type(p) is not int or type(n) is not int:
         raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
+    # the provenance is read from the generators, so a stored one must agree
+    if (g_doc is None) != (h_doc is None):
+        raise FormatError("malformed bank JSON: it carries only one of the generators G and H")
+    implied = GENERAL if g_doc is None else PRIME_COSET_SUM
+    if doc.get("provenance", implied) != implied:
+        raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
+                          f"match its generators, which imply {implied!r}")
 
     sys = make_coset_system(p, n, convention)
     tau = filter_from_json(tau_doc)
@@ -373,15 +398,12 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
         raise FormatError("bank JSON does not cover Gamma' exactly")
 
     g1d = h1d = None
-    if doc.get("G") is not None:
-        g1d = to_1d(filter_from_json(doc["G"]))
-    if doc.get("H") is not None:
-        h1d = to_1d(filter_from_json(doc["H"]))
+    if g_doc is not None:
+        g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
 
-    bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d,
-                             provenance=provenance, g1d=g1d, h1d=h1d)
+    bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d, g1d=g1d, h1d=h1d)
 
-    if cross_check and g1d is not None and h1d is not None:
+    if cross_check and g1d is not None:
         if g1d.p != p or h1d.p != p:
             raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
                               f"the bank has p={p}")

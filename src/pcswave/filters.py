@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .arith import Cyclotomic, LaurentPoly, format_rational, split_rational
 from .errors import DimensionMismatch, DomainError, FormatError
@@ -119,14 +119,16 @@ def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
     if h.p != g.p or h.dim != g.dim:
         raise DimensionMismatch("biorthogonality needs matching p and dimension")
     p = h.p
+    # only taps in one class mod p pair up, so g's taps are grouped by class
+    classes: Dict[MultiIndex, List[Tuple[MultiIndex, int]]] = {}
+    for k2, v2 in g.mask.num.items():
+        classes.setdefault(tuple(x % p for x in k2), []).append((k2, v2))
     # the sum at l is q^2 / (den_h den_g) times the sum of numerator products
     buckets: Dict[MultiIndex, int] = {}
     for k1, v1 in h.mask.num.items():
-        for k2, v2 in g.mask.num.items():
-            d = tuple(b - a for a, b in zip(k1, k2))
-            if all(x % p == 0 for x in d):
-                l = tuple(x // p for x in d)
-                buckets[l] = buckets.get(l, 0) + v1 * v2
+        for k2, v2 in classes.get(tuple(x % p for x in k1), ()):
+            l = tuple((b - a) // p for a, b in zip(k1, k2))
+            buckets[l] = buckets.get(l, 0) + v1 * v2
     zero = (0,) * h.dim
     if h.q * buckets.pop(zero, 0) != h.mask.den * g.mask.den:
         return False

@@ -14,7 +14,8 @@ components conjugate, which for real taps means (1/q) sum_k f(nu - p k)
 e^{-i k.w}. A filter bank becomes a pair of q x q matrices over this ring, and
 perfect reconstruction is the exact identity S(w) A(w) = (1/q) I, which
 :func:`matmul` and :func:`identity_residuals` decide over one common
-denominator per matrix.
+denominator per matrix. The pair of a bank is built in one place, from its
+filters: :func:`pcswave.filterbank.bank_polyphase_matrices`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from operator import add
 from typing import Dict, List, Tuple
 
 from .arith import LaurentPoly, format_rational
-from .errors import DimensionMismatch, DomainError, NotInterpolatory
-from .filters import Filter1D, FilterND, is_interpolatory
+from .errors import DimensionMismatch, DomainError
+from .filters import Filter1D, FilterND
 from .lattice import CosetSystem, eta_routes
 
 MultiIndex = Tuple[int, ...]
@@ -94,9 +95,6 @@ class PolyphaseMatrix:
     cols: int
     entries: List[List[LaurentPoly]]
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
 
 def _integer_entries(m: PolyphaseMatrix) -> Tuple[int, List[List[List[Tuple[MultiIndex, int]]]]]:
     """m over one common denominator D: (D, term lists of D * entry)."""
@@ -146,71 +144,6 @@ def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, Laure
             elif e.den != q or e.num != {(0,) * e.n: 1}:
                 bad.append((i, j, e - Fraction(1, q)))
     return bad
-
-
-def build_A_S(g: FilterND, h: FilterND, sys: CosetSystem) -> Tuple[PolyphaseMatrix, PolyphaseMatrix]:
-    """Analysis/synthesis polyphase matrix pair for the interpolatory completion.
-
-    With Ga the analysis polyphase vector of g, Sh the synthesis vector of the
-    interpolatory h, and B = 1/q - Ga.Sh, the pair is
-
-        A = [[Ga_0 + q B,  Ga'], [-q Sh', I]]
-        S = [[1/q, -(1/q) Ga'], [Sh', (1/q) I - Sh' Ga']]
-
-    and satisfies S A = (1/q) I exactly. The sign on S's top-right block is
-    forced by that identity (and by the synthesis polyphase of the actual
-    highpass filters); the check is in :func:`matmul_check` and the tests.
-    """
-    if not is_interpolatory(h):
-        raise NotInterpolatory("h must be interpolatory to build the matrix pair")
-    if g.p != h.p or g.dim != h.dim or g.dim != sys.n or g.p != sys.p:
-        raise DimensionMismatch("g, h, and the coset system must agree on p and dimension")
-    q = sys.q
-    ga = polyphase_decompose(g, sys, ANALYSIS)
-    sh = polyphase_decompose(h, sys, SYNTHESIS)
-    b = LaurentPoly.const(sys.n, Fraction(1, q))
-    for i in range(q):
-        b = b - ga[i] * sh[i]
-
-    one = LaurentPoly.const(sys.n, 1)
-    zero = LaurentPoly.zero(sys.n)
-
-    a_rows = [[ga[0] + q * b] + [ga[j] for j in range(1, q)]]
-    for i in range(1, q):
-        row = [(-q) * sh[i]] + [one if i == j else zero for j in range(1, q)]
-        a_rows.append(row)
-
-    s_rows = [[LaurentPoly.const(sys.n, Fraction(1, q))] +
-              [ga[j] * Fraction(-1, q) for j in range(1, q)]]
-    for i in range(1, q):
-        row = [sh[i]]
-        for j in range(1, q):
-            e = sh[i] * ga[j] * Fraction(-1)
-            if i == j:
-                e = e + Fraction(1, q)
-            row.append(e)
-        s_rows.append(row)
-
-    A = PolyphaseMatrix(rows=q, cols=q, entries=a_rows)
-    S = PolyphaseMatrix(rows=q, cols=q, entries=s_rows)
-    return A, S
-
-
-def triangular_factors(g: FilterND, h: FilterND, sys: CosetSystem) -> Tuple[PolyphaseMatrix, PolyphaseMatrix]:
-    """The two triangular matrices whose product is A: [[1, Ga'],[0, I]] x [[1, 0],[-q Sh', I]]."""
-    if not is_interpolatory(h):
-        raise NotInterpolatory("h must be interpolatory")
-    q = sys.q
-    ga = polyphase_decompose(g, sys, ANALYSIS)
-    sh = polyphase_decompose(h, sys, SYNTHESIS)
-    one = LaurentPoly.const(sys.n, 1)
-    zero = LaurentPoly.zero(sys.n)
-    upper = [[one] + [ga[j] for j in range(1, q)]]
-    lower = [[one] + [zero] * (q - 1)]
-    for i in range(1, q):
-        upper.append([zero] + [one if i == j else zero for j in range(1, q)])
-        lower.append([(-q) * sh[i]] + [one if i == j else zero for j in range(1, q)])
-    return (PolyphaseMatrix(q, q, upper), PolyphaseMatrix(q, q, lower))
 
 
 def matmul_check(S: PolyphaseMatrix, A: PolyphaseMatrix, q: int) -> bool:

@@ -35,7 +35,8 @@ class Tensor:
     ``data`` has dtype float64 in float64 mode and dtype object, holding
     ``Fraction``, in rational mode. The constructor takes the values as a
     flat row-major sequence or as an array. In rational mode every value is
-    made a ``Fraction``, except that an object array is taken as it is.
+    made a ``Fraction``; an object array that holds only ``Fraction`` values,
+    as the kernels return, is taken as it is.
     """
 
     __slots__ = ("data",)
@@ -43,7 +44,8 @@ class Tensor:
     def __init__(self, shape, mode: str, data):
         shape = _shape(shape)
         if mode == RATIONAL:
-            if not (isinstance(data, np.ndarray) and data.dtype == object):
+            if not (isinstance(data, np.ndarray) and data.dtype == object
+                    and all(type(v) is Fraction for v in data.flat)):
                 vals = data.ravel().tolist() if isinstance(data, np.ndarray) else data
                 data = [Fraction(v) for v in vals]
             arr = np.ascontiguousarray(data, dtype=object)

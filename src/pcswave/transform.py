@@ -47,7 +47,7 @@ from typing import Dict, Tuple
 
 from .errors import (DimensionMismatch, DomainError, ShapeMismatch,
                      ShapeNotDivisible, WrongProvenance)
-from .filterbank import PRIME_COSET_SUM, WaveletFilterBank
+from .filterbank import WaveletFilterBank
 from .kernels import LevelKernels
 from .tensor import MultiresCoeffs, Tensor
 
@@ -55,7 +55,7 @@ MultiIndex = Tuple[int, ...]
 
 
 def _require_pcs(bank: WaveletFilterBank) -> None:
-    if bank.provenance != PRIME_COSET_SUM or bank.g1d is None or bank.h1d is None:
+    if bank.g1d is None or bank.h1d is None:
         raise WrongProvenance("the fast transform needs a bank built from 1-D generators")
 
 

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +16,7 @@ from pcswave.dataio import read_tensor, write_tensor
 from pcswave.tensor import Tensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -201,7 +206,9 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
 
 @pytest.mark.parametrize("damage", ["t_is_list", "no_t_d", "taps_5", "taps_null",
                                     "taps_1.5", "not_utf8", "p_float",
-                                    "key_+1, 00", "key_1,00"])
+                                    "key_+1, 00", "key_1,00", "provenance_general",
+                                    "provenance_pcs_no_generators",
+                                    "provenance_unknown", "G_without_H"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -220,6 +227,14 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
         # a second spelling of coset (1, 0), holding another coset's filter
         doc["filters"]["t"][damage[4:]] = doc["filters"]["t"]["-1,0"]
         prefix = f"error: coset key {damage[4:]!r}"
+    elif damage == "provenance_general":
+        doc["provenance"] = "general"
+    elif damage == "provenance_pcs_no_generators":
+        del doc["G"], doc["H"]
+    elif damage == "provenance_unknown":
+        doc["provenance"] = "lifting"
+    elif damage == "G_without_H":
+        doc["H"] = None
     if damage == "not_utf8":
         bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
         prefix = f"error: {bad}: not valid JSON"
@@ -360,6 +375,50 @@ def test_verify_dump_polyphase(box_bank_path, tmp_path, capsys):
             for entry in row:
                 for term in entry:
                     Fraction(term["v"])
+
+
+@pytest.mark.parametrize("h, digest", [
+    ("box_p3_centered.json", "eca9352c17e8e9a755994210b06d934a5a2696087c338f92d40910cbf1130537"),
+    ("interp_p3_deg4.json", "419434d388809e1357a6a80b0d18ef0bcc1894c4981ea56ab4df261294ea279c"),
+], ids=["box_p3_n2", "deg4_p3_n2"])
+def test_dump_polyphase_bytes_pinned(tmp_path, capsys, h, digest):
+    # SHA-256 of the A and S term maps: any change to how (A, S) is built
+    # from the bank's filters, or to their order or text, shows up here
+    bank, dump = tmp_path / "bank.json", tmp_path / "poly.json"
+    code, _, _ = run(capsys, "design", "--p", 3, "--dim", 2,
+                     "--g", FIXTURES / "box_p3_centered.json", "--h", FIXTURES / h,
+                     "--gamma", "centered", "-o", bank)
+    assert code == 0
+    code, _, _ = run(capsys, "verify", bank, "--dump-polyphase", dump)
+    assert code == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+# runs the CLI in a fresh interpreter, then reports whether numpy got imported
+NUMPY_PROBE = """
+import sys
+from pcswave.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help exits from argparse
+    code = exc.code
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["help", "design", "verify"])
+def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
+    box = FIXTURES / "box_p3_centered.json"
+    argv = {"help": ["--help"],
+            "design": ["design", "--p", 3, "--dim", 2, "--g", box, "--h", box,
+                       "-o", tmp_path / "out.json"],
+            "verify": ["verify", box_bank_path]}[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_synthesize_levels_mismatch(box_bank_path, tmp_path, capsys):

@@ -202,8 +202,7 @@ def test_verify_fails_for_mismatched_lowpass():
         taps = {mu: Fraction(-1, q) for mu in sys.gamma}
         taps[nu] = taps[nu] + 1
         t_d[nu] = filter_nd(3, 2, taps)
-    frankenstein = WaveletFilterBank(sys=sys, tau=std, tau_d=std, t=t, t_d=t_d,
-                                     provenance="general")
+    frankenstein = WaveletFilterBank(sys=sys, tau=std, tau_d=std, t=t, t_d=t_d)
     rep = verify_combined_biorthogonality(frankenstein)
     assert not rep.passed
     assert rep.failures
@@ -285,6 +284,23 @@ def test_bank_json_roundtrip():
     assert back.g1d == bank.g1d
     assert back.h1d == bank.h1d
     assert back.provenance == bank.provenance
+
+
+def test_provenance_follows_generators():
+    bank = deg4_bank(2)
+    assert bank.provenance == "prime_coset_sum"
+    with pytest.raises(AttributeError):
+        bank.provenance = "general"
+    general = build_general(bank.tau_d, bank.tau_d, bank.sys)
+    assert general.provenance == "general"
+    doc = bank_to_json(general)
+    assert (doc["provenance"], doc["G"], doc["H"]) == ("general", None, None)
+    assert bank_from_json(doc).provenance == "general"
+    # a document without the key takes the provenance its generators imply
+    for source in (bank, general):
+        doc = bank_to_json(source)
+        del doc["provenance"]
+        assert bank_from_json(doc).provenance == source.provenance
 
 
 def test_bank_json_cross_check_catches_corruption():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from pcswave.arith import Cyclotomic
 from pcswave.cosetsum import prime_coset_sum
-from pcswave.errors import DomainError, NotInterpolatory
+from pcswave.errors import DomainError
+from pcswave.filterbank import bank_polyphase_matrices, build_general
 from pcswave.filters import FilterND, filter_nd
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, build_A_S,
+from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly,
                                coset_sum_polyphase, identity_residuals, matmul,
-                               matmul_check, polyphase_decompose,
-                               triangular_factors)
+                               matmul_check, polyphase_decompose)
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
 from conftest import random_interpolatory_1d, random_lowpass_1d
@@ -249,68 +249,81 @@ def _box_pair(p, n):
     return h, h, sys
 
 
+def _bank_pair(g, h, sys):
+    """(A, S) of the bank that completes (g, h)."""
+    return bank_polyphase_matrices(build_general(g, h, sys))
+
+
 def test_build_A_S_box_banks():
     for p, n in [(2, 2), (3, 2), (5, 1)]:
         g, h, sys = _box_pair(p, n)
-        A, S = build_A_S(g, h, sys)
+        A, S = _bank_pair(g, h, sys)
         assert matmul_check(S, A, sys.q)
+
+
+def _deg4_pair():
+    sys = make_coset_system(3, 2, "centered")
+    g = prime_coset_sum(box_filter_1d(3), 2, sys)
+    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
+    return g, h, sys
 
 
 def test_build_A_S_deg4_pair():
-    sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
-    A, S = build_A_S(g, h, sys)
+    g, h, sys = _deg4_pair()
+    A, S = _bank_pair(g, h, sys)
     assert matmul_check(S, A, sys.q)
 
 
+def _random_pairs(rng):
+    """Random (g, h) prime-coset-sum pairs over a few dilations, dimensions and conventions."""
+    for p, n, convention in [(2, 3, "standard"), (3, 2, "standard"),
+                             (3, 2, "centered"), (5, 2, "centered")]:
+        sys = make_coset_system(p, n, convention)
+        for _ in range(2):
+            g = prime_coset_sum(random_lowpass_1d(rng, p), n, sys)
+            h = prime_coset_sum(random_interpolatory_1d(rng, p), n, sys)
+            yield g, h, sys
+
+
 def test_build_A_S_random_pairs(rng):
-    sys = make_coset_system(3, 2, "standard")
-    for _ in range(5):
-        g = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
-        h = prime_coset_sum(random_interpolatory_1d(rng, 3), 2, sys)
-        A, S = build_A_S(g, h, sys)
+    for g, h, sys in _random_pairs(rng):
+        A, S = _bank_pair(g, h, sys)
         assert matmul_check(S, A, sys.q)
 
 
-def test_A_factors_into_triangulars():
-    sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
-    A, _ = build_A_S(g, h, sys)
-    upper, lower = triangular_factors(g, h, sys)
-    prod = matmul(upper, lower)
-    for i in range(sys.q):
-        for j in range(sys.q):
-            assert prod.entries[i][j] == A.entries[i][j]
+def test_A_factors_into_triangulars(rng):
+    # A is the lifting product [[1, Ga'], [0, I]] x [[1, 0], [-q Sh', I]]: its
+    # lower-right block is I, and A_00 = 1 + sum over j >= 1 of A_0j A_j0
+    for g, h, sys in [_deg4_pair(), *_random_pairs(rng)]:
+        a = _bank_pair(g, h, sys)[0].entries
+        one, zero = LaurentPoly.const(sys.n, 1), LaurentPoly.zero(sys.n)
+        for i in range(1, sys.q):
+            for j in range(1, sys.q):
+                assert a[i][j] == (one if i == j else zero)
+        corner = one
+        for j in range(1, sys.q):
+            corner = corner + a[0][j] * a[j][0]
+        assert a[0][0] == corner
 
 
 def test_biorthogonal_pair_gives_zero_correction():
     g, h, sys = _box_pair(3, 2)
-    A, _ = build_A_S(g, h, sys)
+    A, _ = _bank_pair(g, h, sys)
     ga = polyphase_decompose(g, sys, ANALYSIS)
     assert A.entries[0][0] == ga[0]
 
 
 def test_perturbed_pair_fails():
-    sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
+    g, h, sys = _deg4_pair()
+    # moving 1/1000 between two taps keeps g lowpass
     taps = dict(g.taps)
+    taps[(0, 1)] = taps[(0, 1)] - Fraction(1, 1000)
     taps[(1, 0)] = taps[(1, 0)] + Fraction(1, 1000)
     g_bad = filter_nd(3, 2, taps)
-    A, S = build_A_S(g, h, sys)
-    A_bad, S_bad = build_A_S(g_bad, h, sys)
+    A, S = _bank_pair(g, h, sys)
+    A_bad, S_bad = _bank_pair(g_bad, h, sys)
     # S built for g must not invert the A of the perturbed g
     assert not matmul_check(S, A_bad, sys.q)
     assert matmul_check(S_bad, A_bad, sys.q)
     bad = identity_residuals(matmul(S, A_bad), sys.q)
     assert bad and all(not r.is_zero() for _, _, r in bad)
-
-
-def test_build_A_S_requires_interpolatory():
-    sys = make_coset_system(3, 2, "standard")
-    g = prime_coset_sum(box_filter_1d(3, centered=False), 2, sys)
-    h = filter_nd(3, 2, {(0, 0): 2, (1, 1): 7})
-    with pytest.raises(NotInterpolatory):
-        build_A_S(g, h, sys)

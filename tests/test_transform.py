@@ -52,6 +52,20 @@ def test_constant_signal_has_zero_details():
     assert coeffs_equal(c, decompose_direct(y, bank, 1))
 
 
+@pytest.mark.parametrize("values", [np.full((9, 9), 0.5, dtype=object),
+                                    np.arange(81, dtype=object).reshape(9, 9) - 40],
+                         ids=["floats", "ints"])
+def test_rational_object_array_becomes_fractions(values):
+    # an object array of other numbers is converted like a list, not taken as it is
+    y = Tensor((9, 9), "rational", values)
+    assert all(type(v) is Fraction for v in y.data.flat)
+    assert y == Tensor((9, 9), "rational", values.ravel().tolist())
+    bank = box_bank(3, 2)
+    fast = decompose_fast(y, bank, 1)
+    assert all(type(v) is Fraction for v in fast.coarse.data.flat)
+    assert coeffs_equal(fast, decompose_direct(y, bank, 1))
+
+
 def test_impulse_fast_equals_direct():
     for bank in (box_bank(3, 2), deg4_bank(2)):
         y = Tensor.impulse((9, 9), at=(4, 7), mode="rational")
