@@ -191,15 +191,18 @@ def cmd_synthesize(args) -> int:
     if args.levels is not None and args.levels != coeffs.levels:
         raise PcswaveError(f"--levels {args.levels} does not match file ({coeffs.levels})")
     y = reconstruct_fast(coeffs, bank)
+    levels = coeffs.levels
+    del coeffs  # before the reference is read
     dataio.write_tensor(args.output, y)
-    print(f"synthesized {args.input} levels={coeffs.levels} -> {args.output} "
+    print(f"synthesized {args.input} levels={levels} -> {args.output} "
           f"shape={'x'.join(map(str, y.shape))}")
     report = {"input": args.input, "output": args.output,
-              "shape": list(y.shape), "levels": coeffs.levels}
+              "shape": list(y.shape), "levels": levels}
     if args.check_against:
         ref = dataio.read_tensor(args.check_against)
         err = y.max_abs_diff(ref)
-        scale = float(abs(ref.data).max()) or 1.0
+        # min and max are NaN when ref holds a NaN, as the error is
+        scale = max(abs(float(ref.data.min())), abs(float(ref.data.max()))) or 1.0
         print(f"round-trip check vs {args.check_against}: max abs error = {err:.3e} "
               f"({err / scale:.3e} of peak)")
         report["max_abs_error"] = err

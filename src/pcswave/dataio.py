@@ -39,7 +39,7 @@ def _write_tensor(fh, t: Tensor) -> None:
     fh.write(TENSOR_MAGIC)
     fh.write(struct.pack("<HBB", VERSION, SCALAR_FLOAT64, t.ndim))
     fh.write(struct.pack("<" + "Q" * t.ndim, *t.shape))
-    fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    fh.write(np.ascontiguousarray(t.data, dtype="<f8"))
 
 
 def _read_exact(fh, count: int) -> bytes:
@@ -71,8 +71,10 @@ def _read_tensor(fh) -> Tensor:
     if 8 * size > left:
         raise FormatError(f"shape {shape} needs {8 * size} payload bytes, "
                           f"the file has {left} left")
-    raw = _read_exact(fh, 8 * size)
-    data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    data = np.empty(shape, dtype="<f8")
+    got = fh.readinto(data)
+    if got != 8 * size:
+        raise FormatError(f"truncated stream: wanted {8 * size} bytes, got {got}")
     return Tensor(shape, FLOAT64, data)
 
 

@@ -357,13 +357,13 @@ def bank_to_json(bank: WaveletFilterBank) -> dict:
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     """Rebuild a bank from its JSON form.
 
+    Generators of another dilation than the bank's raise :class:`FormatError`.
     When the document carries 1-D generators and ``cross_check`` is true,
-    every one of the 2q materialized filters is compared tap-for-tap with one
-    exact re-derivation from the generators (:func:`pcs_bank_masks`); a
-    mismatch, or generators of another dilation than the bank's, raises
-    :class:`FormatError`. Verification tools pass ``cross_check=False`` so
-    they can report exactly which identity a corrupted bank violates instead
-    of refusing to load it.
+    every one of the 2q materialized filters is also compared tap-for-tap
+    with one exact re-derivation from the generators (:func:`pcs_bank_masks`),
+    and a mismatch raises :class:`FormatError`. Verification tools pass
+    ``cross_check=False`` so they can report exactly which identity a
+    corrupted bank violates instead of refusing to load it.
 
     A document carries both generators or neither, and the provenance it
     names, if any, must be the one they imply (see
@@ -400,13 +400,13 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     g1d = h1d = None
     if g_doc is not None:
         g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
+        if g1d.p != p or h1d.p != p:
+            raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
+                              f"the bank has p={p}")
 
     bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d, g1d=g1d, h1d=h1d)
 
     if cross_check and g1d is not None:
-        if g1d.p != p or h1d.p != p:
-            raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
-                              f"the bank has p={p}")
         bad = _first_mismatch(bank, pcs_bank_masks(g1d, h1d, sys))
         if bad is not None:
             raise FormatError(f"bank filters do not match re-derivation from "

@@ -23,10 +23,21 @@ nu - eta(l,nu) m is in pZ^n, so reconstruction finishes the zero phase,
 then each coset's phase, and interleaves them once. Tap sums accumulate in
 table order and each output sample is normalized once, so float64 output
 depends only on the input and the tables.
+
+No step copies an array per tap. A level wrap-pads the zero phase once for
+the taps of (i) and (iv), and each detail once for the taps of (ii) and
+(iii), by the widest shift its table asks for on each axis; every tap then
+reads a slice view of the padded array. A tap sum is multiplied into one
+scratch array and added into one accumulator in place, the normalization
+and the final add or subtract are done in place, and a phase moves between
+its rolled place in the fine grid and its coset array by block copies. So in
+float64 a level creates each of its outputs once, plus two scratch arrays
+and one padded array of coarse size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,22 +47,70 @@ import numpy as np
 from .lattice import eta_routes
 
 
-def _accumulate(acc, a, taps):
-    """acc + sum of v * (a rolled by shift) over taps, added in table order.
+def _wrap_pad(tables, n):
+    """Per axis, the (before, after) wrap pad that turns every roll in tables into a slice."""
+    shifts = [shift for taps in tables for shift, _ in taps] or [(0,) * n]
+    return [(max(0, *(s[axis] for s in shifts)), max(0, *(-s[axis] for s in shifts)))
+            for axis in range(n)]
 
-    With acc None the sum starts at the first term; None comes back when there
-    are no taps.
+
+class _Padded:
+    """An array wrap-padded once, so that each of its rolls is a slice view.
+
+    With no pad on any axis the array itself is read.
     """
-    axes = tuple(range(a.ndim))
+
+    def __init__(self, a, pad):
+        self.data = np.pad(a, pad, mode="wrap") if any(b or e for b, e in pad) else a
+        self.shape = a.shape
+        self.before = [b for b, _ in pad]
+
+    def rolled(self, shift):
+        """The array rolled by shift along every axis, as a view."""
+        return self.data[tuple(slice(b - s, b - s + m)
+                               for b, s, m in zip(self.before, shift, self.shape))]
+
+
+def _accumulate(acc, tmp, a, taps):
+    """acc += v * (a rolled by shift) for each (shift, v) in taps, in table order.
+
+    ``a`` is a :class:`_Padded`; ``tmp`` is scratch of acc's shape and dtype.
+    """
     for shift, v in taps:
-        term = v * np.roll(a, shift, axis=axes)
-        acc = term if acc is None else acc + term
-    return acc
+        np.multiply(a.rolled(shift), v, out=tmp)
+        acc += tmp
 
 
-def _scaled(s, a):
-    """s * a, or a itself when s is None."""
-    return a if s is None else s * a
+def _tap_sum(acc, tmp, a, taps):
+    """Write the tap sum of a into acc, starting at the first term; False when there are no taps."""
+    if not taps:
+        return False
+    (shift, v), *rest = taps
+    np.multiply(a.rolled(shift), v, out=acc)
+    _accumulate(acc, tmp, a, rest)
+    return True
+
+
+def _scale(s, a):
+    """a *= s in place, unless s is None; returns a."""
+    return a if s is None else np.multiply(a, s, out=a)
+
+
+def _scaled(s, a, out):
+    """s * a written into out, or a itself when s is None."""
+    return a if s is None else np.multiply(a, s, out=out)
+
+
+def _roll_into(out, a, shift):
+    """out[...] = a rolled by shift along every axis, by at most 2^n block copies."""
+    blocks = []
+    for s, m in zip(shift, a.shape):
+        s %= m
+        blocks.append([(slice(s, None), slice(None, m - s)), (slice(None, s), slice(m - s, None))]
+                      if s else [(slice(None), slice(None))])
+    for parts in itertools.product(*blocks):
+        dst, src = zip(*parts)
+        out[dst] = a[src]
 
 
 def _numerators(arrays):
@@ -113,13 +172,16 @@ class LevelKernels:
         self._cosets = [(tuple(slice(x % p, None, p) for x in nu),
                          tuple(x // p for x in nu)) for nu in sys.gamma_prime]
         self._zero = (slice(None, None, p),) * n
-        self._axes = tuple(range(n))
         # (offset, mask numerator) per route, for tap m = p num[m] / den of G or H;
         # predict (H) offsets are negated
         hi, lo = ([[(tuple(sign * x // p for x in k), v)
                     for k, v in eta_routes(sys, F.mask.num, nu)] for nu in sys.gamma_prime]
                   for F, sign in ((H, -1), (G, 1)))
         d_g, d_h = G.mask.den, H.mask.den
+        # predict taps all read the zero phase, padded once per level; each
+        # detail is padded for its own update taps
+        self._pad_hi = _wrap_pad(hi, n)
+        self._pad_lo = [_wrap_pad([taps], n) for taps in lo]
 
         def floats(tables, den):
             return [[(d, float(Fraction(p * v, den))) for d, v in taps] for taps in tables]
@@ -140,11 +202,12 @@ class LevelKernels:
                         (keep_even, None), (keep_coarse, None)),
         }
 
-    def _update(self, details, lo):
-        """The step (ii)/(iii) correction sum over every coset's detail."""
-        acc = np.zeros_like(details[0])
-        for w, taps in zip(details, lo):
-            acc = _accumulate(acc, w, taps)
+    def _update(self, acc, tmp, details, lo):
+        """Write the step (ii)/(iii) correction sum over every coset's detail into acc."""
+        acc[...] = 0
+        for w, taps, pad in zip(details, lo, self._pad_lo):
+            if taps:
+                _accumulate(acc, tmp, _Padded(w, pad), taps)
         return acc
 
     def decompose_level(self, y: np.ndarray):
@@ -155,12 +218,19 @@ class LevelKernels:
         plan = self._plans[den is not None]
         (keep_w, corr_w), (keep_c, corr_c) = plan.detail, plan.coarse
         even = y[self._zero]
+        acc, tmp = np.empty(even.shape, y.dtype), np.empty(even.shape, y.dtype)
+        padded = _Padded(even, self._pad_hi)
         details = []
         for (phase, lift), taps in zip(self._cosets, plan.hi):
-            base = _scaled(keep_w, np.roll(y[phase], tuple(-x for x in lift), axis=self._axes))
-            acc = _accumulate(None, even, taps)
-            details.append(base if acc is None else base - _scaled(corr_w, acc))
-        coarse = _scaled(keep_c, even) + _scaled(corr_c, self._update(details, plan.lo))
+            w = np.empty(even.shape, y.dtype)
+            _roll_into(w, y[phase], tuple(-x for x in lift))
+            _scale(keep_w, w)
+            if _tap_sum(acc, tmp, padded, taps):
+                w -= _scale(corr_w, acc)
+            details.append(w)
+        del padded  # before the update pads the details
+        upd = _scale(corr_c, self._update(acc, tmp, details, plan.lo))
+        coarse = np.add(_scaled(keep_c, even, tmp), upd, out=upd)
         if den is None:
             return coarse, details
         return (_fractions(coarse, keep_c, den),
@@ -173,14 +243,20 @@ class LevelKernels:
             (coarse, *details), den = _numerators([coarse, *details])
         plan = self._plans[den is not None]
         (keep_e, corr_e), (keep_o, corr_o) = plan.even, plan.phase
-        even = _scaled(keep_e, coarse) - _scaled(corr_e, self._update(details, plan.lo))
+        acc, tmp = np.empty(coarse.shape, coarse.dtype), np.empty(coarse.shape, coarse.dtype)
+        upd = _scale(corr_e, self._update(acc, tmp, details, plan.lo))
+        even = np.subtract(_scaled(keep_e, coarse, tmp), upd, out=upd)
         out = np.empty(tuple(s * self.p for s in coarse.shape), dtype=even.dtype)
         out[self._zero] = _fractions(even, keep_e, den)
+        padded = _Padded(even, self._pad_hi)
+        # once even is copied into padded, its buffer takes the tap sums
+        acc = np.empty_like(even) if padded.data is even else even
         for (phase, lift), taps, w in zip(self._cosets, plan.hi, details):
-            w = _scaled(keep_o, w)
-            acc = _accumulate(None, even, taps)
-            odd = w if acc is None else w + _scaled(corr_o, acc)
-            out[phase] = np.roll(_fractions(odd, keep_o, den), lift, axis=self._axes)
+            if _tap_sum(acc, tmp, padded, taps):
+                odd = np.add(_scaled(keep_o, w, tmp), _scale(corr_o, acc), out=acc)
+            else:
+                odd = _scaled(keep_o, w, acc)
+            _roll_into(out[phase], _fractions(odd, keep_o, den), lift)
         return out
 
     def mults(self, coarse_samples: int) -> int:

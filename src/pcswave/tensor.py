@@ -20,6 +20,8 @@ from .errors import DomainError, ShapeMismatch
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
+# samples per block of Tensor.max_abs_diff
+_DIFF_BLOCK = 1 << 14
 
 
 def _shape(shape) -> Tuple[int, ...]:
@@ -101,8 +103,15 @@ class Tensor:
     def max_abs_diff(self, other: "Tensor") -> float:
         if self.shape != other.shape:
             raise ShapeMismatch(f"shapes {self.shape} and {other.shape} differ")
-        a, b = self.to_numpy(), other.to_numpy()
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
+        a, b = self.to_numpy().reshape(-1), other.to_numpy().reshape(-1)
+        # block by block through one scratch buffer; np.max keeps a NaN
+        buf = np.empty(min(a.size, _DIFF_BLOCK))
+        peaks = []
+        for i in range(0, a.size, _DIFF_BLOCK):
+            x = a[i:i + _DIFF_BLOCK]
+            d = np.subtract(x, b[i:i + _DIFF_BLOCK], out=buf[:x.size])
+            peaks.append(np.abs(d, out=d).max())
+        return float(np.max(peaks)) if peaks else 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, mode={self.mode})"

@@ -208,7 +208,7 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
                                     "taps_1.5", "not_utf8", "p_float",
                                     "key_+1, 00", "key_1,00", "provenance_general",
                                     "provenance_pcs_no_generators",
-                                    "provenance_unknown", "G_without_H"])
+                                    "provenance_unknown", "G_without_H", "G_p5"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -235,6 +235,9 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
         doc["provenance"] = "lifting"
     elif damage == "G_without_H":
         doc["H"] = None
+    elif damage == "G_p5":
+        doc["G"] = json.loads((FIXTURES / "box_p5_centered.json").read_text())
+        prefix = "error: generators have dilations 5 and 3, the bank has p=3"
     if damage == "not_utf8":
         bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
         prefix = f"error: {bad}: not valid JSON"

@@ -1,0 +1,77 @@
+"""Allocation bounds of the float64 transform path, as tracemalloc traces them.
+
+numpy reports its data buffers to tracemalloc, so a traced peak counts every
+full-size array a step creates. The bounds are multiples of the input's bytes,
+set just above what the transform needs: its outputs, one wrap-padded copy of
+a phase, and two phase-sized scratch arrays per level. A per-tap copy of a
+phase, a full-size temporary in the round-trip check, or coefficients kept
+alive while the reference is read each push the peak over its bound.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+
+from pcswave import cli
+from pcswave.dataio import write_tensor
+from pcswave.filterbank import bank_to_json
+from pcswave.kernels import LevelKernels
+from pcswave.presets import deg4_bank
+from pcswave.tensor import Tensor
+
+# deg4 (q = 9) on 729x729: a phase is 1/9 of the input, and numpy's 64 KiB
+# ufunc iteration buffers are small beside it
+SHAPE = (729, 729)
+# one level down and up keeps the coefficients (1) and the output (1) and
+# needs two scratch phases and one padded phase (0.34): 2.36 input sizes
+# traced with numpy 2.4; one more phase-sized array reads 2.47
+LEVEL_BOUND = 2.42
+# synthesize peaks while the last level is reconstructed, at 2.48 input sizes;
+# one more full-size array in the check would read at least 3
+SYNTHESIZE_BOUND = 2.6
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of traced memory while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float64_level_allocation_bound():
+    bank = deg4_bank(2)
+    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
+    y = np.random.default_rng(0).standard_normal(SHAPE)
+    kern.reconstruct_level(*kern.decompose_level(y))
+    back, peak = traced_peak(lambda: kern.reconstruct_level(*kern.decompose_level(y)))
+    assert np.max(np.abs(back - y)) < 1e-12
+    assert peak <= LEVEL_BOUND * y.nbytes, peak / y.nbytes
+
+
+def test_synthesize_check_allocation_bound_and_line(tmp_path, capsys):
+    bank_path, src = tmp_path / "bank.json", tmp_path / "in.pcst"
+    coeffs, back = tmp_path / "c.pcsc", tmp_path / "back.pcst"
+    bank_path.write_text(json.dumps(bank_to_json(deg4_bank(2))))
+    y = np.random.default_rng(0).standard_normal(SHAPE)
+    write_tensor(src, Tensor.from_numpy(y))
+    assert cli.main(["analyze", "--bank", str(bank_path), "--levels", "2",
+                     str(src), "-o", str(coeffs)]) == 0
+    argv = ["synthesize", "--bank", str(bank_path), str(coeffs), "-o", str(back),
+            "--check-against", str(src)]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    assert peak <= SYNTHESIZE_BOUND * y.nbytes, peak / y.nbytes
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == (f"round-trip check vs {src}: max abs error = 1.110e-15 "
+                    "(2.346e-16 of peak)")
+
+    # a NaN in the reference makes both the error and the peak NaN
+    y[5, 7] = np.nan
+    write_tensor(src, Tensor.from_numpy(y))
+    assert cli.main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == f"round-trip check vs {src}: max abs error = nan (nan of peak)"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcswave.dataio import write_coeffs
+from pcswave.dataio import write_coeffs, write_tensor
 from pcswave import lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
@@ -21,7 +21,7 @@ from pcswave.polyphase import coset_sum_polyphase
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
                              interp_deg4_filter_1d)
 from pcswave.cosetsum import prime_coset_sum
-from pcswave.tensor import Tensor
+from pcswave.tensor import MultiresCoeffs, Tensor
 from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
                                pcs_complexity_constant, reconstruct_direct,
                                reconstruct_fast)
@@ -233,18 +233,56 @@ def test_float64_fast_matches_direct():
         assert t.max_abs_diff(cd.details[k]) <= 1e-12
 
 
-@pytest.mark.parametrize("bank_fn,shape,digest", [
-    (lambda: deg4_bank(2), (81, 81),
+def _drawer(kind):
+    """A seeded source of float64 arrays by shape: normal values, or zeros of either sign."""
+    rng = np.random.default_rng(0)
+    if kind == "normal":
+        return rng.standard_normal
+    return lambda shape: rng.choice([-0.0, 0.0], size=shape)
+
+
+# deg4 on 9x9 over 2 levels has a 1x1 coarse array, narrower than its tap reach
+@pytest.mark.parametrize("bank_fn,shape,kind,digest", [
+    (lambda: deg4_bank(2), (81, 81), "normal",
      "ed2c71ac1b2c33dde65b008a75455feffbe5b3a46ced5c4d87ebd3ebfeab7c3b"),
-    (lambda: box_bank(3, 3), (27, 27, 27),
+    (lambda: box_bank(3, 3), (27, 27, 27), "normal",
      "5955687fccf92104dbb671cccb03a03d5818be741b7527a46af4c50c9bdffa14"),
-], ids=["deg4_n2", "box_p3_n3"])
-def test_float64_output_bits_pinned(bank_fn, shape, digest, tmp_path):
+    (lambda: deg4_bank(2), (9, 9), "normal",
+     "59b00f7364dd5fbd69f56862b40210a2913ca36d1163678194bc8a789d038cdc"),
+    (lambda: deg4_bank(2), (27, 27), "signed_zeros",
+     "dc9e7623218b17c783c3f3f8ba23838055803dcbb7655ff2ff375f72b2089152"),
+], ids=["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"])
+def test_float64_output_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
     # SHA-256 of the PCSC of a fixed input: any change to a float64 output bit
-    # (tap order, accumulation order, normalization) shows up here
-    data = np.random.default_rng(0).standard_normal(shape)
+    # (tap order, accumulation order, normalization, sign of a zero) shows up here
     path = tmp_path / "probe.pcsc"
-    write_coeffs(path, decompose_fast(Tensor.from_numpy(data), bank_fn(), 2))
+    write_coeffs(path, decompose_fast(Tensor.from_numpy(_drawer(kind)(shape)), bank_fn(), 2))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bank_fn,shape,kind,digest", [
+    (lambda: deg4_bank(2), (81, 81), "normal",
+     "9756cebf1713980d775cadf197b1704e4eb18b00a5e3a3b3baa05b9f4cb0db28"),
+    (lambda: box_bank(3, 3), (27, 27, 27), "normal",
+     "e5f6132da28345fefd11ac4ecfee5c917134cfdf05b5e5170f5b3452fb66d8a9"),
+    (lambda: deg4_bank(2), (9, 9), "normal",
+     "23b59c394cd281f9b4c575ba16cd6501bb0d26395e1c0df7c8a6667fe1f33973"),
+    (lambda: deg4_bank(2), (27, 27), "signed_zeros",
+     "06175630b2a14297daadf457f8f80b4947a395460d351e1fc4cd842526e72911"),
+], ids=["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"])
+def test_float64_synthesis_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
+    # SHA-256 of the PCST that reconstruct_fast makes from fixed coefficients,
+    # drawn coarse first, then by level and coset; the signed-zero case comes
+    # out with 25 of its 729 samples -0.0
+    bank, levels, draw = bank_fn(), 2, _drawer(kind)
+    p = bank.p
+    coarse = Tensor.from_numpy(draw(tuple(s // p ** levels for s in shape)))
+    details = {(nu, j): Tensor.from_numpy(draw(tuple(s // p ** (levels - j) for s in shape)))
+               for j in range(levels) for nu in bank.sys.gamma_prime}
+    coeffs = MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
+                            coarse=coarse, details=details)
+    path = tmp_path / "probe.pcst"
+    write_tensor(path, reconstruct_fast(coeffs, bank))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
