@@ -20,9 +20,10 @@ import time
 from fractions import Fraction
 
 from .errors import PcswaveError
-from .filterbank import (bank_from_json, bank_report, bank_to_json,
-                         build_pcs_bank, guarantee_floor,
-                         verify_combined_biorthogonality)
+from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
+                         bank_to_json, build_pcs_bank, guarantee_floor,
+                         verify_combined_biorthogonality, verify_polyphase_matrices,
+                         write_bank_json)
 from .filters import filter_from_json, is_biorthogonal, is_interpolatory, to_1d
 
 
@@ -73,7 +74,8 @@ def cmd_design(args) -> int:
     H = _load_filter_1d(args.h, args.p)
     bank = build_pcs_bank(G, H, args.dim, args.gamma)
     clock.append(time.perf_counter())
-    _dump_json(args.output, bank_to_json(bank))
+    with open(args.output, "w", encoding="utf-8") as fh:
+        write_bank_json(fh, bank_to_json(bank))
     clock.append(time.perf_counter())
     floor = guarantee_floor(bank, args.max_order)
     clock.append(time.perf_counter())
@@ -109,12 +111,13 @@ def cmd_verify(args) -> int:
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
     clock.append(time.perf_counter())
     if args.dump_polyphase:
-        from .filterbank import bank_polyphase_matrices
         from .polyphase import matrix_to_json
         A, S = bank_polyphase_matrices(bank)
         _dump_json(args.dump_polyphase,
                    {"A": matrix_to_json(A), "S": matrix_to_json(S)})
-    ver = verify_combined_biorthogonality(bank)
+        ver = verify_polyphase_matrices(A, S, bank.q)
+    else:
+        ver = verify_combined_biorthogonality(bank)
     clock.append(time.perf_counter())
     interp = is_interpolatory(bank.tau_d)
     biorth = is_biorthogonal(bank.tau, bank.tau_d)

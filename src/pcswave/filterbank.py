@@ -25,10 +25,15 @@ Loading runs only the second route: ``bank_from_json`` compares each of the
 is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
 on integer numerators over common denominators, and a stored filter matches
 a derived mask when the two integer forms are equal.
+
+``bank_to_json`` gives a bank's JSON document, and ``write_bank_json``
+writes it with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
+one filter at a time.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -256,11 +261,16 @@ def bank_polyphase_matrices(bank: WaveletFilterBank) -> Tuple[PolyphaseMatrix, P
     return (PolyphaseMatrix(q, q, a_rows), PolyphaseMatrix(q, q, s_rows))
 
 
+def verify_polyphase_matrices(A: PolyphaseMatrix, S: PolyphaseMatrix,
+                              q: int) -> VerificationReport:
+    """Exact check of S A = (1/q) I for a bank's (A, S)."""
+    bad = identity_residuals(matmul(S, A), q)
+    return VerificationReport(passed=not bad, q=q, failures=bad)
+
+
 def verify_combined_biorthogonality(bank: WaveletFilterBank) -> VerificationReport:
     """Exact perfect-reconstruction check of the bank via its polyphase matrices."""
-    A, S = bank_polyphase_matrices(bank)
-    bad = identity_residuals(matmul(S, A), bank.q)
-    return VerificationReport(passed=not bad, q=bank.q, failures=bad)
+    return verify_polyphase_matrices(*bank_polyphase_matrices(bank), bank.q)
 
 
 @dataclass
@@ -352,6 +362,45 @@ def bank_to_json(bank: WaveletFilterBank) -> dict:
             "t_d": {_nu_key(nu): filter_to_json(bank.t_d[nu]) for nu in bank.sys.gamma_prime},
         },
     }
+
+
+def _filter_text(fdoc: dict, depth: int) -> str:
+    """A filter document as json.dumps(indent=2, sort_keys=True) writes it at depth."""
+    i0, i1, i2, i3, i4 = ("\n" + "  " * (depth + j) for j in range(5))
+    head = f'{{{i1}"dim": {json.dumps(fdoc["dim"])},{i1}"p": {json.dumps(fdoc["p"])},{i1}"taps": '
+    taps = fdoc["taps"]
+    if not taps:
+        return f"{head}[]{i0}}}"
+    value = {v: json.dumps(v) for v in {tap["v"] for tap in taps}}
+    sep = "," + i4
+    body = ("," + i2).join([f'{{{i3}"k": [{i4}{sep.join(map(str, tap["k"]))}{i3}],'
+                            f'{i3}"v": {value[tap["v"]]}{i2}}}' for tap in taps])
+    return f"{head}[{i2}{body}{i1}]{i0}}}"
+
+
+def _write_value(fh, value, depth: int) -> None:
+    if isinstance(value, dict) and value.keys() == {"p", "dim", "taps"}:
+        fh.write(_filter_text(value, depth))
+    elif isinstance(value, dict) and value:
+        fh.write("{")
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "") + "\n" + "  " * (depth + 1) + json.dumps(key) + ": ")
+            _write_value(fh, value[key], depth + 1)
+        fh.write("\n" + "  " * depth + "}")
+    else:
+        # JSON text holds no raw newline, so re-indenting the lines nests it
+        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
+
+
+def write_bank_json(fh, doc: dict) -> None:
+    """Write ``doc``, a :func:`bank_to_json` document, to the text file ``fh``.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, but
+    each filter is formatted from a template of its fixed schema and written
+    before the next one is, so only one filter's text is held at a time.
+    """
+    _write_value(fh, doc, 0)
+    fh.write("\n")
 
 
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:

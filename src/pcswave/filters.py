@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
+from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
@@ -167,16 +168,33 @@ def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
     are all equal, because 1 + x + ... + x^(p-1) is the minimal polynomial of
     zeta_p. The search stops at the first nonzero sum, and k.g mod p is
     worked out for a frequency only when the search first reaches it.
+
+    The taps are held as one coordinate column per axis. The weights
+    num_k * k^mu of a mu of order d + 1 are those of mu - e_a, kept from
+    order d, times the column of a, the first axis where mu is nonzero.
     """
-    p = f.p
-    taps = list(f.mask.num.items())
+    p, n = f.p, f.dim
+    cols = list(zip(*f.mask.num)) or [()] * n
+    level = {(0,) * n: list(f.mask.num.values())}   # the weights of one order, by mu
     dots = []
-    for order in range(start, max_order):
-        for mu in _compositions(f.dim, order):
-            weights = [v * prod(x ** m for x, m in zip(k, mu)) for k, v in taps]
+    for order in range(max_order):
+        below, level = level, {}
+        for mu in _compositions(n, order):
+            if order:
+                a = next(i for i, m in enumerate(mu) if m)
+                weights = list(map(mul, below[mu[:a] + (mu[a] - 1,) + mu[a + 1:]], cols[a]))
+            else:
+                weights = below[mu]
+            level[mu] = weights
+            if order < start:
+                continue
             for i, g in enumerate(frequencies):
                 if i == len(dots):
-                    dots.append([sum(a * b for a, b in zip(k, g)) % p for k, _ in taps])
+                    dot = [0] * len(weights)
+                    for x, col in zip(g, cols):
+                        if x:
+                            dot = list(map(add, dot, map(x.__mul__, col)))
+                    dots.append([d % p for d in dot])
                 sums = [0] * p
                 for w, d in zip(weights, dots[i]):
                     sums[d] += w
@@ -214,10 +232,11 @@ def diagnostics(f: FilterND, max_order: int = DEFAULT_MAX_ORDER) -> MaskDiagnost
 # --- JSON form: {"p": int, "dim": int, "taps": [{"k": [...], "v": "num/den"}]} ---
 
 def filter_to_json(f: FilterND) -> dict:
-    q, den = f.q, f.mask.den
+    q, num, den = f.q, f.mask.num, f.mask.den
     # the filters of a bank repeat a few values, so each is formatted once
-    text = {v: format_rational(q * v, den) for v in set(f.mask.num.values())}
-    taps = [{"k": list(k), "v": text[v]} for k, v in sorted(f.mask.num.items())]
+    text = {v: format_rational(q * v, den) for v in set(num.values())}
+    # sorting the (unique) indices alone is faster than sorting the items
+    taps = [{"k": list(k), "v": text[num[k]]} for k in sorted(num)]
     return {"p": f.p, "dim": f.dim, "taps": taps}
 
 

@@ -47,16 +47,20 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
         raise DomainError(f"side must be {SYNTHESIS!r} or {ANALYSIS!r}")
     if f.dim != sys.n or f.p != sys.p:
         raise DimensionMismatch("filter and coset system disagree on p or dimension")
-    p, q = sys.p, sys.q
-    comps: List[Dict[MultiIndex, int]] = [{} for _ in range(q)]
-    for x, v in f.mask.num.items():
-        i = sys.index_of(x)
-        r = sys.gamma[i]
-        if side == SYNTHESIS:
-            k = tuple((a - b) // p for a, b in zip(x, r))
-        else:
-            k = tuple((b - a) // p for a, b in zip(x, r))
-        # x -> (coset, k) is one to one, so no two taps share a slot
+    p, num = sys.p, f.mask.num
+    cols = list(zip(*num))
+    # residues and lattice quotients axis by axis, the Gamma position once per class
+    classes = list(zip(*[[x % p for x in col] for col in cols]))
+    position = {r: sys.index_of(r) for r in set(classes)}
+    index = [position[r] for r in classes]
+    reps = list(zip(*[sys.gamma[i] for i in index]))
+    if side == SYNTHESIS:
+        quotients = [[(x - r) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
+    else:
+        quotients = [[(r - x) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
+    comps: List[Dict[MultiIndex, int]] = [{} for _ in range(sys.q)]
+    # x -> (coset, k) is one to one, so no two taps share a slot
+    for i, k, v in zip(index, zip(*quotients), num.values()):
         comps[i][k] = v
     # f(x) / q is the mask coefficient num[x] / den
     return [LaurentPoly.from_integers(sys.n, c, f.mask.den) for c in comps]

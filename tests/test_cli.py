@@ -116,6 +116,27 @@ def test_verify_corrupted_bank(box_bank_path, tmp_path, capsys):
     assert "row" in out and "col" in out
 
 
+def test_verify_dump_builds_polyphase_once(box_bank_path, tmp_path, capsys, monkeypatch):
+    # the dump and the S.A check share one (A, S); the report does not change
+    from pcswave import cli, filterbank
+    doc = json.loads(box_bank_path.read_text())
+    doc["filters"]["t"]["0,1"]["taps"][0]["v"] = "17/2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, plain, _ = run(capsys, "verify", bad)
+    build, calls = filterbank.bank_polyphase_matrices, []
+
+    def counted(bank):
+        calls.append(bank)
+        return build(bank)
+    monkeypatch.setattr(filterbank, "bank_polyphase_matrices", counted)
+    monkeypatch.setattr(cli, "bank_polyphase_matrices", counted, raising=False)
+    dumped_code, dumped, _ = run(capsys, "verify", bad, "--dump-polyphase", tmp_path / "poly.json")
+    assert code == dumped_code == 1
+    assert dumped == plain
+    assert len(calls) == 1
+
+
 def test_verify_reports_orders(tmp_path, capsys):
     bank_path = tmp_path / "bank.json"
     run(capsys, "design", "--p", 3, "--dim", 2,

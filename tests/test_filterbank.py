@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +13,13 @@ from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
                                 pcs_wavelet_masks,
-                                verify_combined_biorthogonality)
+                                verify_combined_biorthogonality, write_bank_json)
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
                              is_biorthogonal, is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import LaurentPoly
-from pcswave.presets import box_bank, box_filter_1d, deg4_bank
+from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
+                             interp_deg4_filter_1d)
 
 from conftest import random_interpolatory_1d, random_lowpass_1d
 
@@ -119,6 +123,28 @@ def test_box_bank_report():
                 assert fr.diag.support_size == 2
     assert rep.guarantee_floor == 1
     assert not rep.floor_violations
+
+
+@pytest.mark.parametrize("bank_fn, max_order, digest", [
+    (lambda: box_bank(7, 2), 1,
+     "7322c4e94e0efbf13bb40909190e03390b7d790e1712b70957f14bebd773a8c9"),
+    (lambda: box_bank(7, 2), 3,
+     "89d0d4c077bfd1e39e6809478ff47e5327b7ede256f028390828bef3a2459483"),
+    (lambda: box_bank(7, 2), 20,
+     "8ce49bb933252b7814d533be452e2141ce0adacaa0ce4198159b2eb840454c3f"),
+    (lambda: deg4_bank(3), 1,
+     "be6048df6bcf53fd93d18a31cd1b3c88ade2780798cacc00cbca5ba937027662"),
+    (lambda: deg4_bank(3), 3,
+     "ac7c1cdb44d24840c39176578480138a68ce032d576c07aa08308f1e00e0995a"),
+    (lambda: deg4_bank(3), 20,
+     "0045b05425514b00275049776859efe08c8b1a0d731525168e2af33428b06ba8"),
+], ids=["box_p7_n2-1", "box_p7_n2-3", "box_p7_n2-20", "deg4_p3_n3-1", "deg4_p3_n3-3",
+        "deg4_p3_n3-20"])
+def test_bank_report_rows_pinned(bank_fn, max_order, digest):
+    # SHA-256 of (name, nu, accuracy, vanishing moments, flatness) of every row
+    rows = [[r.name, r.nu and list(r.nu), r.diag.accuracy, r.diag.vanishing_moments,
+             r.diag.flatness] for r in bank_report(bank_fn(), max_order).filters]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_closed_form_routes_agree(rng):
@@ -379,3 +405,56 @@ def test_bank_json_requires_full_gamma():
     del doc["filters"]["t"][key]
     with pytest.raises(FormatError):
         bank_from_json(doc, cross_check=False)
+
+
+def _writer_banks():
+    """Box banks with q <= 125 in both conventions, deg4, random and general banks.
+
+    Box p=5 n=3 is left out in the standard convention: its 178k taps take
+    seconds to compare and pass through the same templates as its 49k
+    centered ones.
+    """
+    cases = []
+    for p in (2, 3, 5, 7):
+        box = box_filter_1d(p, centered=p % 2 == 1)
+        for n in (1, 2, 3):
+            for convention in ["standard"] + (["centered"] if p % 2 else []):
+                if p ** n <= 125 and (p, n, convention) != (5, 3, "standard"):
+                    cases.append(pytest.param(
+                        lambda box=box, n=n, c=convention: build_pcs_bank(box, box, n, c),
+                        id=f"box_p{p}_n{n}_{convention}"))
+    for n in (2, 3):
+        cases.append(pytest.param(lambda n=n: deg4_bank(n), id=f"deg4_n{n}"))
+    for p, n in ((2, 2), (3, 2), (5, 1), (3, 3)):
+        def random_bank(p=p, n=n):
+            rng = random.Random(p * 10 + n)
+            return build_pcs_bank(random_lowpass_1d(rng, p), random_interpolatory_1d(rng, p),
+                                  n, "standard")
+        cases.append(pytest.param(random_bank, id=f"random_p{p}_n{n}"))
+
+    def general_bank():
+        sys = make_coset_system(3, 2, "centered")
+        return build_general(prime_coset_sum(box_filter_1d(3), 2, sys),
+                             prime_coset_sum(interp_deg4_filter_1d(), 2, sys), sys)
+    cases.append(pytest.param(general_bank, id="general"))
+    return cases
+
+
+@pytest.mark.parametrize("bank_fn", _writer_banks())
+def test_bank_writer_bytes_equal_json_dumps(bank_fn):
+    bank = bank_fn()
+    doc = bank_to_json(bank)
+    if bank.g1d is None:
+        assert doc["G"] is None and doc["H"] is None
+    fh = io.StringIO()
+    write_bank_json(fh, doc)
+    text, want = fh.getvalue(), json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    same = text == want  # a bare comparison would make pytest diff megabytes of text
+    assert same, _first_difference(text, want)
+
+
+def _first_difference(text: str, want: str) -> str:
+    for i, (got, expected) in enumerate(zip(text.splitlines(True), want.splitlines(True))):
+        if got != expected:
+            return f"line {i + 1}: {got!r} != {expected!r}"
+    return f"{len(text)} characters != {len(want)}"

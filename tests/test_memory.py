@@ -1,4 +1,5 @@
-"""Allocation bounds of the float64 transform path, as tracemalloc traces them.
+"""Allocation bounds of the float64 transform path and of the bank writer, as
+tracemalloc traces them.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 full-size array a step creates. The bounds are multiples of the input's bytes,
@@ -6,6 +7,9 @@ set just above what the transform needs: its outputs, one wrap-padded copy of
 a phase, and two phase-sized scratch arrays per level. A per-tap copy of a
 phase, a full-size temporary in the round-trip check, or coefficients kept
 alive while the reference is read each push the peak over its bound.
+
+The bank writer holds the text of one filter at a time, so its peak is a
+small share of the file it writes.
 """
 
 import json
@@ -15,9 +19,9 @@ import numpy as np
 
 from pcswave import cli
 from pcswave.dataio import write_tensor
-from pcswave.filterbank import bank_to_json
+from pcswave.filterbank import bank_to_json, write_bank_json
 from pcswave.kernels import LevelKernels
-from pcswave.presets import deg4_bank
+from pcswave.presets import box_bank, deg4_bank
 from pcswave.tensor import Tensor
 
 # deg4 (q = 9) on 729x729: a phase is 1/9 of the input, and numpy's 64 KiB
@@ -30,6 +34,9 @@ LEVEL_BOUND = 2.42
 # synthesize peaks while the last level is reconstructed, at 2.48 input sizes;
 # one more full-size array in the check would read at least 3
 SYNTHESIZE_BOUND = 2.6
+# box p=5 n=3 writes 6.7 MB of text; its largest filter, a t_d of 444 taps,
+# takes 61 kB, and the writer peaks at 157 kB (a whole-document string: 43 MB)
+WRITER_BOUND = 1 / 20
 
 
 def traced_peak(fn):
@@ -75,3 +82,16 @@ def test_synthesize_check_allocation_bound_and_line(tmp_path, capsys):
     assert cli.main(argv) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert line == f"round-trip check vs {src}: max abs error = nan (nan of peak)"
+
+
+def test_bank_writer_streams(tmp_path):
+    doc = bank_to_json(box_bank(5, 3))
+    path = tmp_path / "bank.json"
+
+    def write():
+        with open(path, "w", encoding="utf-8") as fh:
+            write_bank_json(fh, doc)
+    _, peak = traced_peak(write)
+    size = path.stat().st_size
+    assert size > 6_000_000
+    assert peak <= WRITER_BOUND * size, peak / size

@@ -151,6 +151,34 @@ def test_analysis_components_conjugate_synthesis(rng):
         assert a == s.conj()
 
 
+@st.composite
+def random_filters(draw):
+    """A filter with random rational taps on [-9, 9]^n, far outside Gamma, and its system."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    convention = draw(st.sampled_from(["standard"] + (["centered"] if p % 2 else [])))
+    keys = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n), min_size=1, max_size=12,
+                         unique=True))
+    taps = {k: Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+            for k in keys}
+    return filter_nd(p, n, taps), make_coset_system(p, n, convention)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_filters())
+def test_polyphase_decompose_matches_per_tap_definition(case):
+    # tap x = nu + p k of coset nu lands in component nu at k on the
+    # synthesis side and at -k on the analysis side, with value f(x)/q
+    f, sys = case
+    for side, sign in ((SYNTHESIS, 1), (ANALYSIS, -1)):
+        want = [{} for _ in sys.gamma]
+        for x, v in f.taps.items():
+            i = sys.index_of(x)
+            k = tuple(sign * (a - r) // sys.p for a, r in zip(x, sys.gamma[i]))
+            want[i][k] = v / sys.q
+        assert polyphase_decompose(f, sys, side) == [LaurentPoly(sys.n, w) for w in want]
+
+
 def test_polyphase_side_validation():
     sys = make_coset_system(3, 1, "centered")
     with pytest.raises(DomainError):

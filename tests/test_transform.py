@@ -1,5 +1,5 @@
 import hashlib
-import json
+import io
 import os
 import random
 from fractions import Fraction
@@ -14,7 +14,7 @@ from pcswave import lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
 from pcswave.filterbank import (bank_to_json, build_general, build_pcs_bank,
-                                pcs_bank_masks)
+                                pcs_bank_masks, write_bank_json)
 from pcswave.kernels import LevelKernels
 from pcswave.lattice import eta_routes, make_coset_system
 from pcswave.polyphase import coset_sum_polyphase
@@ -295,8 +295,9 @@ def test_float64_synthesis_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
 def test_bank_json_bytes_pinned(bank_fn, digest):
     # SHA-256 of the bank file `design` writes: any change to a tap's text,
     # the tap order or the document layout shows up here
-    text = json.dumps(bank_to_json(bank_fn()), indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    fh = io.StringIO()
+    write_bank_json(fh, bank_to_json(bank_fn()))
+    assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == digest
 
 
 def test_float64_matches_rational_ground_truth():
