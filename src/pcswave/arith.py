@@ -1,4 +1,4 @@
-"""Exact scalars and polynomials: rationals, Laurent polynomials over Q, and Q(zeta_p).
+"""Exact scalars and polynomials: rationals and Laurent polynomials over Q.
 
 The text form of a rational is ``"num/den"``, the denominator omitted when
 it is 1, which is exactly ``str(Fraction)``; :func:`split_rational` reads it
@@ -7,10 +7,6 @@ into integers and :func:`format_rational` writes it from integers.
 A :class:`LaurentPoly` holds integer numerators over one positive
 denominator, in lowest terms, so equality is a comparison of integers. It is
 the one stored form of a filter (its mask) and of every polyphase component.
-
-:class:`Cyclotomic` represents elements of Q(zeta_p) for a prime p, with
-zeta_p = exp(-2*pi*i/p). Every mask evaluation at a lattice frequency lands in
-this field, so zero tests there are exact rather than floating-point guesses.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .errors import CompositeDilation, DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError
 
 MultiIndex = Tuple[int, ...]
 
@@ -60,11 +56,6 @@ def split_rational(text: str) -> Tuple[int, int]:
     return num, den
 
 
-def parse_rational(text: str) -> Fraction:
-    """The value of the "num/den" text form, as read by :func:`split_rational`."""
-    return Fraction(*split_rational(text))
-
-
 def format_rational(num: int, den: int) -> str:
     """The text form of num/den (den > 0), which equals ``str(Fraction(num, den))``."""
     g = gcd(num, den)
@@ -72,139 +63,6 @@ def format_rational(num: int, den: int) -> str:
         num //= g
         den //= g
     return str(num) if den == 1 else f"{num}/{den}"
-
-
-class Cyclotomic:
-    """An element of Q(zeta_p), p prime, zeta_p = exp(-2*pi*i/p).
-
-    Stored as p rational coordinates on the redundant basis 1, zeta, ...,
-    zeta^(p-1). Since 1 + zeta + ... + zeta^(p-1) = 0, the constructor
-    canonicalizes by subtracting the last coordinate from all of them; in
-    canonical form the last coordinate is 0 and equality and zero tests are
-    coordinate-wise.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs) -> None:
-        if not is_prime(p):
-            raise CompositeDilation(f"cyclotomic order must be prime, got {p}")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != p:
-            raise DomainError(f"need {p} coordinates for Q(zeta_{p}), got {len(cs)}")
-        last = cs[-1]
-        if last:
-            cs = [c - last for c in cs]
-        self.p = p
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, p: int) -> "Cyclotomic":
-        return cls(p, [0] * p)
-
-    @classmethod
-    def one(cls, p: int) -> "Cyclotomic":
-        return cls.from_rational(p, 1)
-
-    @classmethod
-    def from_rational(cls, p: int, value) -> "Cyclotomic":
-        cs = [Fraction(0)] * p
-        cs[0] = Fraction(value)
-        return cls(p, cs)
-
-    @classmethod
-    def root(cls, p: int, e: int) -> "Cyclotomic":
-        """zeta_p ** e, reduced to canonical form."""
-        if not is_prime(p):
-            raise CompositeDilation(f"cyclotomic order must be prime, got {p}")
-        cs = [Fraction(0)] * p
-        cs[e % p] = Fraction(1)
-        return cls(p, cs)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.p, other)
-        if isinstance(other, Cyclotomic):
-            if other.p != self.p:
-                raise DomainError(f"mixed cyclotomic orders {self.p} and {other.p}")
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.p, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyclotomic(self.p, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return Cyclotomic(self.p, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            return Cyclotomic(self.p, [a * s for a in self.coeffs])
-        if isinstance(other, Cyclotomic):
-            if other.p != self.p:
-                raise DomainError(f"mixed cyclotomic orders {self.p} and {other.p}")
-            p = self.p
-            out = [Fraction(0)] * p
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % p] += a * b
-            return Cyclotomic(p, out)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise DomainError("negative cyclotomic powers are not supported")
-        acc = Cyclotomic.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, Cyclotomic) else other
-        if o is None:
-            return NotImplemented
-        if isinstance(o, Cyclotomic) and o.p != self.p:
-            return False
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        parts = ", ".join(str(c) for c in self.coeffs)
-        return f"Cyclotomic({self.p}, [{parts}])"
 
 
 class LaurentPoly:

@@ -14,10 +14,9 @@ H's mask, and the result is the mask of h over one denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Tuple
 
-from .arith import Cyclotomic, LaurentPoly
+from .arith import LaurentPoly
 from .errors import DimensionMismatch, NotLowpass
 from .filters import Filter1D, FilterND
 from .lattice import CosetSystem
@@ -48,25 +47,3 @@ def prime_coset_sum(H: Filter1D, n: int, sys: CosetSystem) -> FilterND:
                 k = tuple(l * x for x in nu)
                 out[k] = out.get(k, 0) + v
     return FilterND(p, LaurentPoly.from_integers(n, out, den * (p - 1) * p ** (n - 1)))
-
-
-def coset_sum_mask_eval(H: Filter1D, n: int, sys: CosetSystem, g) -> Cyclotomic:
-    """Evaluate the lifted mask at (2*pi/p) * g straight from the 1-D mask.
-
-    This is the mask-domain route; it must agree with
-    ``mask_eval(prime_coset_sum(H, n, sys), g)`` for every g, which the tests
-    check pointwise.
-    """
-    _require_compatible(H, n, sys)
-    g = tuple(g)
-    if len(g) != n:
-        raise DimensionMismatch(f"g has length {len(g)}, expected {n}")
-    p = sys.p
-    acc = Cyclotomic.from_rational(p, 1 - p ** (n - 1))
-    for nu in sys.gamma_prime:
-        m = sum(a * b for a, b in zip(g, nu))
-        coords = [0] * p
-        for (k,), v in H.mask.num.items():
-            coords[(k * m) % p] += v
-        acc = acc + Cyclotomic(p, coords) * Fraction(1, H.mask.den)
-    return acc * Fraction(1, (p - 1) * p ** (n - 1))

@@ -6,7 +6,7 @@ class PcswaveError(Exception):
 
 
 class CompositeDilation(PcswaveError):
-    """The dilation (or cyclotomic order) must be a prime number."""
+    """The dilation must be a prime number."""
 
 
 class InvalidConvention(PcswaveError):

@@ -24,7 +24,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
-from .arith import Cyclotomic, LaurentPoly, format_rational, split_rational
+from .arith import LaurentPoly, format_rational, split_rational
 from .errors import DimensionMismatch, DomainError, FormatError
 from .lattice import MAX_COSETS, too_many_cosets
 
@@ -92,18 +92,6 @@ def to_1d(f: FilterND) -> Filter1D:
     if f.dim != 1:
         raise DimensionMismatch(f"expected a 1-D filter, got dim={f.dim}")
     return Filter1D(f.p, f.mask)
-
-
-def mask_eval(f: FilterND, g) -> Cyclotomic:
-    """Mask value at the lattice frequency (2*pi/p) * g, exact in Q(zeta_p)."""
-    g = tuple(g)
-    if len(g) != f.dim:
-        raise DimensionMismatch(f"g has length {len(g)}, expected {f.dim}")
-    p = f.p
-    coords = [0] * p
-    for k, v in f.mask.num.items():
-        coords[sum(a * b for a, b in zip(k, g)) % p] += v
-    return Cyclotomic(p, coords) * Fraction(1, f.mask.den)
 
 
 def is_interpolatory(f: FilterND) -> bool:

@@ -27,12 +27,13 @@ depends only on the input and the tables.
 No step copies an array per tap. A level wrap-pads the zero phase once for
 the taps of (i) and (iv), and each detail once for the taps of (ii) and
 (iii), by the widest shift its table asks for on each axis; every tap then
-reads a slice view of the padded array. A tap sum is multiplied into one
-scratch array and added into one accumulator in place, the normalization
-and the final add or subtract are done in place, and a phase moves between
-its rolled place in the fine grid and its coset array by block copies. So in
-float64 a level creates each of its outputs once, plus two scratch arrays
-and one padded array of coarse size.
+reads a slice view of the padded array. A shift of a whole period or more
+is first cut to its remainder, so no pad exceeds one period. A tap sum is
+multiplied into one scratch array and added into one accumulator in place,
+the normalization and the final add or subtract are done in place, and a
+phase moves between its rolled place in the fine grid and its coset array by
+block copies. So in float64 a level creates each of its outputs once, plus
+two scratch arrays and one padded array of coarse size.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ def _wrap_pad(tables, n):
     shifts = [shift for taps in tables for shift, _ in taps] or [(0,) * n]
     return [(max(0, *(s[axis] for s in shifts)), max(0, *(-s[axis] for s in shifts)))
             for axis in range(n)]
+
+
+def _reduced(tables, shape):
+    """tables with each shift cut, axis by axis, to its remainder modulo the extent m.
+
+    The remainder keeps the shift's sign, so a shift with |d| < m stays as it
+    is. On the periodic grid a roll by d reads what a roll by d mod m reads.
+    """
+    def cut(d, m):
+        return d % m if d >= 0 else -(-d % m)
+    return [[(tuple(map(cut, d, shape)), v) for d, v in taps] for taps in tables]
 
 
 class _Padded:
@@ -180,8 +192,10 @@ class LevelKernels:
         d_g, d_h = G.mask.den, H.mask.den
         # predict taps all read the zero phase, padded once per level; each
         # detail is padded for its own update taps
-        self._pad_hi = _wrap_pad(hi, n)
-        self._pad_lo = [_wrap_pad([taps], n) for taps in lo]
+        self._pads = (_wrap_pad(hi, n), [_wrap_pad([taps], n) for taps in lo])
+        # the largest |offset| per axis: a level narrower than it reduces its tables
+        self._reach = [max((abs(d[a]) for taps in hi + lo for d, _ in taps), default=0)
+                       for a in range(n)]
 
         def floats(tables, den):
             return [[(d, float(Fraction(p * v, den))) for d, v in taps] for taps in tables]
@@ -202,10 +216,24 @@ class LevelKernels:
                         (keep_even, None), (keep_coarse, None)),
         }
 
-    def _update(self, acc, tmp, details, lo):
+    def _level(self, exact, shape):
+        """The plan of a level of this coarse shape and its (predict, update) pads.
+
+        Offsets that reach a whole period are reduced (see :func:`_reduced`);
+        the tables of every other level are the bank's own.
+        """
+        plan = self._plans[exact]
+        if all(r < m for r, m in zip(self._reach, shape)):
+            return plan, self._pads
+        hi, lo = _reduced(plan.hi, shape), _reduced(plan.lo, shape)
+        return (plan._replace(hi=hi, lo=lo),
+                (_wrap_pad(hi, self.n), [_wrap_pad([taps], self.n) for taps in lo]))
+
+    @staticmethod
+    def _update(acc, tmp, details, lo, pads):
         """Write the step (ii)/(iii) correction sum over every coset's detail into acc."""
         acc[...] = 0
-        for w, taps, pad in zip(details, lo, self._pad_lo):
+        for w, taps, pad in zip(details, lo, pads):
             if taps:
                 _accumulate(acc, tmp, _Padded(w, pad), taps)
         return acc
@@ -215,11 +243,11 @@ class LevelKernels:
         den = None
         if y.dtype == object:
             (y,), den = _numerators([y])
-        plan = self._plans[den is not None]
-        (keep_w, corr_w), (keep_c, corr_c) = plan.detail, plan.coarse
         even = y[self._zero]
+        plan, (pad_hi, pad_lo) = self._level(den is not None, even.shape)
+        (keep_w, corr_w), (keep_c, corr_c) = plan.detail, plan.coarse
         acc, tmp = np.empty(even.shape, y.dtype), np.empty(even.shape, y.dtype)
-        padded = _Padded(even, self._pad_hi)
+        padded = _Padded(even, pad_hi)
         details = []
         for (phase, lift), taps in zip(self._cosets, plan.hi):
             w = np.empty(even.shape, y.dtype)
@@ -229,7 +257,7 @@ class LevelKernels:
                 w -= _scale(corr_w, acc)
             details.append(w)
         del padded  # before the update pads the details
-        upd = _scale(corr_c, self._update(acc, tmp, details, plan.lo))
+        upd = _scale(corr_c, self._update(acc, tmp, details, plan.lo, pad_lo))
         coarse = np.add(_scaled(keep_c, even, tmp), upd, out=upd)
         if den is None:
             return coarse, details
@@ -241,14 +269,14 @@ class LevelKernels:
         den = None
         if coarse.dtype == object:
             (coarse, *details), den = _numerators([coarse, *details])
-        plan = self._plans[den is not None]
+        plan, (pad_hi, pad_lo) = self._level(den is not None, coarse.shape)
         (keep_e, corr_e), (keep_o, corr_o) = plan.even, plan.phase
         acc, tmp = np.empty(coarse.shape, coarse.dtype), np.empty(coarse.shape, coarse.dtype)
-        upd = _scale(corr_e, self._update(acc, tmp, details, plan.lo))
+        upd = _scale(corr_e, self._update(acc, tmp, details, plan.lo, pad_lo))
         even = np.subtract(_scaled(keep_e, coarse, tmp), upd, out=upd)
         out = np.empty(tuple(s * self.p for s in coarse.shape), dtype=even.dtype)
         out[self._zero] = _fractions(even, keep_e, den)
-        padded = _Padded(even, self._pad_hi)
+        padded = _Padded(even, pad_hi)
         # once even is copied into padded, its buffer takes the tap sums
         acc = np.empty_like(even) if padded.data is even else even
         for (phase, lift), taps, w in zip(self._cosets, plan.hi, details):

@@ -1,9 +1,9 @@
 """Coset representative systems for Z^n / p Z^n and the index maps they induce.
 
-A :class:`CosetSystem` holds the representative set Gamma of Z^n / p Z^n (with
-0 first) and F_p = {0, ..., p-1} for Z / p Z. Frequencies gamma in Gamma* are
-never materialized as angles: a frequency is an integer vector g standing for
-(2*pi/p) * g, which keeps every mask evaluation inside Q(zeta_p).
+A :class:`CosetSystem` holds the representative set Gamma of Z^n / p Z^n, with
+0 first. Frequencies gamma in Gamma* are never materialized as angles: a
+frequency is an integer vector g standing for (2*pi/p) * g, which keeps every
+mask evaluation inside Q(zeta_p).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class CosetSystem:
     n: int
     convention: str
     gamma: Tuple[MultiIndex, ...]          # Gamma, gamma[0] == 0
-    fp: Tuple[int, ...]                    # F_p, fp[0] == 0
     _index: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
@@ -67,21 +66,18 @@ def _center(r: int, p: int) -> int:
     return r if r <= (p - 1) // 2 else r - p
 
 
-def make_coset_system(p: int, n: int, convention: str = STANDARD, *,
-                      allow_composite: bool = False) -> CosetSystem:
+def make_coset_system(p: int, n: int, convention: str = STANDARD) -> CosetSystem:
     """Build the coset system for dilation p * I_n.
 
     Gamma is ordered lexicographically by standard residue vector, so the zero
-    class always comes first. ``allow_composite`` skips the primality check;
-    it exists only so diagnostics can demonstrate how the p^(n-1) count fails
-    for composite moduli, and none of the constructions accept such a system.
-    Systems of more than MAX_COSETS cosets are refused before p is tested.
+    class always comes first. Systems of more than MAX_COSETS cosets are
+    refused before p is tested.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     if too_many_cosets(p, n):
         raise DomainError(f"p^n = {p}^{n} exceeds {MAX_COSETS} cosets")
-    if not allow_composite and not is_prime(p):
+    if not is_prime(p):
         raise CompositeDilation(f"dilation must be prime, got {p}")
     if convention not in (STANDARD, CENTERED):
         raise InvalidConvention(f"unknown convention {convention!r}")
@@ -96,8 +92,7 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD, *,
     index = {res: i for i, res in enumerate(residues)}
     if len(index) != p ** n:
         raise DomainError("representative set does not cover Z^n / p Z^n")
-    return CosetSystem(p=p, n=n, convention=convention, gamma=gamma,
-                       fp=tuple(range(p)), _index=index)
+    return CosetSystem(p=p, n=n, convention=convention, gamma=gamma, _index=index)
 
 
 def mult_inverse(l: int, p: int) -> int:
@@ -109,7 +104,7 @@ def mult_inverse(l: int, p: int) -> int:
 
 def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
     """The element of Gamma' congruent to rho(l) * nu modulo p, componentwise."""
-    if l not in sys.fp or l == 0:
+    if not 0 < l < sys.p:
         raise DomainError(f"l={l} is not in F_p' for p={sys.p}")
     nu = tuple(nu)
     i = sys._index.get(tuple(x % sys.p for x in nu))
@@ -138,19 +133,3 @@ def eta_routes(sys: CosetSystem, num, nu: MultiIndex):
                                    f"m={m}: {k} not in pZ^n")
             out.append((k, v))
     return out
-
-
-def coset_zero_count(sys: CosetSystem, g) -> int:
-    """#{nu in Gamma : g . nu == 0 (mod p)}, by brute-force enumeration.
-
-    g is an integer vector standing for the frequency (2*pi/p) * g; it must be
-    nonzero modulo p in at least one coordinate.
-    """
-    g = tuple(g)
-    if len(g) != sys.n:
-        raise DomainError(f"g has length {len(g)}, expected {sys.n}")
-    if all(x % sys.p == 0 for x in g):
-        raise DomainError("g must be nonzero modulo p")
-    p = sys.p
-    return sum(1 for nu in sys.gamma
-               if sum(a * b for a, b in zip(g, nu)) % p == 0)

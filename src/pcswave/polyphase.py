@@ -78,21 +78,6 @@ def eta_sum(F: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
     return LaurentPoly.from_integers(sys.n, out, F.mask.den * (sys.p - 1)) * sys.p
 
 
-def coset_sum_polyphase(H: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
-    """Synthesis polyphase component of the lifted filter, built from H alone.
-
-    Returns, as a polynomial in w whose exponents are all multiples of p,
-
-        (1/((p-1) p^(n-1))) * sum over l in F_p' of
-            e^{i w.(nu - eta(l,nu) l)} * (H(l + p.))^ ( p w . eta(l,nu) )
-
-    which equals the nu-component of the lifted filter's polyphase vector with
-    its variable substituted w -> p w. Tap m = l + p m' of H lands at exponent
-    eta(l,nu) m - nu, so this is the conjugate of :func:`eta_sum` over q.
-    """
-    return eta_sum(H, sys, nu).conj() * Fraction(1, sys.q)
-
-
 @dataclass
 class PolyphaseMatrix:
     rows: int
@@ -148,11 +133,6 @@ def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, Laure
             elif e.den != q or e.num != {(0,) * e.n: 1}:
                 bad.append((i, j, e - Fraction(1, q)))
     return bad
-
-
-def matmul_check(S: PolyphaseMatrix, A: PolyphaseMatrix, q: int) -> bool:
-    """True iff S A equals (1/q) I as an exact Laurent identity."""
-    return not identity_residuals(matmul(S, A), q)
 
 
 def matrix_to_json(m: PolyphaseMatrix) -> dict:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -37,6 +38,54 @@ def random_interpolatory_1d(rng: random.Random, p: int, max_taps: int = 5) -> Fi
         taps = {k: v * scale for k, v in taps.items()}
         taps[0] = Fraction(1)
         return filter_1d(p, taps)
+
+
+def zeta_sum(p, terms):
+    """The sum of c * zeta_p^e over (e, c) in terms, an element of Q(zeta_p).
+
+    It is held as its coordinates on 1, zeta_p, ..., zeta_p^(p-1) minus the
+    last one. 1 + zeta_p + ... + zeta_p^(p-1) = 0 is their only relation, so
+    the form is unique, and it is all zero exactly when the sum is 0.
+    """
+    coords = [Fraction(0)] * p
+    for e, c in terms:
+        coords[e % p] += c
+    return tuple(c - coords[-1] for c in coords)
+
+
+def mask_eval(f, g):
+    """The mask of f at the lattice frequency (2*pi/p) * g, as a zeta_sum."""
+    den = f.mask.den
+    return zeta_sum(f.p, [(sum(map(mul, k, g)), Fraction(v, den))
+                          for k, v in f.mask.num.items()])
+
+
+def coset_sum_mask_eval(H, n, sys, g):
+    """The mask of prime_coset_sum(H, n, sys) at (2*pi/p) * g, from H's mask alone."""
+    p, den = sys.p, H.mask.den
+    scale = Fraction(1, (p - 1) * p ** (n - 1))
+    terms = [(0, (1 - p ** (n - 1)) * scale)]
+    for nu in sys.gamma_prime:
+        m = sum(map(mul, g, nu))
+        terms += [(k * m, Fraction(v, den) * scale) for (k,), v in H.mask.num.items()]
+    return zeta_sum(p, terms)
+
+
+# far taps m of far_tap_1d, one in each nonzero class mod 3
+FAR_TAPS = (30000001, -30000001, 2 ** 70)
+
+
+def far_tap_1d(m=FAR_TAPS[0]):
+    """The p = 3 generator {0: 1, 2: 1, m: 1}, lowpass and, for m off 3Z, interpolatory.
+
+    Its tap m lies far beyond the extent of any grid the tests transform.
+    """
+    return filter_1d(3, {0: 1, 2: 1, m: 1})
+
+
+def zero_count(reps, p, g):
+    """#{nu in reps : g . nu == 0 (mod p)}."""
+    return sum(1 for nu in reps if sum(map(mul, g, nu)) % p == 0)
 
 
 @pytest.fixture

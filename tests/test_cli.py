@@ -181,6 +181,24 @@ def test_analyze_synthesize_roundtrip(box_bank_path, tmp_path, capsys):
     assert rep["max_abs_error"] == err
 
 
+def test_far_tap_bank_runs_every_transform_command(tmp_path, capsys):
+    # a generator tap at 30000001 must not size an array of a 27x27 transform
+    far = FIXTURES / "far_tap_p3.json"
+    bank, src = tmp_path / "bank.json", tmp_path / "in.pcst"
+    coeffs, back = tmp_path / "c.pcsc", tmp_path / "back.pcst"
+    write_tensor(src, Tensor.from_numpy(np.random.default_rng(0).standard_normal((27, 27))))
+    assert run(capsys, "design", "--p", 3, "--dim", 2, "--g", far, "--h", far, "-o", bank)[0] == 0
+    assert run(capsys, "analyze", "--bank", bank, "--levels", 3, src, "-o", coeffs)[0] == 0
+    code, _, err = run(capsys, "analyze", "--bank", bank, "--levels", 3, src, "-o", coeffs,
+                       "--oracle", "--json", tmp_path / "analyze.json")
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "analyze.json").read_text())["oracle_max_abs_deviation"] < 1e-12
+    code, _, err = run(capsys, "synthesize", "--bank", bank, coeffs, "-o", back,
+                       "--check-against", src, "--json", tmp_path / "synth.json")
+    assert (code, err) == (0, "")
+    assert json.loads((tmp_path / "synth.json").read_text())["max_abs_error"] < 1e-12
+
+
 def test_analyze_rejects_indivisible_shape(box_bank_path, tmp_path, capsys):
     write_tensor(tmp_path / "y.pcst", Tensor.from_numpy(np.zeros((10, 10))))
     code, _, err = run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1,

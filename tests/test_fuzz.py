@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from pcswave.dataio import read_coeffs, read_tensor, write_coeffs, write_tensor
 from pcswave.errors import PcswaveError
-from pcswave.filterbank import bank_from_json, bank_to_json
+from pcswave.filterbank import bank_from_json, bank_to_json, build_pcs_bank
 from pcswave.presets import box_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast
+
+from conftest import FAR_TAPS, far_tap_1d
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -77,18 +79,26 @@ def _node_paths(node, path=()):
         yield from _node_paths(child, path + (key,))
 
 
-NODE_PATHS = list(_node_paths(BANK_DOC))
+# the box bank, and banks designed from generators whose third tap lies far
+# beyond any grid
+DOCS = [BANK_DOC] + [bank_to_json(build_pcs_bank(far_tap_1d(m), far_tap_1d(m), 2, "standard"))
+                     for m in FAR_TAPS]
+NODE_PATHS = [list(_node_paths(doc)) for doc in DOCS]
 
 
-@FUZZ
-@given(path=st.sampled_from(NODE_PATHS), value=st.sampled_from(REPLACEMENTS),
-       cross_check=st.booleans())
-def test_damaged_bank_json(path, value, cross_check):
-    doc = copy.deepcopy(BANK_DOC)
+@settings(FUZZ, max_examples=150 * len(DOCS))
+@given(data=st.data(), value=st.sampled_from(REPLACEMENTS), cross_check=st.booleans())
+def test_damaged_bank_json(data, value, cross_check):
+    # a bank that loads must also run the fast transform
+    i = data.draw(st.integers(0, len(DOCS) - 1))
+    doc = copy.deepcopy(DOCS[i])
+    path = data.draw(st.sampled_from(NODE_PATHS[i]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
     # the document must still be expressible as JSON text
     doc = json.loads(json.dumps(doc))
-    _load_or_pcswave_error(bank_from_json, doc, cross_check=cross_check)
+    y = Tensor.from_numpy(np.random.default_rng(0).standard_normal((9, 9)))
+    _load_or_pcswave_error(
+        lambda: decompose_fast(y, bank_from_json(doc, cross_check=cross_check), 2))

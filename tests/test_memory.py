@@ -19,10 +19,13 @@ import numpy as np
 
 from pcswave import cli
 from pcswave.dataio import write_tensor
-from pcswave.filterbank import bank_to_json, write_bank_json
+from pcswave.filterbank import bank_to_json, build_pcs_bank, write_bank_json
 from pcswave.kernels import LevelKernels
-from pcswave.presets import box_bank, deg4_bank
+from pcswave.presets import box_bank, box_filter_1d, deg4_bank
 from pcswave.tensor import Tensor
+from pcswave.transform import decompose_fast
+
+from conftest import far_tap_1d
 
 # deg4 (q = 9) on 729x729: a phase is 1/9 of the input, and numpy's 64 KiB
 # ufunc iteration buffers are small beside it
@@ -37,6 +40,8 @@ SYNTHESIZE_BOUND = 2.6
 # box p=5 n=3 writes 6.7 MB of text; its largest filter, a t_d of 444 taps,
 # takes 61 kB, and the writer peaks at 157 kB (a whole-document string: 43 MB)
 WRITER_BOUND = 1 / 20
+# the far-tap bank's tap tables beside those of the box bank, in bytes
+FAR_TABLES_ALLOWANCE = 16 * 1024
 
 
 def traced_peak(fn):
@@ -82,6 +87,22 @@ def test_synthesize_check_allocation_bound_and_line(tmp_path, capsys):
     assert cli.main(argv) == 0
     line = capsys.readouterr().out.splitlines()[-1]
     assert line == f"round-trip check vs {src}: max abs error = nan (nan of peak)"
+
+
+def test_far_tap_analysis_allocation_bound():
+    # A generator tap at 30000001 sizes no pad: the full analysis of 27x27
+    # allocates what it does with the standard box generator {0, 1, 2}, plus
+    # the far bank's larger tap tables, which hold 8-digit ints and are cut to
+    # each level's period (4 to 9 kB traced). A pad as wide as the tap would
+    # take 2.84 PiB.
+    y = Tensor.from_numpy(np.random.default_rng(0).standard_normal((27, 27)))
+    peaks = []
+    for G in (far_tap_1d(), box_filter_1d(3, centered=False)):
+        bank = build_pcs_bank(G, G, 2, "standard")
+        decompose_fast(y, bank, 3)
+        peaks.append(traced_peak(lambda: decompose_fast(y, bank, 3))[1])
+    far, box = peaks
+    assert far <= box + FAR_TABLES_ALLOWANCE, (far, box)
 
 
 def test_bank_writer_streams(tmp_path):

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcswave.arith import Cyclotomic
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DomainError
-from pcswave.filterbank import bank_polyphase_matrices, build_general
+from pcswave.filterbank import (bank_polyphase_matrices, build_general,
+                                verify_polyphase_matrices)
 from pcswave.filters import FilterND, filter_nd
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly,
-                               coset_sum_polyphase, identity_residuals, matmul,
-                               matmul_check, polyphase_decompose)
+from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, eta_sum,
+                               identity_residuals, matmul, polyphase_decompose)
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
-from conftest import random_interpolatory_1d, random_lowpass_1d
+from conftest import random_interpolatory_1d, random_lowpass_1d, zeta_sum
+
+
+def coset_sum_polyphase(H, sys, nu):
+    """The synthesis component nu of H's lift, with w -> p w, built from H alone."""
+    return eta_sum(H, sys, nu).conj() * Fraction(1, sys.q)
 
 
 def test_laurent_ring_basics():
@@ -254,19 +258,16 @@ def test_stretch_exponents_are_multiples():
 def test_character_sums(p, n):
     sys = make_coset_system(p, n, "standard")
     for g in itertools.product(range(p), repeat=n):
-        s = Cyclotomic.zero(p)
-        for nu in sys.gamma:
-            s = s + Cyclotomic.root(p, sum(a * b for a, b in zip(g, nu)))
+        s = zeta_sum(p, [(sum(a * b for a, b in zip(g, nu)), 1) for nu in sys.gamma])
         if any(x % p for x in g):
-            assert s.is_zero()
+            assert not any(s)
         else:
-            assert s == p ** n
+            assert s == zeta_sum(p, [(0, p ** n)])
         # dual form over Gamma*: e^{i gamma.nu} = zeta^{-g.nu}, same enumeration
         for nu in sys.gamma:
-            d = Cyclotomic.zero(p)
-            for gg in itertools.product(range(p), repeat=n):
-                d = d + Cyclotomic.root(p, -sum(a * b for a, b in zip(gg, nu)))
-            assert (d == p ** n) if nu == sys.zero else d.is_zero()
+            d = zeta_sum(p, [(-sum(a * b for a, b in zip(gg, nu)), 1)
+                             for gg in itertools.product(range(p), repeat=n)])
+            assert (d == zeta_sum(p, [(0, p ** n)])) if nu == sys.zero else not any(d)
 
 
 def _box_pair(p, n):
@@ -286,7 +287,7 @@ def test_build_A_S_box_banks():
     for p, n in [(2, 2), (3, 2), (5, 1)]:
         g, h, sys = _box_pair(p, n)
         A, S = _bank_pair(g, h, sys)
-        assert matmul_check(S, A, sys.q)
+        assert verify_polyphase_matrices(A, S, sys.q).passed
 
 
 def _deg4_pair():
@@ -299,7 +300,7 @@ def _deg4_pair():
 def test_build_A_S_deg4_pair():
     g, h, sys = _deg4_pair()
     A, S = _bank_pair(g, h, sys)
-    assert matmul_check(S, A, sys.q)
+    assert verify_polyphase_matrices(A, S, sys.q).passed
 
 
 def _random_pairs(rng):
@@ -316,7 +317,7 @@ def _random_pairs(rng):
 def test_build_A_S_random_pairs(rng):
     for g, h, sys in _random_pairs(rng):
         A, S = _bank_pair(g, h, sys)
-        assert matmul_check(S, A, sys.q)
+        assert verify_polyphase_matrices(A, S, sys.q).passed
 
 
 def test_A_factors_into_triangulars(rng):
@@ -351,7 +352,7 @@ def test_perturbed_pair_fails():
     A, S = _bank_pair(g, h, sys)
     A_bad, S_bad = _bank_pair(g_bad, h, sys)
     # S built for g must not invert the A of the perturbed g
-    assert not matmul_check(S, A_bad, sys.q)
-    assert matmul_check(S_bad, A_bad, sys.q)
+    assert not verify_polyphase_matrices(A_bad, S, sys.q).passed
+    assert verify_polyphase_matrices(A_bad, S_bad, sys.q).passed
     bad = identity_residuals(matmul(S, A_bad), sys.q)
     assert bad and all(not r.is_zero() for _, _, r in bad)

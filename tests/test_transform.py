@@ -17,7 +17,7 @@ from pcswave.filterbank import (bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, write_bank_json)
 from pcswave.kernels import LevelKernels
 from pcswave.lattice import eta_routes, make_coset_system
-from pcswave.polyphase import coset_sum_polyphase
+from pcswave.polyphase import eta_sum
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
                              interp_deg4_filter_1d)
 from pcswave.cosetsum import prime_coset_sum
@@ -26,7 +26,7 @@ from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
                                pcs_complexity_constant, reconstruct_direct,
                                reconstruct_fast)
 
-from conftest import random_interpolatory_1d, random_lowpass_1d
+from conftest import FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d
 
 
 def rational_tensor(rng, shape):
@@ -212,6 +212,16 @@ def test_exact_fast_equals_direct_on_random_banks(p, n):
     check()
 
 
+@pytest.mark.parametrize("m", FAR_TAPS)
+def test_far_tap_fast_equals_direct_exactly(rng, m):
+    # a tap offset of a whole period or more reads what its remainder reads
+    bank = build_pcs_bank(far_tap_1d(m), far_tap_1d(-m), 2, "standard")
+    y = rational_tensor(rng, (27, 27))
+    c = decompose_fast(y, bank, 3)
+    assert coeffs_equal(c, decompose_direct(y, bank, 3))
+    assert reconstruct_fast(c, bank) == y
+
+
 def test_float64_roundtrip_error_bound():
     rng = np.random.default_rng(42)
     data = rng.standard_normal((81, 81))
@@ -359,7 +369,7 @@ def test_wrong_eta_is_refused_everywhere(monkeypatch):
     with pytest.raises(PcswaveError, match="lattice congruence"):
         LevelKernels(sys, G, H)
     with pytest.raises(PcswaveError, match="lattice congruence"):
-        coset_sum_polyphase(H, sys, (1, 0))
+        eta_sum(H, sys, (1, 0))
     with pytest.raises(PcswaveError, match="lattice congruence"):
         pcs_bank_masks(G, H, sys)
 
