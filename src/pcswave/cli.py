@@ -6,9 +6,11 @@ text; ``--json PATH`` writes a machine-readable duplicate alongside. The JSON
 reports of ``design`` and ``verify`` also carry ``timings``, the wall seconds
 of each stage of that run.
 
-Only ``analyze``, ``synthesize`` and ``bench`` import the transform modules,
-and with them numpy, inside their commands; ``design``, ``verify`` and
-``--help`` load the exact-algebra modules alone.
+A command imports only what it runs. ``analyze`` and ``synthesize`` import
+the kernels, the tensors and the PCST/PCSC codecs, and with them numpy,
+inside their commands. ``bench`` counts multiplies over the transform's
+numpy-free plan, so it, ``design``, ``verify`` and ``--help`` load the exact
+modules alone. ``bench`` exits 1 when the count differs from the closed form.
 """
 
 from __future__ import annotations
@@ -232,11 +234,12 @@ def cmd_bench(args) -> int:
         raise PcswaveError(f"shape {args.shape} is {len(shape)}-D, bank is {bank.n}-D")
     oc = count_ops(bank, shape, args.levels)
     per_sample = Fraction(oc.multiplicative_ops, oc.data_points)
+    match = oc.predicted == oc.multiplicative_ops
     print(f"shape={'x'.join(map(str, shape))} levels={oc.levels} "
           f"alpha={oc.alpha} beta={oc.beta} alpha_tilde={oc.alpha_tilde}")
     print(f"measured multiplicative ops: {oc.multiplicative_ops}")
     print(f"predicted (closed form):     {oc.predicted} "
-          f"[{'match' if oc.predicted == oc.multiplicative_ops else 'MISMATCH'}]")
+          f"[{'match' if match else 'MISMATCH'}]")
     print(f"per-sample constant (1 cycle): {oc.pcs_constant} "
           f"~= {float(oc.pcs_constant):.3f}")
     report = {"shape": list(shape), "levels": oc.levels,
@@ -257,7 +260,7 @@ def cmd_bench(args) -> int:
             report["c_tp"] = c_tp
     if args.json:
         _dump_json(args.json, report)
-    return 0
+    return 0 if match else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,0 +1,133 @@
+"""The plan of the fast transform: tap tables, pads, scales and multiply counts.
+
+A plan is built from the coset system and the two 1-D generators alone and
+holds no array, so it needs no numpy. :class:`pcswave.kernels.LevelKernels`
+runs its tables on arrays, and :func:`pcswave.transform.count_ops` counts the
+multiplies of the same tables.
+
+For each nu in Gamma', the tap lists of H (predict) and G (update) are the
+routes of :func:`pcswave.lattice.eta_routes` divided by p, in increasing m:
+with d = (nu - eta(l,nu) m) / p, predict taps gather y0(k + d) and update
+taps w_nu(k - d). The float64 tables hold the taps rounded, and each output
+sample is normalized once by 1/(p-1) or 1/((p-1) p^n). The exact tables hold
+the integer mask numerators of G and H, and the normalizations become integer
+factors on the sample kept, so an exact step runs on integers alone: its
+output is over its input's denominator times that factor. The exact tables
+sum the taps that share a shift, which the float64 tables cannot do without
+changing how their sums round.
+
+A level wrap-pads an array once by the widest shift its tables ask for on
+each axis, so every tap reads a slice. Where a shift reaches a whole period
+of the level, that level pads nothing, so no pad is sized by a tap offset
+however far the generators' taps reach.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import NamedTuple
+
+from .lattice import eta_routes
+
+
+def _wrap_pad(tables, n):
+    """Per axis, the (before, after) wrap pad that turns every roll in tables into a slice."""
+    shifts = [shift for taps in tables for shift, _ in taps] or [(0,) * n]
+    return [(max(0, *(s[axis] for s in shifts)), max(0, *(-s[axis] for s in shifts)))
+            for axis in range(n)]
+
+
+def _merged(tables, scale):
+    """tables with each value times scale and the taps that share a shift summed.
+
+    A zero sum is dropped. Integer sums do not round, so an exact step reads
+    each shift once; the float64 tables keep every tap, in order.
+    """
+    out = []
+    for taps in tables:
+        sums = {}
+        for d, v in taps:
+            sums[d] = sums.get(d, 0) + scale * v
+        out.append([(d, v) for d, v in sums.items() if v])
+    return out
+
+
+class Tables(NamedTuple):
+    """The tap tables and scales of one scalar type.
+
+    ``detail``, ``coarse``, ``even`` and ``phase`` are the (keep, corr) scale
+    pairs of steps (i), (ii), (iii) and (iv): each step returns
+    keep * sample -/+ corr * tap sum, a None scale multiplying by nothing. In
+    the exact tables every corr is None, and an output over keep * D is the
+    value over the input's denominator D.
+    """
+
+    hi: list
+    lo: list
+    detail: tuple
+    coarse: tuple
+    even: tuple
+    phase: tuple
+
+
+class LevelPlan:
+    """Steps (i)-(iv) of one bank as tap tables, from its coset system and G, H alone."""
+
+    def __init__(self, sys, G, H):
+        p, n = sys.p, sys.n
+        self.n = n
+        # (offset, mask numerator) per route, for tap m = p num[m] / den of G or H;
+        # predict (H) offsets are negated
+        hi, lo = ([[(tuple(sign * x // p for x in k), v)
+                    for k, v in eta_routes(sys, F.mask.num, nu)] for nu in sys.gamma_prime]
+                  for F, sign in ((H, -1), (G, 1)))
+        d_g, d_h = G.mask.den, H.mask.den
+        # predict taps all read the zero phase, padded once per level; each
+        # detail is padded for its own update taps
+        self._pads = (_wrap_pad(hi, n), [_wrap_pad([taps], n) for taps in lo])
+        # the largest |offset| per axis: a level no wider than it pads nothing
+        self._reach = [max((abs(d[a]) for taps in hi + lo for d, _ in taps), default=0)
+                       for a in range(n)]
+
+        def floats(tables, den):
+            return [[(d, float(Fraction(p * v, den))) for d, v in taps] for taps in tables]
+
+        inv_pm1, inv_corr = float(Fraction(1, p - 1)), float(Fraction(1, (p - 1) * p ** n))
+        # With y = Y/D, the detail (i) is ((p-1) d_H Y_nu - sum p h_m Y0) / ((p-1) d_H D)
+        # and the coarse (ii) is ((p-1)^2 p^(n-1) d_G d_H Y0 + sum g_m W_nu) over that
+        # factor times D. Steps (iii) and (iv) run the same algebra backwards: the
+        # even samples come over (p-1) p^(n-1) d_G D, the others over the (ii) factor.
+        keep_detail = (p - 1) * d_h
+        keep_even = (p - 1) * p ** (n - 1) * d_g
+        keep_coarse = keep_detail * keep_even
+        self._tables = {
+            False: Tables(floats(hi, d_h), floats(lo, d_g), (None, inv_pm1),
+                          (None, inv_corr), (None, inv_corr), (None, inv_pm1)),
+            True: Tables(_merged(hi, p), _merged(lo, 1),
+                         (keep_detail, None), (keep_coarse, None),
+                         (keep_even, None), (keep_coarse, None)),
+        }
+
+    def level(self, exact: bool, shape):
+        """The tables of a level of this coarse shape and their (predict, update) pads.
+
+        A level that some tap offset reaches a whole period of, on its axis,
+        gets no pads (None): its steps read each tap by block copies instead.
+        """
+        tables = self._tables[exact]
+        if all(r < m for r, m in zip(self._reach, shape)):
+            return tables, self._pads
+        return tables, (None, [None] * len(tables.lo))
+
+    def mults(self, coarse_samples: int) -> int:
+        """Multiplies of one level down and one level up.
+
+        ``coarse_samples`` is the size of the coarse array. The convention is
+        that of :mod:`pcswave.transform`: one per tap of the float64 tables,
+        one per detail sample for 1/(p-1), and n + 1 per coarse sample for
+        1/((p-1) p^n).
+        """
+        tables = self._tables[False]
+        per_sample = (sum(len(taps) + 1 for taps in tables.hi)
+                      + sum(len(taps) for taps in tables.lo) + self.n + 1)
+        return 2 * per_sample * coarse_samples

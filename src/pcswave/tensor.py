@@ -2,9 +2,11 @@
 
 Rational mode exists for verification: every transform identity holds exactly
 there, so it is the ground truth the float64 path is judged against. The data
-is an ndarray in both modes, float64 or object holding ``Fraction``, and the
-mode is read from its dtype. Coordinates of an impulse are reduced modulo the
-shape, matching the Z^n periodization the transforms assume.
+is an ndarray in both modes: float64, or in rational mode an object array of
+Python ``int`` numerators over one positive denominator ``den``. The mode is
+read from the dtype. ``Fraction`` appears only in :meth:`Tensor.values`, the
+element view. Coordinates of an impulse are reduced modulo the shape,
+matching the Z^n periodization the transforms assume.
 """
 
 from __future__ import annotations
@@ -31,33 +33,54 @@ def _shape(shape) -> Tuple[int, ...]:
     return shape
 
 
-class Tensor:
-    """Dense ndarray over float64 or Fraction scalars.
+def _over_lcm(values):
+    """Exact values as (int numerators, their lcm denominator)."""
+    pairs = [(v, 1) if type(v) is int else
+             (v if type(v) is Fraction else Fraction(v)).as_integer_ratio() for v in values]
+    dens = {d for _, d in pairs}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [n * scale[d] for n, d in pairs], den
 
-    ``data`` has dtype float64 in float64 mode and dtype object, holding
-    ``Fraction``, in rational mode. The constructor takes the values as a
-    flat row-major sequence or as an array. In rational mode every value is
-    made a ``Fraction``; an object array that holds only ``Fraction`` values,
-    as the kernels return, is taken as it is.
+
+class Tensor:
+    """Dense ndarray over float64, or over int numerators of one denominator.
+
+    In float64 mode ``data`` has dtype float64 and ``den`` is None. In
+    rational mode ``data`` has dtype object and holds Python ``int``
+    numerators, and ``den`` is their positive ``int`` denominator: an element
+    is data[k] / den. The constructor takes the values as a flat row-major
+    sequence or as an array. In rational mode they may be ``Fraction``,
+    ``int`` or anything ``Fraction`` takes, and they are put over the lcm of
+    their denominators; with ``den`` given, ``data`` is an object array of
+    ``int`` numerators over it, as the kernels return them. ``==`` compares
+    values, whatever the denominators.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "den")
 
-    def __init__(self, shape, mode: str, data):
+    def __init__(self, shape, mode: str, data, den=None):
         shape = _shape(shape)
         if mode == RATIONAL:
-            if not (isinstance(data, np.ndarray) and data.dtype == object
-                    and all(type(v) is Fraction for v in data.flat)):
-                vals = data.ravel().tolist() if isinstance(data, np.ndarray) else data
-                data = [Fraction(v) for v in vals]
+            if den is None:
+                data, den = _over_lcm(data.ravel().tolist() if isinstance(data, np.ndarray)
+                                      else data)
+            elif not (type(den) is int and den > 0 and isinstance(data, np.ndarray)
+                      and data.dtype == object
+                      and set(map(type, data.ravel().tolist())) <= {int}):
+                raise DomainError("rational numerators must be an object array of int "
+                                  "over a positive int denominator")
             arr = np.ascontiguousarray(data, dtype=object)
         elif mode == FLOAT64:
+            if den is not None:
+                raise DomainError("a float64 tensor has no denominator")
             arr = np.ascontiguousarray(data, dtype=np.float64)
         else:
             raise DomainError(f"unknown scalar mode {mode!r}")
         if arr.size != math.prod(shape):
             raise ShapeMismatch(f"{arr.size} values for shape {shape}")
         self.data = arr.reshape(shape)
+        self.den = den
 
     @property
     def mode(self) -> str:
@@ -78,7 +101,7 @@ class Tensor:
     @classmethod
     def zeros(cls, shape, mode: str = FLOAT64) -> "Tensor":
         shape = _shape(shape)
-        return cls(shape, mode, np.zeros(shape))
+        return cls(shape, mode, np.zeros(shape, dtype=object if mode == RATIONAL else float))
 
     @classmethod
     def from_numpy(cls, arr) -> "Tensor":
@@ -88,17 +111,31 @@ class Tensor:
     def impulse(cls, shape, at=None, mode: str = RATIONAL) -> "Tensor":
         t = cls.zeros(shape, mode)
         at = tuple(at) if at is not None else (0,) * t.ndim
-        t.data[tuple(i % s for i, s in zip(at, t.shape))] = Fraction(1)
+        t.data[tuple(i % s for i, s in zip(at, t.shape))] = 1
         return t
 
+    def values(self) -> np.ndarray:
+        """The elements: the float64 data itself, or a new object array of ``Fraction``."""
+        if self.den is None:
+            return self.data
+        den = self.den
+        return np.array([Fraction(v, den) for v in self.data.ravel().tolist()],
+                        dtype=object).reshape(self.shape)
+
     def to_numpy(self) -> np.ndarray:
-        return np.asarray(self.data, dtype=np.float64)
+        if self.den is None:
+            return self.data
+        # int / int rounds correctly, as float(Fraction) does
+        return (self.data / self.den).astype(np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (self.shape == other.shape and self.mode == other.mode
-                and bool(np.array_equal(self.data, other.data)))
+        if self.shape != other.shape or self.mode != other.mode:
+            return False
+        if self.den == other.den:
+            return bool(np.array_equal(self.data, other.data))
+        return bool(np.array_equal(self.data * other.den, other.data * self.den))
 
     def max_abs_diff(self, other: "Tensor") -> float:
         if self.shape != other.shape:

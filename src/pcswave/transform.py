@@ -12,10 +12,11 @@ the step-(ii) correction, then (iv) recovers y(pk+nu) from w_nu by adding back
 the step-(i) correction, reading only the already-final y(pk) values. The
 divisions by p in the tap shifts are exact: nu - eta(l,nu) m is congruent to
 0 mod p componentwise, and :func:`pcswave.lattice.eta_routes` refuses to
-proceed otherwise. :class:`pcswave.kernels.LevelKernels` plans the four steps
-from the coset system and G, H alone and runs the same steps in both modes:
-on float64 arrays, and in rational mode on integer numerators over one
-denominator per level, with ``Fraction`` values only at the level boundary.
+proceed otherwise. :class:`pcswave.plan.LevelPlan` plans the four steps from
+the coset system and G, H alone, and :class:`pcswave.kernels.LevelKernels`
+runs them in both modes: on float64 arrays, and in rational mode on integer
+numerators, each array over one denominator, from the input tensor's to the
+output tensors'. No ``Fraction`` is made on the way.
 
 The direct route filters and resamples with the materialized bank filters:
 
@@ -35,7 +36,9 @@ decompose+reconstruct cycle on N samples costs exactly
     (2 (p^n - 1) beta + 2 (p^n - 1) alpha~ + 2n + 2) / p^n * N
 
 with alpha, beta the 1-D support sizes and alpha~ the number of G taps away
-from the zero residue class.
+from the zero residue class. :func:`count_ops` counts over the plan's tables
+alone, and the transforms import the kernels and tensors, and with them
+numpy, when they run, so counting needs no numpy.
 """
 
 from __future__ import annotations
@@ -43,13 +46,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .errors import (DimensionMismatch, DomainError, ShapeMismatch,
                      ShapeNotDivisible, WrongProvenance)
 from .filterbank import WaveletFilterBank
-from .kernels import LevelKernels
-from .tensor import MultiresCoeffs, Tensor
+from .plan import LevelPlan
+
+if TYPE_CHECKING:
+    from .tensor import MultiresCoeffs, Tensor
 
 MultiIndex = Tuple[int, ...]
 
@@ -73,19 +78,21 @@ def _check_divisible(shape, p: int, levels: int) -> None:
 
 def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
     """J-level decomposition by the fast per-coset steps."""
+    from .kernels import LevelKernels
+    from .tensor import MultiresCoeffs, Tensor
     _require_pcs(bank)
     if len(y.shape) != bank.n:
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
-    cur = y.data
+    cur, den = y.data, y.den
     for j in range(levels, 0, -1):
-        cur, dets = kern.decompose_level(cur)
-        for nu, w in zip(bank.sys.gamma_prime, dets):
-            details[(nu, j - 1)] = Tensor(w.shape, y.mode, w)
+        cur, dets, (den, *dens) = kern.decompose_level(cur, den)
+        for nu, w, d in zip(bank.sys.gamma_prime, dets, dens):
+            details[(nu, j - 1)] = Tensor(w.shape, y.mode, w, d)
     return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=Tensor(cur.shape, y.mode, cur), details=details)
+                          coarse=Tensor(cur.shape, y.mode, cur, den), details=details)
 
 
 def _check_coeffs(c: MultiresCoeffs, bank: WaveletFilterBank) -> None:
@@ -105,14 +112,17 @@ def _check_coeffs(c: MultiresCoeffs, bank: WaveletFilterBank) -> None:
 
 def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     """Inverse of :func:`decompose_fast`; exact in rational mode."""
+    from .kernels import LevelKernels
+    from .tensor import Tensor
     _require_pcs(bank)
     _check_coeffs(c, bank)
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-    cur = c.coarse.data
+    cur, den = c.coarse.data, c.coarse.den
     for j in range(c.levels):
-        cur = kern.reconstruct_level(
-            cur, [c.details[(nu, j)].data for nu in bank.sys.gamma_prime])
-    return Tensor(cur.shape, c.mode, cur)
+        dets = [c.details[(nu, j)] for nu in bank.sys.gamma_prime]
+        cur, den = kern.reconstruct_level(cur, [t.data for t in dets],
+                                          [den] + [t.den for t in dets])
+    return Tensor(cur.shape, c.mode, cur, den)
 
 
 # --- direct (filter + resample) oracle --------------------------------------
@@ -150,15 +160,17 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
 
     Works for any provenance since it only needs the materialized filters.
     subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis. The
-    same code serves both modes: the exact 1/q and taps meet Fractions in
-    rational mode and are rounded to float64 when multiplied with floats.
+    same code serves both modes: the exact 1/q and taps meet the Fractions of
+    :meth:`pcswave.tensor.Tensor.values` in rational mode and are rounded to
+    float64 when multiplied with floats.
     """
+    from .tensor import MultiresCoeffs, Tensor
     if len(y.shape) != bank.n:
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
     p = bank.p
     scale = Fraction(1, bank.q)
-    data = y.data.ravel().tolist()
+    data = y.values().ravel().tolist()
     shape = y.shape
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
     for j in range(levels, 0, -1):
@@ -178,9 +190,10 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     f(t) s_f(j) scattered to x = pj + t. Exact inverse of the direct analysis
     whenever the bank satisfies the combined biorthogonality identity.
     """
+    from .tensor import Tensor
     _check_coeffs(c, bank)
     p = bank.p
-    cur = c.coarse.data.ravel().tolist()
+    cur = c.coarse.values().ravel().tolist()
     oshape = c.coarse.shape
     for j in range(c.levels):
         shape = tuple(s * p for s in oshape)
@@ -191,7 +204,7 @@ def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
         out = [0] * size
         pairs = [(bank.tau_d, cur)]
         for nu in bank.sys.gamma_prime:
-            pairs.append((bank.t_d[nu], c.details[(nu, j)].data.ravel().tolist()))
+            pairs.append((bank.t_d[nu], c.details[(nu, j)].values().ravel().tolist()))
         for f, sub in pairs:
             taps = sorted(f.taps.items())
             for k, sval in zip(_iter_coords(oshape), sub):
@@ -232,14 +245,14 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     The count is structural and runs no transform: level by level, it sums
     the multiplies per output sample of each step (one per tap plus the
     normalization, as the module docstring counts them) times the samples the
-    step produces, over the tap tables the fast steps loop over
-    (:meth:`pcswave.kernels.LevelKernels.mults`). The closed form is computed
+    step produces, over the float64 tap tables the fast steps loop over
+    (:meth:`pcswave.plan.LevelPlan.mults`). The closed form is computed
     separately from the 1-D generators, and the two must agree exactly.
     """
     _require_pcs(bank)
     shape = tuple(int(s) for s in shape)
     _check_divisible(shape, bank.p, levels)
-    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
+    plan = LevelPlan(bank.sys, bank.g1d, bank.h1d)
     p, n = bank.p, bank.n
     q = p ** n
 
@@ -254,7 +267,7 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     predicted = sum((constant * Fraction(size, q ** j) for j in range(levels)),
                     Fraction(0))
 
-    mults = sum(kern.mults(size // q ** j) for j in range(1, levels + 1))
+    mults = sum(plan.mults(size // q ** j) for j in range(1, levels + 1))
 
     return OpCount(multiplicative_ops=mults, predicted=predicted,
                    alpha=alpha, beta=beta, alpha_tilde=alpha_tilde,

@@ -449,13 +449,18 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", ["help", "design", "verify"])
+@pytest.mark.parametrize("command", ["help", "design", "verify", "bench",
+                                     "bench_tensor_model", "bench_json"])
 def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
     box = FIXTURES / "box_p3_centered.json"
+    bench = ["bench", "--bank", box_bank_path, "--shape", "81x81", "--levels", 2]
     argv = {"help": ["--help"],
             "design": ["design", "--p", 3, "--dim", 2, "--g", box, "--h", box,
                        "-o", tmp_path / "out.json"],
-            "verify": ["verify", box_bank_path]}[command]
+            "verify": ["verify", box_bank_path],
+            "bench": bench,
+            "bench_tensor_model": bench + ["--compare-tensor-model"],
+            "bench_json": bench + ["--json", tmp_path / "bench.json"]}[command]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -482,6 +487,18 @@ def test_bench_box_bank(box_bank_path, capsys, tmp_path):
     assert "[match]" in out
     rep = json.loads((tmp_path / "bench.json").read_text())
     assert rep["measured"] == int(rep["predicted"])
+
+
+def test_bench_count_mismatch_exits_1(box_bank_path, capsys, monkeypatch):
+    # a closed form that disagrees with the counted multiplies is a failed check
+    from pcswave import transform
+    closed_form = transform.pcs_complexity_constant
+    monkeypatch.setattr(transform, "pcs_complexity_constant",
+                        lambda *args: closed_form(*args) + 1)
+    code, out, _ = run(capsys, "bench", "--bank", box_bank_path,
+                       "--shape", "81x81", "--levels", 1)
+    assert code == 1
+    assert "[MISMATCH]" in out
 
 
 def test_bench_dyadic_comparison_line(tmp_path, capsys):

@@ -14,12 +14,14 @@ small share of the file it writes.
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from pcswave import cli
 from pcswave.dataio import write_tensor
 from pcswave.filterbank import bank_to_json, build_pcs_bank, write_bank_json
+from pcswave.filters import filter_from_json, to_1d
 from pcswave.kernels import LevelKernels
 from pcswave.presets import box_bank, box_filter_1d, deg4_bank
 from pcswave.tensor import Tensor
@@ -27,6 +29,7 @@ from pcswave.transform import decompose_fast
 
 from conftest import far_tap_1d
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # deg4 (q = 9) on 729x729: a phase is 1/9 of the input, and numpy's 64 KiB
 # ufunc iteration buffers are small beside it
 SHAPE = (729, 729)
@@ -59,7 +62,7 @@ def test_float64_level_allocation_bound():
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     y = np.random.default_rng(0).standard_normal(SHAPE)
     kern.reconstruct_level(*kern.decompose_level(y))
-    back, peak = traced_peak(lambda: kern.reconstruct_level(*kern.decompose_level(y)))
+    (back, _), peak = traced_peak(lambda: kern.reconstruct_level(*kern.decompose_level(y)))
     assert np.max(np.abs(back - y)) < 1e-12
     assert peak <= LEVEL_BOUND * y.nbytes, peak / y.nbytes
 
@@ -103,6 +106,22 @@ def test_far_tap_analysis_allocation_bound():
         peaks.append(traced_peak(lambda: decompose_fast(y, bank, 3))[1])
     far, box = peaks
     assert far <= box + FAR_TABLES_ALLOWANCE, (far, box)
+
+
+def test_far_tap_level_peaks_no_higher_than_box():
+    # On 243x243 the far-tap bank's level-1 offsets are whole multiples of the
+    # 81-wide phase and more; a pad to their remainders nearest zero (up to 34)
+    # would peak at 1.47 input sizes, the box bank's one-sample pad at 1.34.
+    far = to_1d(filter_from_json(json.loads((FIXTURES / "far_tap_p3.json").read_text())))
+    y = np.random.default_rng(0).standard_normal((243, 243))
+    peaks = []
+    for G in (far, box_filter_1d(3, centered=False)):
+        bank = build_pcs_bank(G, G, 2, "standard")
+        kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
+        kern.decompose_level(y)
+        peaks.append(traced_peak(lambda: kern.decompose_level(y))[1])
+    far_peak, box_peak = peaks
+    assert far_peak <= box_peak, (far_peak / y.nbytes, box_peak / y.nbytes)
 
 
 def test_bank_writer_streams(tmp_path):

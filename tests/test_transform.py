@@ -47,8 +47,8 @@ def test_constant_signal_has_zero_details():
     y = Tensor((9, 9), "rational", [Fraction(7, 3)] * 81)
     c = decompose_fast(y, bank, 1)
     for t in c.details.values():
-        assert all(v == 0 for v in t.data.flat)
-    assert all(v == Fraction(7, 3) for v in c.coarse.data.flat)
+        assert all(v == 0 for v in t.values().flat)
+    assert all(v == Fraction(7, 3) for v in c.coarse.values().flat)
     assert coeffs_equal(c, decompose_direct(y, bank, 1))
 
 
@@ -58,12 +58,52 @@ def test_constant_signal_has_zero_details():
 def test_rational_object_array_becomes_fractions(values):
     # an object array of other numbers is converted like a list, not taken as it is
     y = Tensor((9, 9), "rational", values)
-    assert all(type(v) is Fraction for v in y.data.flat)
+    assert all(type(v) is Fraction for v in y.values().flat)
     assert y == Tensor((9, 9), "rational", values.ravel().tolist())
     bank = box_bank(3, 2)
     fast = decompose_fast(y, bank, 1)
-    assert all(type(v) is Fraction for v in fast.coarse.data.flat)
+    assert all(type(v) is Fraction for v in fast.coarse.values().flat)
     assert coeffs_equal(fast, decompose_direct(y, bank, 1))
+
+
+def test_rational_equality_is_by_value():
+    half = Tensor((2,), "rational", [Fraction(2, 4), 3])
+    assert half == Tensor((2,), "rational", [Fraction(1, 2), Fraction(6, 2)])
+    assert Tensor((1,), "rational", [3]) == Tensor((1,), "rational", [Fraction(3)])
+    assert half != Tensor((2,), "rational", [Fraction(1, 2), Fraction(7, 2)])
+    assert half != Tensor((2,), "float64", [0.5, 3.0])
+
+
+def test_rational_values_view_returns_the_given_values(rng):
+    vals = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(12)] + [0, -5, 7]
+    y = Tensor((3, 5), "rational", vals)
+    view = y.values()
+    assert view.shape == (3, 5)
+    assert view.ravel().tolist() == vals
+    assert all(type(v) is Fraction for v in view.flat)
+
+
+@pytest.mark.parametrize("data,den", [
+    (np.array([1, 0.5], dtype=object), 3),     # a float numerator
+    (np.array([1, np.int64(2)], dtype=object), 3),
+    (np.array([1, 2], dtype=object), 0),
+    (np.array([1, 2], dtype=object), -3),
+    ([1, 2], 3),                               # numerators must be an array
+], ids=["float", "numpy_int", "den_0", "den_negative", "list"])
+def test_rational_numerators_are_checked(data, den):
+    with pytest.raises(DomainError):
+        Tensor((2,), "rational", data, den)
+
+
+def test_float64_tensor_has_no_denominator():
+    with pytest.raises(DomainError):
+        Tensor((2,), "float64", [0.5, 1.0], 2)
+
+
+def test_two_level_exact_roundtrip_q27(rng):
+    bank = box_bank(3, 3)
+    y = rational_tensor(rng, (9, 9, 9))
+    assert reconstruct_fast(decompose_fast(y, bank, 2), bank) == y
 
 
 def test_impulse_fast_equals_direct():
@@ -118,8 +158,7 @@ def test_zero_detail_reconstruction_matches_direct():
     bank = box_bank(3, 2)
     c = decompose_fast(Tensor((9, 9), "rational",
                               [Fraction(1)] * 81), bank, 1)
-    for t in c.details.values():
-        t.data[...] = Fraction(0)
+    c.details = {k: Tensor.zeros(t.shape, "rational") for k, t in c.details.items()}
     assert reconstruct_fast(c, bank) == reconstruct_direct(c, bank)
 
 
@@ -127,7 +166,7 @@ def test_lowpass_branch_keeps_constants():
     bank = box_bank(3, 2)
     y = Tensor((9, 9), "rational", [Fraction(5)] * 81)
     c = decompose_direct(y, bank, 2)
-    assert all(v == 5 for v in c.coarse.data.flat)
+    assert all(v == 5 for v in c.coarse.values().flat)
 
 
 def test_1d_and_3d_transforms(rng):
@@ -207,7 +246,7 @@ def test_exact_fast_equals_direct_on_random_banks(p, n):
         # Fractions of Python ints: a numpy integer inside would overflow silently
         for t in (c.coarse, back, *c.details.values()):
             assert all(type(v) is Fraction and type(v.numerator) is int
-                       and type(v.denominator) is int for v in t.data.flat)
+                       and type(v.denominator) is int for v in t.values().flat)
 
     check()
 
