@@ -7,7 +7,7 @@ step (ii) updates the zero coset with the details into the coarse y0 (see
 (iii) and (iv) in the opposite order.
 
 The same code runs on float64 arrays and on exact rationals, with the tap
-tables, pads and scales of a :class:`pcswave.plan.LevelPlan`; the scalar type
+tables and scales of a :class:`pcswave.plan.LevelPlan`; the scalar type
 picks the tables. The exact steps run on object arrays of Python ``int``
 numerators over one denominator per array. Going down, the input's
 numerators over D give the coarse and detail numerators over D times their
@@ -23,18 +23,17 @@ then each coset's phase, and interleaves them once. Tap sums accumulate in
 table order and each output sample is normalized once, so float64 output
 depends only on the input and the tables.
 
-No step copies an array per tap on a level wider than all its tap offsets.
-Such a level wrap-pads the zero phase once for the taps of (i) and (iv), and
-each detail once for the taps of (ii) and (iii), by the pads the plan gives;
-every tap then reads a slice view of the padded array. A level that some
-offset reaches a whole period of pads nothing instead: each of its taps is
-block-copied into the scratch array it is multiplied in, so no array is
-sized by a tap offset. A tap sum is multiplied into one scratch array and
-added into one accumulator in place, the normalization and the final add or
-subtract are done in place, and a phase moves between its rolled place in
-the fine grid and its coset array by block copies. So in float64 a level
-creates each of its outputs once, plus two scratch arrays and at most one
-padded array of coarse size.
+Every tap of every step is read one way. Its roll of the array it reads is
+block-copied (at most 2^n blocks, each shift taken modulo the extent) into
+the accumulator for the first tap of a sum, or else into one scratch array,
+multiplied there in place by the tap and added into the accumulator in
+place, so no array is sized by a tap offset. Step (i) reads one contiguous
+copy of the zero phase, made once per level and released before step (ii);
+step (iv) reads the finished zero phase itself. The normalization and the
+final add or subtract are done in place, and a phase moves between its
+rolled place in the fine grid and its coset array by block copies. So in
+float64 a level creates each of its outputs once, plus two scratch arrays
+and at most one more array of coarse size.
 """
 
 from __future__ import annotations
@@ -47,39 +46,34 @@ import numpy as np
 from .plan import LevelPlan
 
 
-class _Padded:
-    """An array read at rolls: slice views of one wrap-padded copy of it.
+def _roll(out, a, shift, v=None):
+    """out[...] = v * (a rolled by shift along every axis); returns out.
 
-    With no pad on any axis the array itself is sliced. With ``pad`` None it
-    is not padded, and each roll is block-copied into the scratch array the
-    caller passes.
+    Element k of the roll is a[k - shift], each axis taken modulo its extent,
+    so a shift of any size is copied in at most 2^n blocks and sizes
+    nothing. The product is then taken in place on the whole of out: with
+    numpy 2.4 a ufunc on a block that splits rows allocates iteration buffers
+    of up to 2 x 64 KiB, sized by the block and so by the shift, and a block
+    copy allocates none. With v None nothing is multiplied.
     """
-
-    def __init__(self, a, pad):
-        self.shape = a.shape
-        if pad is None:
-            self.data, self.before = a, None
-            return
-        self.data = np.pad(a, pad, mode="wrap") if any(b or e for b, e in pad) else a
-        self.before = [b for b, _ in pad]
-
-    def rolled(self, shift, scratch):
-        """The array rolled by shift along every axis: a view, or scratch holding it."""
-        if self.before is None:
-            _roll_into(scratch, self.data, shift)
-            return scratch
-        return self.data[tuple(slice(b - s, b - s + m)
-                               for b, s, m in zip(self.before, shift, self.shape))]
+    blocks = []
+    for s, m in zip(shift, a.shape):
+        s %= m
+        blocks.append([(slice(s, None), slice(None, m - s)), (slice(None, s), slice(m - s, None))]
+                      if s else [(slice(None), slice(None))])
+    for parts in itertools.product(*blocks):
+        dst, src = zip(*parts)
+        out[dst] = a[src]
+    return out if v is None else np.multiply(out, v, out=out)
 
 
 def _accumulate(acc, tmp, a, taps):
     """acc += v * (a rolled by shift) for each (shift, v) in taps, in table order.
 
-    ``a`` is a :class:`_Padded`; ``tmp`` is scratch of acc's shape and dtype.
+    ``tmp`` is scratch of acc's shape and dtype.
     """
     for shift, v in taps:
-        np.multiply(a.rolled(shift, tmp), v, out=tmp)
-        acc += tmp
+        acc += _roll(tmp, a, shift, v)
 
 
 def _tap_sum(acc, tmp, a, taps):
@@ -87,7 +81,7 @@ def _tap_sum(acc, tmp, a, taps):
     if not taps:
         return False
     (shift, v), *rest = taps
-    np.multiply(a.rolled(shift, acc), v, out=acc)
+    _roll(acc, a, shift, v)
     _accumulate(acc, tmp, a, rest)
     return True
 
@@ -100,18 +94,6 @@ def _scale(s, a):
 def _scaled(s, a, out):
     """s * a written into out, or a itself when s is None."""
     return a if s is None else np.multiply(a, s, out=out)
-
-
-def _roll_into(out, a, shift):
-    """out[...] = a rolled by shift along every axis, by at most 2^n block copies."""
-    blocks = []
-    for s, m in zip(shift, a.shape):
-        s %= m
-        blocks.append([(slice(s, None), slice(None, m - s)), (slice(None, s), slice(m - s, None))]
-                      if s else [(slice(None), slice(None))])
-    for parts in itertools.product(*blocks):
-        dst, src = zip(*parts)
-        out[dst] = a[src]
 
 
 class LevelKernels:
@@ -133,32 +115,31 @@ class LevelKernels:
         self._zero = (slice(None, None, p),) * n
 
     @staticmethod
-    def _update(acc, tmp, details, lo, pads):
+    def _update(acc, tmp, details, lo):
         """Write the step (ii)/(iii) correction sum over every coset's detail into acc."""
         acc[...] = 0
-        for w, taps, pad in zip(details, lo, pads):
-            if taps:
-                _accumulate(acc, tmp, _Padded(w, pad), taps)
+        for w, taps in zip(details, lo):
+            _accumulate(acc, tmp, w, taps)
         return acc
 
     def decompose_level(self, y: np.ndarray, den=None):
         """One level down: (coarse, [detail per nu], [denominator per output])."""
-        even = y[self._zero]
-        plan, (pad_hi, pad_lo) = self.plan.level(den is not None, even.shape)
-        (keep_w, corr_w), (keep_c, corr_c) = plan.detail, plan.coarse
-        acc, tmp = np.empty(even.shape, y.dtype), np.empty(even.shape, y.dtype)
-        padded = _Padded(even, pad_hi)
+        tables = self.plan.tables[den is not None]
+        (keep_w, corr_w), (keep_c, corr_c) = tables.detail, tables.coarse
+        zero = y[self._zero]
+        acc, tmp = np.empty_like(zero), np.empty_like(zero)
+        # the predict taps read blocks of one contiguous copy of the zero phase,
+        # which is faster than reading blocks of its strided view
+        even = zero.copy()
         details = []
-        for (phase, lift), taps in zip(self._cosets, plan.hi):
-            w = np.empty(even.shape, y.dtype)
-            _roll_into(w, y[phase], tuple(-x for x in lift))
-            _scale(keep_w, w)
-            if _tap_sum(acc, tmp, padded, taps):
+        for (phase, lift), taps in zip(self._cosets, tables.hi):
+            w = _roll(np.empty_like(even), y[phase], tuple(-x for x in lift), keep_w)
+            if _tap_sum(acc, tmp, even, taps):
                 w -= _scale(corr_w, acc)
             details.append(w)
-        del padded  # before the update pads the details
-        upd = _scale(corr_c, self._update(acc, tmp, details, plan.lo, pad_lo))
-        coarse = np.add(_scaled(keep_c, even, tmp), upd, out=upd)
+        del even  # before the update step
+        upd = _scale(corr_c, self._update(acc, tmp, details, tables.lo))
+        coarse = np.add(_scaled(keep_c, zero, tmp), upd, out=upd)
         if den is None:
             return coarse, details, [None] * (1 + len(details))
         return coarse, details, [den * keep_c] + [den * keep_w] * len(details)
@@ -172,10 +153,10 @@ class LevelKernels:
         if den is not None:
             coarse, *details = [a if d == den else a * (den // d)
                                 for a, d in zip((coarse, *details), dens)]
-        plan, (pad_hi, pad_lo) = self.plan.level(den is not None, coarse.shape)
-        (keep_e, corr_e), (keep_o, corr_o) = plan.even, plan.phase
+        tables = self.plan.tables[den is not None]
+        (keep_e, corr_e), (keep_o, corr_o) = tables.even, tables.phase
         acc, tmp = np.empty(coarse.shape, coarse.dtype), np.empty(coarse.shape, coarse.dtype)
-        upd = _scale(corr_e, self._update(acc, tmp, details, plan.lo, pad_lo))
+        upd = _scale(corr_e, self._update(acc, tmp, details, tables.lo))
         even = np.subtract(_scaled(keep_e, coarse, tmp), upd, out=upd)
         out = np.empty(tuple(s * self.p for s in coarse.shape), dtype=even.dtype)
         if den is None:
@@ -183,13 +164,11 @@ class LevelKernels:
         else:
             # even is over keep_e * den, the other phases over keep_o * den
             np.multiply(even, keep_o // keep_e, out=out[self._zero])
-        padded = _Padded(even, pad_hi)
-        # once even is copied into padded, its buffer takes the tap sums
-        acc = np.empty_like(even) if padded.data is even else even
-        for (phase, lift), taps, w in zip(self._cosets, plan.hi, details):
-            if _tap_sum(acc, tmp, padded, taps):
+        acc = np.empty_like(even)
+        for (phase, lift), taps, w in zip(self._cosets, tables.hi, details):
+            if _tap_sum(acc, tmp, even, taps):
                 odd = np.add(_scaled(keep_o, w, tmp), _scale(corr_o, acc), out=acc)
             else:
                 odd = _scaled(keep_o, w, acc)
-            _roll_into(out[phase], odd, lift)
+            _roll(out[phase], odd, lift)
         return out, None if den is None else den * keep_o

@@ -1,4 +1,4 @@
-"""The plan of the fast transform: tap tables, pads, scales and multiply counts.
+"""The plan of the fast transform: tap tables, scales and multiply counts.
 
 A plan is built from the coset system and the two 1-D generators alone and
 holds no array, so it needs no numpy. :class:`pcswave.kernels.LevelKernels`
@@ -16,10 +16,8 @@ output is over its input's denominator times that factor. The exact tables
 sum the taps that share a shift, which the float64 tables cannot do without
 changing how their sums round.
 
-A level wrap-pads an array once by the widest shift its tables ask for on
-each axis, so every tap reads a slice. Where a shift reaches a whole period
-of the level, that level pads nothing, so no pad is sized by a tap offset
-however far the generators' taps reach.
+A shift is kept as the tap gives it, however far it reaches: the steps read
+it modulo the level's extent, so the plan sizes nothing by a tap offset.
 """
 
 from __future__ import annotations
@@ -28,13 +26,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lattice import eta_routes
-
-
-def _wrap_pad(tables, n):
-    """Per axis, the (before, after) wrap pad that turns every roll in tables into a slice."""
-    shifts = [shift for taps in tables for shift, _ in taps] or [(0,) * n]
-    return [(max(0, *(s[axis] for s in shifts)), max(0, *(-s[axis] for s in shifts)))
-            for axis in range(n)]
 
 
 def _merged(tables, scale):
@@ -82,12 +73,6 @@ class LevelPlan:
                     for k, v in eta_routes(sys, F.mask.num, nu)] for nu in sys.gamma_prime]
                   for F, sign in ((H, -1), (G, 1)))
         d_g, d_h = G.mask.den, H.mask.den
-        # predict taps all read the zero phase, padded once per level; each
-        # detail is padded for its own update taps
-        self._pads = (_wrap_pad(hi, n), [_wrap_pad([taps], n) for taps in lo])
-        # the largest |offset| per axis: a level no wider than it pads nothing
-        self._reach = [max((abs(d[a]) for taps in hi + lo for d, _ in taps), default=0)
-                       for a in range(n)]
 
         def floats(tables, den):
             return [[(d, float(Fraction(p * v, den))) for d, v in taps] for taps in tables]
@@ -100,24 +85,13 @@ class LevelPlan:
         keep_detail = (p - 1) * d_h
         keep_even = (p - 1) * p ** (n - 1) * d_g
         keep_coarse = keep_detail * keep_even
-        self._tables = {
+        self.tables = {
             False: Tables(floats(hi, d_h), floats(lo, d_g), (None, inv_pm1),
                           (None, inv_corr), (None, inv_corr), (None, inv_pm1)),
             True: Tables(_merged(hi, p), _merged(lo, 1),
                          (keep_detail, None), (keep_coarse, None),
                          (keep_even, None), (keep_coarse, None)),
         }
-
-    def level(self, exact: bool, shape):
-        """The tables of a level of this coarse shape and their (predict, update) pads.
-
-        A level that some tap offset reaches a whole period of, on its axis,
-        gets no pads (None): its steps read each tap by block copies instead.
-        """
-        tables = self._tables[exact]
-        if all(r < m for r, m in zip(self._reach, shape)):
-            return tables, self._pads
-        return tables, (None, [None] * len(tables.lo))
 
     def mults(self, coarse_samples: int) -> int:
         """Multiplies of one level down and one level up.
@@ -127,7 +101,7 @@ class LevelPlan:
         one per detail sample for 1/(p-1), and n + 1 per coarse sample for
         1/((p-1) p^n).
         """
-        tables = self._tables[False]
+        tables = self.tables[False]
         per_sample = (sum(len(taps) + 1 for taps in tables.hi)
                       + sum(len(taps) for taps in tables.lo) + self.n + 1)
         return 2 * per_sample * coarse_samples

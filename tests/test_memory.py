@@ -3,10 +3,11 @@ tracemalloc traces them.
 
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 full-size array a step creates. The bounds are multiples of the input's bytes,
-set just above what the transform needs: its outputs, one wrap-padded copy of
-a phase, and two phase-sized scratch arrays per level. A per-tap copy of a
-phase, a full-size temporary in the round-trip check, or coefficients kept
-alive while the reference is read each push the peak over its bound.
+set just above what the transform needs: its outputs, the zero phase the taps
+read (a contiguous copy of it going down), and two phase-sized scratch arrays
+per level. A per-tap copy of a phase, a full-size temporary in the round-trip
+check, or coefficients kept alive while the reference is read each push the
+peak over its bound.
 
 The bank writer holds the text of one filter at a time, so its peak is a
 small share of the file it writes.
@@ -34,8 +35,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # ufunc iteration buffers are small beside it
 SHAPE = (729, 729)
 # one level down and up keeps the coefficients (1) and the output (1) and
-# needs two scratch phases and one padded phase (0.34): 2.36 input sizes
-# traced with numpy 2.4; one more phase-sized array reads 2.47
+# needs three phase-sized arrays (0.33): two scratch arrays and the zero phase
+# the taps read. 2.33 input sizes traced with numpy 2.4; one more phase-sized
+# array reads 2.45
 LEVEL_BOUND = 2.42
 # synthesize peaks while the last level is reconstructed, at 2.48 input sizes;
 # one more full-size array in the check would read at least 3
@@ -93,11 +95,11 @@ def test_synthesize_check_allocation_bound_and_line(tmp_path, capsys):
 
 
 def test_far_tap_analysis_allocation_bound():
-    # A generator tap at 30000001 sizes no pad: the full analysis of 27x27
+    # A generator tap at 30000001 sizes no array: the full analysis of 27x27
     # allocates what it does with the standard box generator {0, 1, 2}, plus
-    # the far bank's larger tap tables, which hold 8-digit ints and are cut to
-    # each level's period (4 to 9 kB traced). A pad as wide as the tap would
-    # take 2.84 PiB.
+    # the far bank's tap tables, which hold its offsets as 8-digit ints (4 kB
+    # more traced); the steps read each offset modulo the level's extent. An
+    # array as wide as the tap would take 2.84 PiB.
     y = Tensor.from_numpy(np.random.default_rng(0).standard_normal((27, 27)))
     peaks = []
     for G in (far_tap_1d(), box_filter_1d(3, centered=False)):
@@ -110,17 +112,20 @@ def test_far_tap_analysis_allocation_bound():
 
 def test_far_tap_level_peaks_no_higher_than_box():
     # On 243x243 the far-tap bank's level-1 offsets are whole multiples of the
-    # 81-wide phase and more; a pad to their remainders nearest zero (up to 34)
-    # would peak at 1.47 input sizes, the box bank's one-sample pad at 1.34.
+    # 81-wide phase and more. Both banks read every tap by block copies, so
+    # one level down peaks at 1.23 input sizes for each; a wrap pad to the
+    # offsets' remainders nearest zero (up to 34) peaked at 1.47. Both kernels
+    # are planned and run once before either is traced: a plan freed or kept
+    # changes how many tuples CPython's free list holds, and that alone moves
+    # a traced peak by up to a few hundred bytes.
     far = to_1d(filter_from_json(json.loads((FIXTURES / "far_tap_p3.json").read_text())))
     y = np.random.default_rng(0).standard_normal((243, 243))
-    peaks = []
+    kerns = []
     for G in (far, box_filter_1d(3, centered=False)):
         bank = build_pcs_bank(G, G, 2, "standard")
-        kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-        kern.decompose_level(y)
-        peaks.append(traced_peak(lambda: kern.decompose_level(y))[1])
-    far_peak, box_peak = peaks
+        kerns.append(LevelKernels(bank.sys, bank.g1d, bank.h1d))
+        kerns[-1].decompose_level(y)
+    far_peak, box_peak = (traced_peak(lambda: kern.decompose_level(y))[1] for kern in kerns)
     assert far_peak <= box_peak, (far_peak / y.nbytes, box_peak / y.nbytes)
 
 

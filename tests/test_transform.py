@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import os
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcswave.dataio import write_coeffs, write_tensor
-from pcswave import lattice
+from pcswave import kernels, lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
 from pcswave.filterbank import (bank_to_json, build_general, build_pcs_bank,
@@ -259,6 +260,40 @@ def test_far_tap_fast_equals_direct_exactly(rng, m):
     c = decompose_fast(y, bank, 3)
     assert coeffs_equal(c, decompose_direct(y, bank, 3))
     assert reconstruct_fast(c, bank) == y
+
+
+# per axis: none, negative, a whole extent, many periods (the far taps of
+# FAR_TAPS that fit numpy's index type, and 10^7), and a mix of them
+ROLL_SHAPES = {1: (7,), 2: (5, 4), 3: (5, 4, 3)}
+ROLL_SHIFTS = {
+    "zero": lambda shape: (0,) * len(shape),
+    "negative": lambda shape: (-1, -6, -2)[:len(shape)],
+    "extent": lambda shape: shape,
+    "periods": lambda shape: (10 ** 7, FAR_TAPS[0], FAR_TAPS[1])[:len(shape)],
+    "mixed": lambda shape: (-(10 ** 7) - 1, 0, shape[-1])[:len(shape)],
+}
+
+
+@pytest.mark.parametrize("n", sorted(ROLL_SHAPES))
+@pytest.mark.parametrize("dtype", [np.float64, object])
+@pytest.mark.parametrize("shift", sorted(ROLL_SHIFTS))
+def test_roll_matches_np_roll(n, dtype, shift):
+    # the one tap-read helper of the fast steps: out = v * (a rolled by shift)
+    shape = ROLL_SHAPES[n]
+    shift = ROLL_SHIFTS[shift](shape)
+    size = math.prod(shape)
+    if dtype is object:
+        a = np.array([10 ** 20 + 7 * i - size for i in range(size)], dtype=object).reshape(shape)
+        v = -(3 ** 40)
+    else:
+        a = np.random.default_rng(n).standard_normal(shape)
+        v = 0.3
+    want = np.roll(a, shift, axis=tuple(range(n)))
+    assert np.array_equal(kernels._roll(np.empty_like(a), a, shift), want)
+    got = kernels._roll(np.empty_like(a), a, shift, v)
+    assert got.dtype == a.dtype and np.array_equal(got, v * want)
+    if dtype is object:
+        assert all(type(x) is int for x in got.flat)
 
 
 def test_float64_roundtrip_error_bound():
