@@ -11,11 +11,22 @@ the kernels, the tensors and the PCST/PCSC codecs, and with them numpy,
 inside their commands. ``bench`` counts multiplies over the transform's
 numpy-free plan, so it, ``design``, ``verify`` and ``--help`` load the exact
 modules alone. ``bench`` exits 1 when the count differs from the closed form.
+
+:func:`main` runs the command with CPython's cyclic collector disabled and
+restores its previous state on every exit, so in-process callers keep theirs.
+The exact layers build only acyclic dicts, tuples and ints, which reference
+counting frees; a command leaves the same few hundred cyclic objects
+(argparse's, json's encoder closures, numpy's first import) whatever the
+bank's size, and the full collector passes over ~10^5 live containers that a
+large bank load would otherwise trigger cost time and find nothing.
+``tests/test_collector.py::test_commands_leave_no_cycles_that_grow_with_the_bank``
+guards this.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -322,8 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command with the cyclic collector off, then restore its state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PcswaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -331,6 +345,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -162,14 +162,28 @@ def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
     expanded into term maps: each sum over (l, U_l) becomes a sum over the
     taps m of H (resp. G) with m != 0 mod p, contributing coefficient
     H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`~pcswave.polyphase.eta_sum`).
+
+    Each t_nu_d is one integer pass: with E = eta_sum(G, sys, nu) and
+    T = tau_d_mask, q t_nu_d = x^nu - E T is accumulated over den(E) den(T)
+    and reduced once.
     """
-    scale = Fraction(1, sys.q)
+    n, q = sys.n, sys.q
+    td_cols = list(zip(*tau_d_mask.num))
+    td_values = list(tau_d_mask.num.values())
     t_masks: Dict[MultiIndex, LaurentPoly] = {}
     td_masks: Dict[MultiIndex, LaurentPoly] = {}
     for nu in sys.gamma_prime:
-        e_nu = LaurentPoly.monomial(nu, 1)
-        t_masks[nu] = e_nu - eta_sum(H, sys, nu)
-        td_masks[nu] = scale * (e_nu - eta_sum(G, sys, nu) * tau_d_mask)
+        t_masks[nu] = LaurentPoly.monomial(nu, 1) - eta_sum(H, sys, nu)
+        e_g = eta_sum(G, sys, nu)
+        den = e_g.den * tau_d_mask.den
+        acc: Dict[MultiIndex, int] = {nu: den}
+        get = acc.get
+        for ka, va in e_g.num.items():
+            # tau_d's exponents shifted by ka, axis by axis
+            shifted = zip(*[[x + a for x in col] for col, a in zip(td_cols, ka)])
+            for k, vb in zip(shifted, td_values):
+                acc[k] = get(k, 0) - va * vb
+        td_masks[nu] = LaurentPoly.from_integers(n, acc, q * den)
     return t_masks, td_masks
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
@@ -17,11 +19,13 @@ from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
                              is_biorthogonal, is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import LaurentPoly
+from pcswave.polyphase import LaurentPoly, eta_sum
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
                              interp_deg4_filter_1d)
 
 from conftest import random_interpolatory_1d, random_lowpass_1d
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_box_bank_structure():
@@ -147,14 +151,36 @@ def test_bank_report_rows_pinned(bank_fn, max_order, digest):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
-def test_closed_form_routes_agree(rng):
-    for p, n, convention in [(2, 2, "standard"), (3, 1, "centered"),
-                             (3, 2, "standard"), (5, 1, "centered")]:
-        G = random_lowpass_1d(rng, p)
-        H = random_interpolatory_1d(rng, p)
-        bank = build_pcs_bank(G, H, n, convention)
-        sys = bank.sys
-        t_masks, td_masks = pcs_wavelet_masks(G, H, sys, bank.tau_d.mask)
+def _composed_wavelet_masks(G, H, sys, tau_d):
+    """The closed forms of pcs_wavelet_masks as composed polynomial algebra."""
+    t, t_d = {}, {}
+    for nu in sys.gamma_prime:
+        e_nu = LaurentPoly.monomial(nu, 1)
+        t[nu] = e_nu - eta_sum(H, sys, nu)
+        t_d[nu] = Fraction(1, sys.q) * (e_nu - eta_sum(G, sys, nu) * tau_d)
+    return t, t_d
+
+
+FAR_TAP = to_1d(filter_from_json(json.loads((FIXTURE_DIR / "far_tap_p3.json").read_text())))
+CLOSED_FORM_GRID = [(p, n) for p in (2, 3, 5) for n in (1, 2, 3)]
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=len(CLOSED_FORM_GRID),
+                      max_size=len(CLOSED_FORM_GRID)))
+def test_closed_form_routes_agree(seeds):
+    # the one-pass closed forms equal the composed algebra and the polyphase route
+    # the fixed far-tap cases first, so a failure there fails every shrink step at once
+    cases = [(FAR_TAP, FAR_TAP, n) for n in (1, 2, 3)]
+    cases += [(random_lowpass_1d(rng, p), random_interpolatory_1d(rng, p), n)
+              for (p, n), rng in zip(CLOSED_FORM_GRID, map(random.Random, seeds))]
+    for G, H, n in cases:
+        p = G.p
+        sys = make_coset_system(p, n, "centered" if p % 2 and n % 2 else "standard")
+        g, h = prime_coset_sum(G, n, sys), prime_coset_sum(H, n, sys)
+        t_masks, td_masks = pcs_wavelet_masks(G, H, sys, h.mask)
+        assert (t_masks, td_masks) == _composed_wavelet_masks(G, H, sys, h.mask)
+        bank = build_general(g, h, sys)
         for nu in sys.gamma_prime:
             assert FilterND(p, t_masks[nu]) == bank.t[nu]
             assert FilterND(p, td_masks[nu]) == bank.t_d[nu]
@@ -373,7 +399,6 @@ def test_bank_json_cross_check_refuses_generators_of_another_dilation():
         bank_from_json(doc)
 
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _fixture_banks():
