@@ -15,13 +15,14 @@ masks over the frequency cosets numerically.
 
 ``build_pcs_bank`` feeds two 1-D lowpass filters through the prime coset sum
 and then through ``build_general``. Its second route, ``pcs_bank_masks``,
-re-derives all 2q masks from G and H: tau_d as the prime coset sum of H, tau
-as above, and every highpass mask from the closed forms in terms of the 1-D
-polyphase components routed through eta. ``design`` runs both routes and
-refuses a bank where they disagree on any filter.
+re-derives the 2q masks from G and H one at a time: tau_d as the prime coset
+sum of H, tau as above, and every highpass mask from the closed forms in
+terms of the 1-D polyphase components routed through eta. ``design`` runs
+both routes and refuses a bank where they disagree on any filter.
 
 Loading runs only the second route: ``bank_from_json`` compares each of the
-2q stored filters with ``pcs_bank_masks`` of the stored generators. A filter
+2q stored filters with ``pcs_bank_masks`` of the stored generators as that
+mask is derived, so the check holds one re-derived mask at a time. A filter
 is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
 on integer numerators over common denominators, and a stored filter matches
 a derived mask when the two integer forms are equal.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .arith import LaurentPoly, poly_sum
 from .cosetsum import prime_coset_sum
@@ -151,29 +152,16 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
                              t=t, t_d=t_d)
 
 
-def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
-                      tau_d_mask: LaurentPoly) -> Tuple[Dict[MultiIndex, LaurentPoly],
-                                                        Dict[MultiIndex, LaurentPoly]]:
-    """Closed forms of the highpass masks straight from the 1-D filters.
+def _synthesis_highpass_masks(G: Filter1D, sys: CosetSystem, tau_d_mask: LaurentPoly
+                              ) -> Iterator[Tuple[MultiIndex, LaurentPoly]]:
+    """(nu, t_nu_d) for each nu of Gamma', each t_nu_d in one integer pass.
 
-        t_nu   = e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{i (w.eta(l,nu)) l} conj(U_l(p w.eta(l,nu))))
-        t_nu_d = (1/q) e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{...} conj(S_l(...)) tau_d(w))
-
-    expanded into term maps: each sum over (l, U_l) becomes a sum over the
-    taps m of H (resp. G) with m != 0 mod p, contributing coefficient
-    H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`~pcswave.polyphase.eta_sum`).
-
-    Each t_nu_d is one integer pass: with E = eta_sum(G, sys, nu) and
-    T = tau_d_mask, q t_nu_d = x^nu - E T is accumulated over den(E) den(T)
-    and reduced once.
+    With E = eta_sum(G, sys, nu), q t_nu_d = x^nu - E tau_d is accumulated
+    over den(E) den(tau_d) and reduced once.
     """
-    n, q = sys.n, sys.q
     td_cols = list(zip(*tau_d_mask.num))
     td_values = list(tau_d_mask.num.values())
-    t_masks: Dict[MultiIndex, LaurentPoly] = {}
-    td_masks: Dict[MultiIndex, LaurentPoly] = {}
     for nu in sys.gamma_prime:
-        t_masks[nu] = LaurentPoly.monomial(nu, 1) - eta_sum(H, sys, nu)
         e_g = eta_sum(G, sys, nu)
         den = e_g.den * tau_d_mask.den
         acc: Dict[MultiIndex, int] = {nu: den}
@@ -183,47 +171,59 @@ def pcs_wavelet_masks(G: Filter1D, H: Filter1D, sys: CosetSystem,
             shifted = zip(*[[x + a for x in col] for col, a in zip(td_cols, ka)])
             for k, vb in zip(shifted, td_values):
                 acc[k] = get(k, 0) - va * vb
-        td_masks[nu] = LaurentPoly.from_integers(n, acc, q * den)
-    return t_masks, td_masks
+        yield nu, LaurentPoly.from_integers(sys.n, acc, sys.q * den)
 
 
-class BankMasks(NamedTuple):
-    """The masks of the 2q filters of a bank, keyed like WaveletFilterBank."""
+def _pcs_lowpass_mask(G: Filter1D, h: FilterND, sys: CosetSystem) -> LaurentPoly:
+    """tau of the prime-coset-sum bank of (G, H), given h, the prime coset sum of H.
 
-    tau: LaurentPoly
-    tau_d: LaurentPoly
-    t: Dict[MultiIndex, LaurentPoly]
-    t_d: Dict[MultiIndex, LaurentPoly]
+    A function of its own, so that g and the polyphase components are freed
+    before :func:`pcs_bank_masks` goes on to the highpass masks.
+    """
+    g = prime_coset_sum(G, sys.n, sys)
+    return _lowpass_mask(g, polyphase_decompose(g, sys, SYNTHESIS),
+                         polyphase_decompose(h, sys, SYNTHESIS), sys)
 
 
-def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem) -> BankMasks:
+def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem
+                   ) -> Iterator[Tuple[str, Optional[MultiIndex], LaurentPoly]]:
     """Every mask of the prime-coset-sum bank of (G, H), re-derived from G and H.
 
-    tau_d is the prime coset sum of H; tau is the prime coset sum g of G plus
-    the stretched polyphase correction; t and t_d are the eta-routed closed
-    forms of :func:`pcs_wavelet_masks`. This is the second construction route
-    of :func:`build_pcs_bank` and the check :func:`bank_from_json` runs.
+    Yields (name, nu, mask) in bank order: tau and tau_d with nu None, then
+    t and then t_d for each nu of Gamma'. Each mask is derived when it is
+    asked for, so a caller that compares and drops each one holds only
+    tau_d beside it. tau_d is the prime coset sum of H; tau is the prime
+    coset sum g of G plus the stretched polyphase correction. The highpass
+    masks are the closed forms from the 1-D filters,
+
+        t_nu   = e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{i (w.eta(l,nu)) l} conj(U_l(p w.eta(l,nu))))
+        t_nu_d = (1/q) e^{-i w.nu} (1 - (p/(p-1)) sum_l e^{...} conj(S_l(...)) tau_d(w))
+
+    expanded into term maps: each sum over (l, U_l) becomes a sum over the
+    taps m of H (resp. G) with m != 0 mod p, contributing coefficient
+    H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`~pcswave.polyphase.eta_sum`).
+    This is the second construction route of :func:`build_pcs_bank` and the
+    check :func:`bank_from_json` runs.
     """
     _require_generators(G, H)
-    g = prime_coset_sum(G, sys.n, sys)
     h = prime_coset_sum(H, sys.n, sys)
-    sg = polyphase_decompose(g, sys, SYNTHESIS)
-    sh = polyphase_decompose(h, sys, SYNTHESIS)
-    tau_d = h.mask
-    t, t_d = pcs_wavelet_masks(G, H, sys, tau_d)
-    return BankMasks(tau=_lowpass_mask(g, sg, sh, sys), tau_d=tau_d, t=t, t_d=t_d)
+    yield "tau", None, _pcs_lowpass_mask(G, h, sys)
+    yield "tau_d", None, h.mask
+    for nu in sys.gamma_prime:
+        yield "t", nu, LaurentPoly.monomial(nu, 1) - eta_sum(H, sys, nu)
+    for nu, mask in _synthesis_highpass_masks(G, sys, h.mask):
+        yield "t_d", nu, mask
 
 
-def _first_mismatch(bank: WaveletFilterBank, masks: BankMasks) -> Optional[str]:
-    """Name of the first filter of bank whose (unique, integer) mask differs from masks."""
-    sys = bank.sys
-    pairs = [("tau", bank.tau, masks.tau), ("tau_d", bank.tau_d, masks.tau_d)]
-    for name, filters, wanted in (("t", bank.t, masks.t), ("t_d", bank.t_d, masks.t_d)):
-        pairs += [(f"{name}[{_nu_key(nu)}]", filters[nu], wanted[nu])
-                  for nu in sys.gamma_prime]
-    for name, f, mask in pairs:
-        if not (f.p == sys.p and f.mask == mask):
-            return name
+def _first_mismatch(bank: WaveletFilterBank,
+                    masks: Iterable[Tuple[str, Optional[MultiIndex], LaurentPoly]]
+                    ) -> Optional[str]:
+    """Name of the first filter of bank whose (unique, integer) mask differs from
+    the one masks gives for it, in the order of :func:`pcs_bank_masks`."""
+    for name, nu, mask in masks:
+        f = getattr(bank, name) if nu is None else getattr(bank, name)[nu]
+        if not (f.p == bank.p and f.mask == mask):
+            return name if nu is None else f"{name}[{_nu_key(nu)}]"
     return None
 
 

@@ -34,6 +34,11 @@ final add or subtract are done in place, and a phase moves between its
 rolled place in the fine grid and its coset array by block copies. So in
 float64 a level creates each of its outputs once, plus two scratch arrays
 and at most one more array of coarse size.
+
+A unit tap (1.0 in float64, 1 in the exact tables) is copied and added but
+not multiplied: every tap of a box filter is one. :meth:`LevelPlan.mults` still
+counts it, since that count is the paper's model of the transform, not a
+tally of the multiplies a level runs.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ def _roll(out, a, shift, v=None):
     nothing. The product is then taken in place on the whole of out: with
     numpy 2.4 a ufunc on a block that splits rows allocates iteration buffers
     of up to 2 x 64 KiB, sized by the block and so by the shift, and a block
-    copy allocates none. With v None nothing is multiplied.
+    copy allocates none. With v None or a unit tap (1 or 1.0) nothing is
+    multiplied: x * 1.0 is x bit for bit, and a signalling NaN it would have
+    quieted is quieted by the add or scale that follows.
     """
     blocks = []
     for s, m in zip(shift, a.shape):
@@ -64,7 +71,7 @@ def _roll(out, a, shift, v=None):
     for parts in itertools.product(*blocks):
         dst, src = zip(*parts)
         out[dst] = a[src]
-    return out if v is None else np.multiply(out, v, out=out)
+    return out if v is None or v == 1 else np.multiply(out, v, out=out)
 
 
 def _accumulate(acc, tmp, a, taps):

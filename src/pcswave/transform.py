@@ -38,7 +38,10 @@ decompose+reconstruct cycle on N samples costs exactly
 with alpha, beta the 1-D support sizes and alpha~ the number of G taps away
 from the zero residue class. :func:`count_ops` counts over the plan's tables
 alone, and the transforms import the kernels and tensors, and with them
-numpy, when they run, so counting needs no numpy.
+numpy, when they run, so counting needs no numpy. The count is that model:
+when a level runs, a unit tap is added without a multiply (see
+:mod:`pcswave.kernels`), so the update steps of a box G bank multiply by
+no tap.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pcswave import cli
 from pcswave.cli import main
 from pcswave.dataio import read_tensor, write_tensor
 from pcswave.tensor import Tensor
@@ -466,6 +467,92 @@ def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+THREADS_PROBE = """
+import sys
+from pcswave.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("Threads:")).split()[1])
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"], ids=["default", "user_value"])
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_transform_commands_start_no_blas_thread_pool(box_bank_path, tmp_path, capsys,
+                                                      command, preset):
+    # numpy's OpenBLAS starts one thread per CPU on import unless told otherwise;
+    # main tells it 1 when the user has not set a value
+    if preset is not None and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts at most one thread per usable CPU")
+    y, coeffs = tmp_path / "y.pcst", tmp_path / "y.pcsc"
+    write_tensor(y, Tensor.from_numpy(np.zeros((9, 9))))
+    assert run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1, y, "-o", coeffs)[0] == 0
+    argv = {"analyze": ["analyze", "--bank", box_bank_path, "--levels", 1, y,
+                        "-o", tmp_path / "again.pcsc"],
+            "synthesize": ["synthesize", "--bank", box_bank_path, coeffs,
+                           "-o", tmp_path / "back.pcst"]}[command]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", THREADS_PROBE, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (preset or "1")
+
+
+def _record_blas_setting(monkeypatch):
+    """OPENBLAS_NUM_THREADS as each read of a JSON file by a command finds it."""
+    seen = []
+    load_json = cli._load_json
+
+    def recording(path):
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return load_json(path)
+    monkeypatch.setattr(cli, "_load_json", recording)
+    return seen
+
+
+def _damaged_bank(bank_path):
+    doc = json.loads(bank_path.read_text())
+    next(iter(doc["filters"]["t"].values()))["taps"][0]["v"] = "17/2"
+    bad = bank_path.with_name("bad.json")
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("state, seen_by_command", [("unset", "1"), ("user_value", "3"),
+                                                    ("numpy_loaded", None)])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("failed_check", 1), ("bad_input", 2),
+                                        ("argparse", SystemExit)])
+def test_main_restores_environment(box_bank_path, monkeypatch, capsys, state, seen_by_command,
+                                   case, code):
+    # in-process; these commands import no numpy, so one can run as before a
+    # first numpy import. Once numpy is loaded, OpenBLAS has read its setting.
+    argv = {"ok": ["verify", box_bank_path],
+            "failed_check": ["verify", _damaged_bank(box_bank_path)],
+            "bad_input": ["bench", "--bank", box_bank_path, "--shape", "9x0"],
+            "argparse": ["verify", "--no-such-option"]}[case]
+    if state == "user_value":
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", seen_by_command)
+    else:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if state != "numpy_loaded":
+        monkeypatch.delitem(sys.modules, "numpy")
+    seen = _record_blas_setting(monkeypatch)
+    before = dict(os.environ)
+    if code is SystemExit:
+        with pytest.raises(SystemExit):
+            main([str(a) for a in argv])
+    else:
+        assert main([str(a) for a in argv]) == code
+    assert dict(os.environ) == before
+    assert ("numpy" in sys.modules) is (state == "numpy_loaded")
+    assert seen == ([] if code is SystemExit else [seen_by_command])
 
 
 def test_synthesize_levels_mismatch(box_bank_path, tmp_path, capsys):

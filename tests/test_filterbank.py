@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,8 @@ from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
                             NotLowpass, PcswaveError)
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
-                                pcs_wavelet_masks,
-                                verify_combined_biorthogonality, write_bank_json)
+                                pcs_bank_masks, verify_combined_biorthogonality,
+                                write_bank_json)
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
                              is_biorthogonal, is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
@@ -152,7 +153,7 @@ def test_bank_report_rows_pinned(bank_fn, max_order, digest):
 
 
 def _composed_wavelet_masks(G, H, sys, tau_d):
-    """The closed forms of pcs_wavelet_masks as composed polynomial algebra."""
+    """The closed highpass forms of pcs_bank_masks as composed polynomial algebra."""
     t, t_d = {}, {}
     for nu in sys.gamma_prime:
         e_nu = LaurentPoly.monomial(nu, 1)
@@ -178,9 +179,14 @@ def test_closed_form_routes_agree(seeds):
         p = G.p
         sys = make_coset_system(p, n, "centered" if p % 2 and n % 2 else "standard")
         g, h = prime_coset_sum(G, n, sys), prime_coset_sum(H, n, sys)
-        t_masks, td_masks = pcs_wavelet_masks(G, H, sys, h.mask)
+        derived = {}
+        for name, nu, mask in pcs_bank_masks(G, H, sys):
+            derived.setdefault(name, {})[nu] = mask
+        t_masks, td_masks = derived["t"], derived["t_d"]
         assert (t_masks, td_masks) == _composed_wavelet_masks(G, H, sys, h.mask)
         bank = build_general(g, h, sys)
+        assert derived["tau"] == {None: bank.tau.mask}
+        assert derived["tau_d"] == {None: h.mask}
         for nu in sys.gamma_prime:
             assert FilterND(p, t_masks[nu]) == bank.t[nu]
             assert FilterND(p, td_masks[nu]) == bank.t_d[nu]
@@ -297,15 +303,15 @@ def test_build_pcs_bank_preconditions():
 
 def test_build_pcs_bank_refuses_disagreeing_routes(monkeypatch):
     import pcswave.filterbank as fb
-    closed_forms = fb.pcs_wavelet_masks
+    closed_forms = fb._synthesis_highpass_masks
 
-    def skewed(G, H, sys, tau_d_mask):
-        t, t_d = closed_forms(G, H, sys, tau_d_mask)
-        nu = sys.gamma_prime[-1]
-        t_d[nu] = t_d[nu] + LaurentPoly.monomial(nu, Fraction(1, 7))
-        return t, t_d
+    def skewed(G, sys, tau_d_mask):
+        for nu, t_d in closed_forms(G, sys, tau_d_mask):
+            if nu == sys.gamma_prime[-1]:
+                t_d = t_d + LaurentPoly.monomial(nu, Fraction(1, 7))
+            yield nu, t_d
 
-    monkeypatch.setattr(fb, "pcs_wavelet_masks", skewed)
+    monkeypatch.setattr(fb, "_synthesis_highpass_masks", skewed)
     with pytest.raises(PcswaveError, match=r"routes disagree at t_d\[-1,-1\]"):
         build_pcs_bank(box_filter_1d(3), box_filter_1d(3), 2)
 
@@ -390,6 +396,19 @@ def test_bank_json_cross_check_catches_each_filter(damage):
     if damage != "G":
         assert f"{damage} differs" in str(err.value) or f"{damage}[" in str(err.value)
     bank_from_json(doc, cross_check=False)
+
+
+def test_bank_json_cross_check_names_the_first_damaged_filter():
+    # filters are compared as derived: tau, tau_d, every t, then every t_d, in Gamma' order
+    bank = deg4_bank(2)
+    doc = bank_to_json(bank)
+    filters = doc["filters"]
+    keys = [",".join(map(str, nu)) for nu in bank.sys.gamma_prime]
+    for name, damaged in [("t_d", keys[0]), ("t", keys[-1]), ("t", keys[1]), ("tau_d", None)]:
+        _damage_tap(filters[name] if damaged is None else filters[name][damaged])
+        label = re.escape(name if damaged is None else f"{name}[{damaged}]")
+        with pytest.raises(FormatError, match=f"{label} differs"):
+            bank_from_json(doc)
 
 
 def test_bank_json_cross_check_refuses_generators_of_another_dilation():

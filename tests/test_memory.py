@@ -10,7 +10,8 @@ check, or coefficients kept alive while the reference is read each push the
 peak over its bound.
 
 The bank writer holds the text of one filter at a time, so its peak is a
-small share of the file it writes.
+small share of the file it writes, and the checked bank load holds one
+re-derived mask at a time beside the bank it parsed.
 """
 
 import json
@@ -21,7 +22,8 @@ import numpy as np
 
 from pcswave import cli
 from pcswave.dataio import write_tensor
-from pcswave.filterbank import bank_to_json, build_pcs_bank, write_bank_json
+from pcswave.filterbank import (bank_from_json, bank_to_json, build_pcs_bank,
+                                write_bank_json)
 from pcswave.filters import filter_from_json, to_1d
 from pcswave.kernels import LevelKernels
 from pcswave.presets import box_bank, box_filter_1d, deg4_bank
@@ -47,6 +49,10 @@ SYNTHESIZE_BOUND = 2.6
 WRITER_BOUND = 1 / 20
 # the far-tap bank's tap tables beside those of the box bank, in bytes
 FAR_TABLES_ALLOWANCE = 16 * 1024
+# box p=5 n=3: the checked load peaks at 1.05 times the unchecked one, which
+# is the parsed bank (5.0 MiB traced); holding all 2q re-derived masks at once
+# read 2.07
+CHECKED_LOAD_BOUND = 1.25
 
 
 def traced_peak(fn):
@@ -140,3 +146,11 @@ def test_bank_writer_streams(tmp_path):
     size = path.stat().st_size
     assert size > 6_000_000
     assert peak <= WRITER_BOUND * size, peak / size
+
+
+def test_checked_load_compares_each_mask_as_it_is_derived():
+    doc = json.loads(json.dumps(bank_to_json(box_bank(5, 3))))
+    bank_from_json(doc)
+    _, unchecked = traced_peak(lambda: bank_from_json(doc, cross_check=False))
+    _, checked = traced_peak(lambda: bank_from_json(doc))
+    assert checked <= CHECKED_LOAD_BOUND * unchecked, checked / unchecked
