@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 bad input
 (parse errors, violated preconditions, I/O). Reports go to stdout as plain
-text; ``--json PATH`` writes a machine-readable duplicate alongside. The JSON
-reports of ``design`` and ``verify`` also carry ``timings``, the wall seconds
+text; ``--json PATH`` writes a machine-readable duplicate alongside, through
+:func:`pcswave.filterbank.write_json` like the bank and the polyphase dump.
+The reports of ``design`` and ``verify`` carry ``timings``, the wall seconds
 of each stage of that run.
 
 A command imports only what it runs. ``analyze`` and ``synthesize`` import
@@ -43,9 +44,8 @@ from fractions import Fraction
 
 from .errors import PcswaveError
 from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
-                         bank_to_json, build_pcs_bank, guarantee_floor,
-                         verify_combined_biorthogonality, verify_polyphase_matrices,
-                         write_bank_json)
+                         build_pcs_bank, guarantee_floor, verify_combined_biorthogonality,
+                         verify_polyphase_matrices, write_bank_json, write_json)
 from .filters import filter_from_json, is_biorthogonal, is_interpolatory, to_1d
 
 # read by OpenBLAS, which numpy loads, once when numpy is imported
@@ -64,8 +64,7 @@ def _load_json(path):
 
 def _dump_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(fh, doc)
 
 
 def _load_filter_1d(path, p: int):
@@ -100,7 +99,7 @@ def cmd_design(args) -> int:
     bank = build_pcs_bank(G, H, args.dim, args.gamma)
     clock.append(time.perf_counter())
     with open(args.output, "w", encoding="utf-8") as fh:
-        write_bank_json(fh, bank_to_json(bank))
+        write_bank_json(fh, bank)
     clock.append(time.perf_counter())
     floor = guarantee_floor(bank, args.max_order)
     clock.append(time.perf_counter())
@@ -136,10 +135,9 @@ def cmd_verify(args) -> int:
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
     clock.append(time.perf_counter())
     if args.dump_polyphase:
-        from .polyphase import matrix_to_json
         A, S = bank_polyphase_matrices(bank)
-        _dump_json(args.dump_polyphase,
-                   {"A": matrix_to_json(A), "S": matrix_to_json(S)})
+        # a matrix's fields, rows, cols and entries, are its dump
+        _dump_json(args.dump_polyphase, {"A": vars(A), "S": vars(S)})
         ver = verify_polyphase_matrices(A, S, bank.q)
     else:
         ver = verify_combined_biorthogonality(bank)

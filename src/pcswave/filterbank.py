@@ -27,9 +27,10 @@ is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
 on integer numerators over common denominators, and a stored filter matches
 a derived mask when the two integer forms are equal.
 
-``bank_to_json`` gives a bank's JSON document, and ``write_bank_json``
-writes it with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
-one filter at a time.
+``write_json`` writes every JSON file of pcswave (the bank, the polyphase dump
+and the reports) with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
+each filter and polyphase entry formatted from its integer numerators.
+``bank_to_json`` gives the same bank document as plain dicts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .arith import LaurentPoly, poly_sum
+from .arith import LaurentPoly, format_rational, poly_sum
 from .cosetsum import prime_coset_sum
 from .errors import (DimensionMismatch, FormatError, NotInterpolatory,
                      NotLowpass, PcswaveError)
@@ -311,8 +312,8 @@ def guarantee_floor(bank: WaveletFilterBank,
     """
     if bank.g1d is None or bank.h1d is None:
         return None
-    dh = diagnostics(bank.h1d.to_nd(), max_order)
-    dg = diagnostics(bank.g1d.to_nd(), max_order)
+    dh = diagnostics(bank.h1d, max_order)
+    dg = diagnostics(bank.g1d, max_order)
     return min(dh.accuracy, dg.accuracy, dg.flatness)
 
 
@@ -361,60 +362,69 @@ def _parse_nu(key: str, n: int) -> MultiIndex:
     return nu
 
 
+def _bank_doc(bank: WaveletFilterBank, leaf) -> dict:
+    """The bank's document, with each filter f given as leaf(f)."""
+    gp = bank.sys.gamma_prime
+    return {"p": bank.p, "dim": bank.n, "convention": bank.sys.convention,
+            "provenance": bank.provenance,
+            "G": None if bank.g1d is None else leaf(bank.g1d),
+            "H": None if bank.h1d is None else leaf(bank.h1d),
+            "filters": {"tau": leaf(bank.tau), "tau_d": leaf(bank.tau_d),
+                        "t": {_nu_key(nu): leaf(bank.t[nu]) for nu in gp},
+                        "t_d": {_nu_key(nu): leaf(bank.t_d[nu]) for nu in gp}}}
+
+
 def bank_to_json(bank: WaveletFilterBank) -> dict:
-    return {
-        "p": bank.p,
-        "dim": bank.n,
-        "convention": bank.sys.convention,
-        "provenance": bank.provenance,
-        "G": None if bank.g1d is None else filter_to_json(bank.g1d.to_nd()),
-        "H": None if bank.h1d is None else filter_to_json(bank.h1d.to_nd()),
-        "filters": {
-            "tau": filter_to_json(bank.tau),
-            "tau_d": filter_to_json(bank.tau_d),
-            "t": {_nu_key(nu): filter_to_json(bank.t[nu]) for nu in bank.sys.gamma_prime},
-            "t_d": {_nu_key(nu): filter_to_json(bank.t_d[nu]) for nu in bank.sys.gamma_prime},
-        },
-    }
+    return _bank_doc(bank, filter_to_json)
 
 
-def _filter_text(fdoc: dict, depth: int) -> str:
-    """A filter document as json.dumps(indent=2, sort_keys=True) writes it at depth."""
-    i0, i1, i2, i3, i4 = ("\n" + "  " * (depth + j) for j in range(5))
-    head = f'{{{i1}"dim": {json.dumps(fdoc["dim"])},{i1}"p": {json.dumps(fdoc["p"])},{i1}"taps": '
-    taps = fdoc["taps"]
-    if not taps:
-        return f"{head}[]{i0}}}"
-    value = {v: json.dumps(v) for v in {tap["v"] for tap in taps}}
-    sep = "," + i4
-    body = ("," + i2).join([f'{{{i3}"k": [{i4}{sep.join(map(str, tap["k"]))}{i3}],'
-                            f'{i3}"v": {value[tap["v"]]}{i2}}}' for tap in taps])
-    return f"{head}[{i2}{body}{i1}]{i0}}}"
+def _terms_text(poly: LaurentPoly, scale: int, depth: int) -> str:
+    """The term list [{"k": k, "v": "num/den"}] of scale * poly, sorted by k, as
+    json.dumps(indent=2, sort_keys=True) writes it at depth."""
+    num = poly.num
+    if not num:
+        return "[]"
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + j) for j in range(4))
+    # the filters of a bank repeat a few values, so each is formatted once
+    text = {v: format_rational(scale * v, poly.den) for v in set(num.values())}
+    term = f'{{{i2}"k": [{i3}{("," + i3).join(["%d"] * poly.n)}{i2}],{i2}"v": "%s"{i1}}}'
+    body = ("," + i1).join([term % (*k, text[num[k]]) for k in sorted(num)])
+    return f"[{i1}{body}{i0}]"
 
 
-def _write_value(fh, value, depth: int) -> None:
-    if isinstance(value, dict) and value.keys() == {"p", "dim", "taps"}:
-        fh.write(_filter_text(value, depth))
-    elif isinstance(value, dict) and value:
-        fh.write("{")
-        for i, key in enumerate(sorted(value)):
-            fh.write(("," if i else "") + "\n" + "  " * (depth + 1) + json.dumps(key) + ": ")
-            _write_value(fh, value[key], depth + 1)
-        fh.write("\n" + "  " * depth + "}")
+def _write(fh, value, depth: int) -> None:
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, LaurentPoly):
+        fh.write(_terms_text(value, 1, depth))
+    elif isinstance(value, FilterND):
+        fh.write(f'{{{inner}"dim": {value.dim},{inner}"p": {value.p},{inner}"taps": '
+                 f'{_terms_text(value.mask, value.q, depth + 1)}'
+                 f'\n{"  " * depth}}}')
+    elif isinstance(value, (dict, list)) and value:
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        items = ([(json.dumps(k) + ": ", value[k]) for k in sorted(value)] if is_dict
+                 else [("", v) for v in value])
+        for i, (head, item) in enumerate(items):
+            fh.write(("," if i else opening) + inner + head)
+            _write(fh, item, depth + 1)
+        fh.write("\n" + "  " * depth + closing)
     else:
-        # JSON text holds no raw newline, so re-indenting the lines nests it
-        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth))
+        fh.write(json.dumps(value))
 
 
-def write_bank_json(fh, doc: dict) -> None:
-    """Write ``doc``, a :func:`bank_to_json` document, to the text file ``fh``.
-
-    The text is ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, but
-    each filter is formatted from a template of its fixed schema and written
-    before the next one is, so only one filter's text is held at a time.
-    """
-    _write_value(fh, doc, 0)
+def write_json(fh, doc) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to the text file ``fh``,
+    where a FilterND leaf of doc stands for its :func:`filter_to_json` document and a
+    LaurentPoly for its term list; each leaf is formatted from its integer numerators
+    and written before the next. Only str keys occur in pcswave's documents."""
+    _write(fh, doc, 0)
     fh.write("\n")
+
+
+def write_bank_json(fh, bank: WaveletFilterBank) -> None:
+    """Write the bytes of ``json.dumps(bank_to_json(bank), indent=2, sort_keys=True) + "\\n"``."""
+    write_json(fh, _bank_doc(bank, lambda f: f))
 
 
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:

@@ -26,7 +26,7 @@ from math import lcm
 from operator import add
 from typing import Dict, List, Tuple
 
-from .arith import LaurentPoly, format_rational
+from .arith import LaurentPoly
 from .errors import DimensionMismatch, DomainError
 from .filters import Filter1D, FilterND
 from .lattice import CosetSystem, eta_routes
@@ -134,9 +134,3 @@ def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, Laure
                 bad.append((i, j, e - Fraction(1, q)))
     return bad
 
-
-def matrix_to_json(m: PolyphaseMatrix) -> dict:
-    """Debug export: every entry as a sorted exponent -> coefficient list."""
-    entries = [[[{"k": list(k), "v": format_rational(v, e.den)} for k, v in sorted(e.num.items())]
-                for e in row] for row in m.entries]
-    return {"rows": m.rows, "cols": m.cols, "entries": entries}

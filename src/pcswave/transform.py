@@ -1,4 +1,4 @@
-"""Fast multiresolution transforms, their direct oracle, and op accounting.
+"""Fast multiresolution transforms, the direct analysis oracle, and op accounting.
 
 The fast route never touches the materialized n-D filters. One level down:
 
@@ -18,13 +18,14 @@ runs them in both modes: on float64 arrays, and in rational mode on integer
 numerators, each array over one denominator, from the input tensor's to the
 output tensors'. No ``Fraction`` is made on the way.
 
-The direct route filters and resamples with the materialized bank filters:
+The direct route, the oracle of ``analyze --oracle``, filters and
+resamples with the materialized analysis filters:
 
     subband_f(k) = (1/q) * sum over taps f(t) * y(pk + t)
-    y(x)        += f(t) * subband_f(j)  summed over synthesis taps at x = pj + t
 
 Both routes are exact in rational mode and must agree everywhere; that
-equivalence is the oracle the test suite leans on.
+equivalence, and the direct inverse in the tests, are the oracles the test
+suite leans on.
 
 Operation counting convention (documented, matched by the closed form):
 multiplying by a stored filter tap costs 1 (unit taps included); the
@@ -184,40 +185,6 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
         data, shape = _subband_direct(data, shape, strides, p, bank.tau, scale)
     return MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
                           coarse=Tensor(shape, y.mode, data), details=details)
-
-
-def reconstruct_direct(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
-    """Reference reconstruction: upsample each subband, filter, and sum.
-
-    y(x) = sum over synthesis filters f and subband samples s_f(j) of
-    f(t) s_f(j) scattered to x = pj + t. Exact inverse of the direct analysis
-    whenever the bank satisfies the combined biorthogonality identity.
-    """
-    from .tensor import Tensor
-    _check_coeffs(c, bank)
-    p = bank.p
-    cur = c.coarse.values().ravel().tolist()
-    oshape = c.coarse.shape
-    for j in range(c.levels):
-        shape = tuple(s * p for s in oshape)
-        strides = _strides(shape)
-        size = 1
-        for s in shape:
-            size *= s
-        out = [0] * size
-        pairs = [(bank.tau_d, cur)]
-        for nu in bank.sys.gamma_prime:
-            pairs.append((bank.t_d[nu], c.details[(nu, j)].values().ravel().tolist()))
-        for f, sub in pairs:
-            taps = sorted(f.taps.items())
-            for k, sval in zip(_iter_coords(oshape), sub):
-                if sval == 0:
-                    continue
-                for t, v in taps:
-                    idx = _flat([p * a + b for a, b in zip(k, t)], shape, strides)
-                    out[idx] = out[idx] + v * sval
-        cur, oshape = out, shape
-    return Tensor(oshape, c.mode, cur)
 
 
 # --- operation accounting ----------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -81,6 +82,32 @@ def far_tap_1d(m=FAR_TAPS[0]):
     Its tap m lies far beyond the extent of any grid the tests transform.
     """
     return filter_1d(3, {0: 1, 2: 1, m: 1})
+
+
+def reconstruct_direct(c, bank):
+    """The inverse of transform.decompose_direct: upsample each subband, filter, and sum.
+
+    y(x) = sum over synthesis filters f and subband samples s_f(j) of
+    f(t) s_f(j) scattered to x = pj + t, periodic in every axis. It is the
+    exact inverse of the direct analysis whenever the bank satisfies the
+    combined biorthogonality identity.
+    """
+    from pcswave.tensor import Tensor
+    p = bank.p
+    cur, oshape = c.coarse.values(), c.coarse.shape
+    for j in range(c.levels):
+        shape = tuple(s * p for s in oshape)
+        out = dict.fromkeys(itertools.product(*map(range, shape)), 0)
+        pairs = [(bank.tau_d, cur)] + [(bank.t_d[nu], c.details[(nu, j)].values())
+                                       for nu in bank.sys.gamma_prime]
+        for f, sub in pairs:
+            taps = sorted(f.taps.items())
+            for k in itertools.product(*map(range, oshape)):
+                for t, v in taps:
+                    x = tuple((p * a + b) % s for a, b, s in zip(k, t, shape))
+                    out[x] = out[x] + v * sub[k]
+        cur, oshape = out, shape
+    return Tensor(oshape, c.mode, list(cur.values()))
 
 
 def zero_count(reps, p, g):

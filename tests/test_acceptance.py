@@ -21,9 +21,10 @@ from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
                              interp_deg4_filter_1d)
 from pcswave.tensor import Tensor
 from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
-                               reconstruct_direct, reconstruct_fast)
+                               reconstruct_fast)
 
-from conftest import random_interpolatory_1d, random_lowpass_1d, zero_count
+from conftest import (random_interpolatory_1d, random_lowpass_1d, reconstruct_direct,
+                      zero_count)
 
 
 def report(num, text):

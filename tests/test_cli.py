@@ -246,7 +246,8 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
 
 @pytest.mark.parametrize("damage", ["t_is_list", "no_t_d", "taps_5", "taps_null",
                                     "taps_1.5", "not_utf8", "p_float",
-                                    "key_+1, 00", "key_1,00", "provenance_general",
+                                    "key_+1, 00", "key_1,00", "key_a,0", "key_1",
+                                    "provenance_general",
                                     "provenance_pcs_no_generators",
                                     "provenance_unknown", "G_without_H", "G_p5"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
@@ -264,9 +265,11 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
         doc["filters"]["tau"]["taps"] = json.loads(damage[5:])
         prefix = "error: filter taps must be a list"
     elif damage.startswith("key_"):
-        # a second spelling of coset (1, 0), holding another coset's filter
-        doc["filters"]["t"][damage[4:]] = doc["filters"]["t"]["-1,0"]
-        prefix = f"error: coset key {damage[4:]!r}"
+        # a second spelling of coset (1, 0), a key that is not integers, or one of
+        # the wrong length, each holding another coset's filter
+        key = damage[4:]
+        doc["filters"]["t"][key] = doc["filters"]["t"]["-1,0"]
+        prefix = f"error: {'bad ' if key == 'a,0' else ''}coset key {key!r}"
     elif damage == "provenance_general":
         doc["provenance"] = "general"
     elif damage == "provenance_pcs_no_generators":
@@ -364,6 +367,11 @@ def _bad_input(case, bank_path, tmp_path):
                 "-o", out]
     if case == "missing_bank":
         return ["bench", "--bank", tmp_path / "none.json", "--shape", "9x9"]
+    if case == "design_g_2d":
+        g2d = tmp_path / "g2d.json"
+        g2d.write_text(json.dumps({"p": 3, "dim": 2, "taps": [{"k": [0, 0], "v": "9"}]}))
+        return ["design", "--p", 3, "--dim", 2, "--g", g2d,
+                "--h", FIXTURES / "box_p3_centered.json", "-o", out]
     if case.startswith("shape_"):
         return ["bench", "--bank", bank_path, "--shape", case[6:], "--json", out]
     if case == "pcst_3d":
@@ -378,6 +386,7 @@ def _bad_input(case, bank_path, tmp_path):
 
 @pytest.mark.parametrize("case, message", [
     ("missing_input", "No such file"), ("missing_bank", "No such file"),
+    ("design_g_2d", "g2d.json: expected a 1-D filter, got dim=2"),
     ("shape_81", "is 1-D, bank is 2-D"), ("shape_abc", "bad shape 'abc'"),
     ("shape_0x9", "bad shape '0x9'"), ("pcst_3d", "tensor is 3-D, bank is 2-D"),
     ("pcsc_duplicate", "duplicate record (level=0, index=1)"),

@@ -64,7 +64,7 @@ def command_inputs(tmp_path_factory):
         box.write_text(json.dumps(filter_to_json(box_filter_1d(p).to_nd())))
         bank = work / f"bank_{size}.json"
         with open(bank, "w", encoding="utf-8") as fh:
-            write_bank_json(fh, bank_to_json(box_bank(p, n)))
+            write_bank_json(fh, box_bank(p, n))
         shape = (p * p,) * n
         pcst, pcsc = work / f"in_{size}.pcst", work / f"out_{size}.pcsc"
         write_tensor(pcst, Tensor.from_numpy(rng.standard_normal(shape)))
@@ -103,7 +103,7 @@ def test_commands_leave_no_cycles_that_grow_with_the_bank(command_inputs, comman
 def box_bank_file(tmp_path):
     path = tmp_path / "bank.json"
     with open(path, "w", encoding="utf-8") as fh:
-        write_bank_json(fh, bank_to_json(box_bank(3, 2)))
+        write_bank_json(fh, box_bank(3, 2))
     return path
 
 

@@ -16,7 +16,7 @@ from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
                                 bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, verify_combined_biorthogonality,
-                                write_bank_json)
+                                write_bank_json, write_json)
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
                              is_biorthogonal, is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
@@ -484,14 +484,51 @@ def _writer_banks():
     return cases
 
 
-@pytest.mark.parametrize("bank_fn", _writer_banks())
-def test_bank_writer_bytes_equal_json_dumps(bank_fn):
-    bank = bank_fn()
-    doc = bank_to_json(bank)
-    if bank.g1d is None:
-        assert doc["G"] is None and doc["H"] is None
-    fh = io.StringIO()
-    write_bank_json(fh, doc)
+def _report_docs():
+    """Documents shaped like the --json reports and the --dump-polyphase matrices."""
+    far = 2 ** 70
+    polys = [LaurentPoly.zero(2), LaurentPoly.const(2, Fraction(-1, 9)),
+             LaurentPoly(2, {(far, -far): Fraction(3, 7), (0, 1): 5, (-1, 0): Fraction(-2, 21)}),
+             LaurentPoly(1, {(-far,): Fraction(1, 3 ** 50)})]
+    report = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+              "floats": [-0.0, 0.1, 1e300, 5e-324],
+              "flags": [True, False, None],
+              "ints": [2 ** 70, -(3 ** 50), 0],
+              "text": "h\u00e9llo \u2603 \n\t\x00\x1f\"\\/",
+              "caf\u00e9": "",
+              "empty": {}, "none": [],
+              "nested": {"a": [1, [2, []], {"b": {}}], "z": [[[]]]}}
+    matrices = {"A": {"rows": 2, "cols": 2, "entries": [polys[:2], polys[2:]]},
+                "S": [polys[0]], "p": polys[3]}
+    return [pytest.param(lambda: report, id="report"),
+            pytest.param(lambda: {}, id="report_empty"),
+            pytest.param(lambda: [[report]], id="report_in_lists"),
+            pytest.param(lambda: matrices, id="polyphase_terms")]
+
+
+def _plain(value):
+    """value with every LaurentPoly replaced by its term list, written independently."""
+    if isinstance(value, LaurentPoly):
+        return [{"k": list(k), "v": str(Fraction(v, value.den))}
+                for k, v in sorted(value.num.items())]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("make", _writer_banks() + _report_docs())
+def test_bank_writer_bytes_equal_json_dumps(make):
+    value, fh = make(), io.StringIO()
+    if isinstance(value, WaveletFilterBank):
+        doc = bank_to_json(value)
+        if value.g1d is None:
+            assert doc["G"] is None and doc["H"] is None
+        write_bank_json(fh, value)
+    else:
+        doc = _plain(value)
+        write_json(fh, value)
     text, want = fh.getvalue(), json.dumps(doc, indent=2, sort_keys=True) + "\n"
     same = text == want  # a bare comparison would make pytest diff megabytes of text
     assert same, _first_difference(text, want)

@@ -39,7 +39,7 @@ ENTRY_POINTS = {
     ("presets", "box_bank"): "the README's example of a preset bank",
     ("presets", "deg4_bank"): "the accuracy-4 preset bank the README pairs with box_bank",
     ("filters", "filter_nd"): "builds an n-D filter from its taps, for general banks",
-    ("transform", "reconstruct_direct"): "the reference inverse of decompose_direct",
+    ("filterbank", "bank_to_json"): "the bank document as dicts, for pcsbench and the tests",
 }
 
 

@@ -14,8 +14,8 @@ from pcswave.dataio import write_coeffs, write_tensor
 from pcswave import kernels, lattice
 from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
-from pcswave.filterbank import (bank_to_json, build_general, build_pcs_bank,
-                                pcs_bank_masks, write_bank_json)
+from pcswave.filterbank import (build_general, build_pcs_bank, pcs_bank_masks,
+                                write_bank_json)
 from pcswave.kernels import LevelKernels
 from pcswave.lattice import eta_routes, make_coset_system
 from pcswave.polyphase import eta_sum
@@ -24,10 +24,10 @@ from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.tensor import MultiresCoeffs, Tensor
 from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
-                               pcs_complexity_constant, reconstruct_direct,
-                               reconstruct_fast)
+                               pcs_complexity_constant, reconstruct_fast)
 
-from conftest import FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d
+from conftest import (FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d,
+                      reconstruct_direct)
 
 
 def rational_tensor(rng, shape):
@@ -382,7 +382,7 @@ def test_bank_json_bytes_pinned(bank_fn, digest):
     # SHA-256 of the bank file `design` writes: any change to a tap's text,
     # the tap order or the document layout shows up here
     fh = io.StringIO()
-    write_bank_json(fh, bank_to_json(bank_fn()))
+    write_bank_json(fh, bank_fn())
     assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == digest
 
 
