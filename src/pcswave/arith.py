@@ -102,6 +102,12 @@ class LaurentPoly:
         if g != 1:
             num = {k: v // g for k, v in num.items()}
             den //= g
+        return cls.reduced(n, num, den)
+
+    @classmethod
+    def reduced(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "LaurentPoly":
+        """The polynomial sum num[k]/den * x^k of a form already in lowest terms
+        (nonzero numerators, den > 0, gcd 1), taken as it is."""
         r = cls.__new__(cls)
         r.n = n
         r.num = num
@@ -197,11 +203,7 @@ class LaurentPoly:
 
     def _rekey(self, f) -> "LaurentPoly":
         # an injective exponent map keeps the form reduced
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.n = self.n
-        r.num = {f(k): v for k, v in self.num.items()}
-        r.den = self.den
-        return r
+        return LaurentPoly.reduced(self.n, {f(k): v for k, v in self.num.items()}, self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -7,11 +7,14 @@ text; ``--json PATH`` writes a machine-readable duplicate alongside, through
 The reports of ``design`` and ``verify`` carry ``timings``, the wall seconds
 of each stage of that run.
 
-A command imports only what it runs. ``analyze`` and ``synthesize`` import
-the kernels, the tensors and the PCST/PCSC codecs, and with them numpy,
-inside their commands. ``bench`` counts multiplies over the transform's
-numpy-free plan, so it, ``design``, ``verify`` and ``--help`` load the exact
-modules alone. ``bench`` exits 1 when the count differs from the closed form.
+A command imports only what it runs, inside the command: ``--help`` loads
+argparse and no module of the exact algebra. ``design``, ``verify`` and
+``bench`` load the exact modules alone; ``bench`` counts multiplies over the
+transform's numpy-free plan and exits 1 when the count differs from the
+closed form. ``analyze`` and ``synthesize`` add the kernels, the tensors and
+the PCST/PCSC codecs, and with them numpy. The package's records are
+``__slots__`` classes and ``NamedTuple``s, so no command imports
+``dataclasses`` or, before numpy, ``inspect``.
 
 :func:`main` runs the command with CPython's cyclic collector disabled and
 restores its previous state on every exit, so in-process callers keep theirs.
@@ -40,13 +43,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .errors import PcswaveError
-from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
-                         build_pcs_bank, guarantee_floor, verify_combined_biorthogonality,
-                         verify_polyphase_matrices, write_bank_json, write_json)
-from .filters import filter_from_json, is_biorthogonal, is_interpolatory, to_1d
 
 # read by OpenBLAS, which numpy loads, once when numpy is imported
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -63,11 +61,13 @@ def _load_json(path):
 
 
 def _dump_json(path, doc) -> None:
+    from .filterbank import write_json
     with open(path, "w", encoding="utf-8") as fh:
         write_json(fh, doc)
 
 
 def _load_filter_1d(path, p: int):
+    from .filters import filter_from_json, to_1d
     f = filter_from_json(_load_json(path))
     if f.dim != 1:
         raise PcswaveError(f"{path}: expected a 1-D filter, got dim={f.dim}")
@@ -92,6 +92,7 @@ def _nu_label(nu) -> str:
 
 
 def cmd_design(args) -> int:
+    from .filterbank import build_pcs_bank, guarantee_floor, write_bank_json
     _require_max_order(args.max_order)
     clock = [time.perf_counter()]
     G = _load_filter_1d(args.g, args.p)
@@ -130,14 +131,18 @@ def _diag_row(name, nu, d) -> str:
 
 
 def cmd_verify(args) -> int:
+    from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
+                             verify_combined_biorthogonality, verify_polyphase_matrices)
+    from .filters import is_biorthogonal, is_interpolatory
     _require_max_order(args.max_order)
     clock = [time.perf_counter()]
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
     clock.append(time.perf_counter())
     if args.dump_polyphase:
         A, S = bank_polyphase_matrices(bank)
-        # a matrix's fields, rows, cols and entries, are its dump
-        _dump_json(args.dump_polyphase, {"A": vars(A), "S": vars(S)})
+        _dump_json(args.dump_polyphase, {
+            name: {"rows": m.rows, "cols": m.cols, "entries": m.entries}
+            for name, m in (("A", A), ("S", S))})
         ver = verify_polyphase_matrices(A, S, bank.q)
     else:
         ver = verify_combined_biorthogonality(bank)
@@ -188,6 +193,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     from . import dataio
+    from .filterbank import bank_from_json
     from .transform import decompose_direct, decompose_fast
     bank = bank_from_json(_load_json(args.bank))
     y = dataio.read_tensor(args.input)
@@ -211,6 +217,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_synthesize(args) -> int:
     from . import dataio
+    from .filterbank import bank_from_json
     from .transform import reconstruct_fast
     bank = bank_from_json(_load_json(args.bank))
     coeffs = dataio.read_coeffs(args.input, bank)
@@ -248,6 +255,9 @@ def _parse_shape(text: str):
 
 
 def cmd_bench(args) -> int:
+    from fractions import Fraction
+
+    from .filterbank import bank_from_json
     from .transform import count_ops
     bank = bank_from_json(_load_json(args.bank))
     shape = _parse_shape(args.shape)

@@ -36,9 +36,8 @@ each filter and polyphase entry formatted from its integer numerators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import LaurentPoly, format_rational, poly_sum
 from .cosetsum import prime_coset_sum
@@ -57,17 +56,24 @@ GENERAL = "general"
 PRIME_COSET_SUM = "prime_coset_sum"
 
 
-@dataclass
 class WaveletFilterBank:
-    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any."""
+    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any.
 
-    sys: CosetSystem
-    tau: FilterND
-    tau_d: FilterND
-    t: Dict[MultiIndex, FilterND]
-    t_d: Dict[MultiIndex, FilterND]
-    g1d: Optional[Filter1D] = None
-    h1d: Optional[Filter1D] = None
+    Two banks are equal when all their fields are.
+    """
+
+    __slots__ = ("sys", "tau", "tau_d", "t", "t_d", "g1d", "h1d")
+
+    def __init__(self, sys: CosetSystem, tau: FilterND, tau_d: FilterND,
+                 t: Dict[MultiIndex, FilterND], t_d: Dict[MultiIndex, FilterND],
+                 g1d: Optional[Filter1D] = None, h1d: Optional[Filter1D] = None):
+        self.sys, self.tau, self.tau_d, self.t, self.t_d = sys, tau, tau_d, t, t_d
+        self.g1d, self.h1d = g1d, h1d
+
+    def __eq__(self, other):
+        if other.__class__ is not WaveletFilterBank:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in WaveletFilterBank.__slots__)
 
     @property
     def provenance(self) -> str:
@@ -247,11 +253,10 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     return bank
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     q: int
-    failures: List[Tuple[int, int, LaurentPoly]] = field(default_factory=list)
+    failures: List[Tuple[int, int, LaurentPoly]] = ()
 
     def describe(self) -> str:
         if self.passed:
@@ -288,15 +293,13 @@ def verify_combined_biorthogonality(bank: WaveletFilterBank) -> VerificationRepo
     return verify_polyphase_matrices(*bank_polyphase_matrices(bank), bank.q)
 
 
-@dataclass
-class FilterReport:
+class FilterReport(NamedTuple):
     name: str
     nu: Optional[MultiIndex]
     diag: MaskDiagnostics
 
 
-@dataclass
-class BankReport:
+class BankReport(NamedTuple):
     filters: List[FilterReport]
     guarantee_floor: Optional[int]
     floor_violations: List[str]

@@ -17,12 +17,11 @@ tolerances.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .arith import LaurentPoly, format_rational, split_rational
 from .errors import DimensionMismatch, DomainError, FormatError
@@ -33,12 +32,35 @@ MultiIndex = Tuple[int, ...]
 DEFAULT_MAX_ORDER = 20
 
 
-@dataclass(frozen=True)
 class FilterND:
-    """Finitely supported filter on Z^dim with scalar dilation p, held as its mask."""
+    """Finitely supported filter on Z^dim with scalar dilation p, held as its mask.
 
-    p: int
-    mask: LaurentPoly
+    Frozen: its fields refuse assignment. Two filters of one class are equal,
+    and hash equal, when their p and masks are; a FilterND never equals a
+    Filter1D.
+    """
+
+    __slots__ = ("p", "mask")
+
+    def __init__(self, p: int, mask: LaurentPoly):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.p, self.mask))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(p={self.p!r}, mask={self.mask!r})"
 
     @property
     def dim(self) -> int:
@@ -63,9 +85,10 @@ class FilterND:
         return Fraction(self.q * sum(self.mask.num.values()), self.mask.den)
 
 
-@dataclass(frozen=True)
 class Filter1D(FilterND):
     """A filter on Z: the same (p, mask) pair, with taps keyed by int."""
+
+    __slots__ = ()
 
     @property
     def taps(self) -> Mapping[int, Fraction]:
@@ -124,8 +147,7 @@ def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
     return not any(buckets.values())
 
 
-@dataclass(frozen=True)
-class MaskDiagnostics:
+class MaskDiagnostics(NamedTuple):
     is_lowpass: bool
     is_interpolatory: bool
     accuracy: int
@@ -241,30 +263,54 @@ def filter_from_json(data: dict) -> FilterND:
                           f"dim >= 1 and p^dim <= {MAX_COSETS}")
     if not isinstance(raw, list):
         raise FormatError(f"filter taps must be a list, got {raw!r}")
-    taps: Dict[MultiIndex, Tuple[int, int]] = {}
-    seen: Dict[str, Tuple[int, int]] = {}  # parsed text: a bank repeats a few values
+    # the document is checked as a whole, by a few set tests over all taps
+    try:
+        taps = {tuple(e["k"]): e["v"] for e in raw}
+        values = set(taps.values())
+    except (KeyError, TypeError):  # an entry no object, a key missing, an unhashable part
+        raise _bad_tap(raw, dim) from None
+    if (len(taps) != len(raw) or {len(k) for k in taps} - {dim}
+            or set(map(type, itertools.chain.from_iterable(taps))) - {int}
+            or set(map(type, taps.values())) - {int, str}):
+        raise _bad_tap(raw, dim)
+    try:
+        # a bank repeats a few values, so each distinct one is read once
+        parsed = {v: (v, 1) if type(v) is int else split_rational(v) for v in values}
+    except DomainError:
+        raise _bad_tap(raw, dim) from None
+    if not all(n for n, _ in parsed.values()):
+        raise _bad_tap(raw, dim)
+    # tap num/den over the common denominator D is a mask coefficient over q D,
+    # put in lowest terms by one gcd over the distinct values
+    den = lcm(*{d for _, d in parsed.values()})
+    scaled = {v: n * (den // d) for v, (n, d) in parsed.items()}
+    den *= p ** dim
+    g = gcd(den, *scaled.values())
+    scaled = {v: s // g for v, s in scaled.items()}
+    return FilterND(p, LaurentPoly.reduced(dim, {k: scaled[v] for k, v in taps.items()}, den // g))
+
+
+def _bad_tap(raw: list, dim: int) -> FormatError:
+    """The error naming the first entry of raw that is no tap of a filter in dim
+    variables; entries are scanned one at a time only once a set test failed."""
+    seen = set()
     for entry in raw:
         try:
             k, v = tuple(entry["k"]), entry["v"]
             # a tap value is a JSON integer (not a boolean) or "num/den" text
-            if type(v) is int:
-                v = (v, 1)
-            elif type(v) is str:
-                v = seen.get(v) or seen.setdefault(v, split_rational(v))
-            else:
+            if type(v) is str:
+                v = split_rational(v)[0]
+            elif type(v) is not int:
                 raise DomainError(f"tap value {v!r} is neither an integer nor num/den text")
-            if k in taps:  # an unhashable index, such as [[0]], raises TypeError here
-                raise FormatError(f"duplicate tap at {k}")
-        except (DomainError, KeyError, TypeError) as exc:
-            raise FormatError(f"malformed tap entry {entry!r}") from exc
+        except (DomainError, KeyError, TypeError):
+            return FormatError(f"malformed tap entry {entry!r}")
         if len(k) != dim:
-            raise FormatError(f"tap index {k} has length {len(k)}, expected {dim}")
-        if not v[0]:
-            raise FormatError(f"explicit zero tap at {k} rejected")
-        taps[k] = v
-    if not set(map(type, itertools.chain.from_iterable(taps))) <= {int}:
-        raise FormatError("tap indices must be lists of integers")
-    # tap num/den over the common denominator D is a mask coefficient over q D
-    den = lcm(*{d for _, d in taps.values()})
-    num = {k: n * (den // d) for k, (n, d) in taps.items()}
-    return FilterND(p, LaurentPoly.from_integers(dim, num, den * p ** dim))
+            return FormatError(f"tap index {k} has length {len(k)}, expected {dim}")
+        if any(type(x) is not int for x in k):
+            return FormatError(f"tap index of {entry!r} is not a list of integers")
+        if k in seen:
+            return FormatError(f"duplicate tap at {k}")
+        if not v:
+            return FormatError(f"explicit zero tap at {k} rejected")
+        seen.add(k)
+    return FormatError("malformed filter taps")

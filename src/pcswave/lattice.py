@@ -9,7 +9,6 @@ mask evaluation inside Q(zeta_p).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Tuple
 
 from .arith import is_prime
@@ -25,15 +24,37 @@ CENTERED = "centered"
 MAX_COSETS = 1 << 16
 
 
-@dataclass(frozen=True)
 class CosetSystem:
-    """Immutable representative system for a scalar dilation p on Z^n."""
+    """Immutable representative system for a scalar dilation p on Z^n.
 
-    p: int
-    n: int
-    convention: str
-    gamma: Tuple[MultiIndex, ...]          # Gamma, gamma[0] == 0
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
+    Two systems are equal, and hash equal, when p, n, the convention and
+    Gamma (gamma[0] == 0) are; ``_index`` maps each standard residue vector to
+    its position in Gamma.
+    """
+
+    __slots__ = ("p", "n", "convention", "gamma", "_index")
+
+    def __init__(self, p: int, n: int, convention: str, gamma: Tuple[MultiIndex, ...],
+                 _index: dict = None):
+        fields = (p, n, convention, gamma, {} if _index is None else _index)
+        for name, value in zip(CosetSystem.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change field {name!r} of a frozen CosetSystem")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.p, self.n, self.convention, self.gamma
+
+    def __eq__(self, other):
+        if other.__class__ is not CosetSystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def q(self) -> int:

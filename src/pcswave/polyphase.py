@@ -20,11 +20,10 @@ filters: :func:`pcswave.filterbank.bank_polyphase_matrices`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .arith import LaurentPoly
 from .errors import DimensionMismatch, DomainError
@@ -62,8 +61,10 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
     # x -> (coset, k) is one to one, so no two taps share a slot
     for i, k, v in zip(index, zip(*quotients), num.values()):
         comps[i][k] = v
-    # f(x) / q is the mask coefficient num[x] / den
-    return [LaurentPoly.from_integers(sys.n, c, f.mask.den) for c in comps]
+    # f(x) / q is the mask coefficient num[x] / den; the polynomials are
+    # immutable, so every empty component is one zero
+    zero = LaurentPoly.zero(sys.n)
+    return [LaurentPoly.from_integers(sys.n, c, f.mask.den) if c else zero for c in comps]
 
 
 def eta_sum(F: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
@@ -78,8 +79,7 @@ def eta_sum(F: Filter1D, sys: CosetSystem, nu) -> LaurentPoly:
     return LaurentPoly.from_integers(sys.n, out, F.mask.den * (sys.p - 1)) * sys.p
 
 
-@dataclass
-class PolyphaseMatrix:
+class PolyphaseMatrix(NamedTuple):
     rows: int
     cols: int
     entries: List[List[LaurentPoly]]
@@ -97,6 +97,7 @@ def matmul(left: PolyphaseMatrix, right: PolyphaseMatrix) -> PolyphaseMatrix:
     if left.cols != right.rows:
         raise DimensionMismatch(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
     n = left.entries[0][0].n if left.rows and left.cols else 1
+    zero = (0,) * n
     dl, a = _integer_entries(left)
     dr, b = _integer_entries(right)
     acc: List[List[Dict[MultiIndex, int]]] = [
@@ -110,8 +111,12 @@ def matmul(left: PolyphaseMatrix, right: PolyphaseMatrix) -> PolyphaseMatrix:
             for j, tb in row:
                 dst = acc_i[j]
                 get = dst.get
-                for ka, va in ta:
-                    for kb, vb in tb:
+                for kb, vb in tb:
+                    if kb == zero:  # the constant terms, such as all of A's diagonal
+                        for ka, va in ta:
+                            dst[ka] = get(ka, 0) + va * vb
+                        continue
+                    for ka, va in ta:
                         kk = tuple(map(add, ka, kb))
                         dst[kk] = get(kk, 0) + va * vb
     den = dl * dr

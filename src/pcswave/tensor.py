@@ -12,7 +12,6 @@ matching the Z^n periodization the transforms assume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -154,20 +153,25 @@ class Tensor:
         return f"Tensor(shape={self.shape}, mode={self.mode})"
 
 
-@dataclass
 class MultiresCoeffs:
     """Coarse tensor y_0 plus detail tensors w_{nu,j} for a J-level transform.
 
     Level j tensors have shape input_shape / p^(J-j); the coarse tensor sits
-    at level 0, details at levels 0 .. J-1 keyed by (nu, level).
+    at level 0, details at levels 0 .. J-1 keyed by (nu, level). Two sets of
+    coefficients are equal when all their fields are.
     """
 
-    p: int
-    n: int
-    gamma: Tuple[Tuple[int, ...], ...]
-    levels: int
-    coarse: Tensor
-    details: Dict[Tuple[Tuple[int, ...], int], Tensor]
+    __slots__ = ("p", "n", "gamma", "levels", "coarse", "details")
+
+    def __init__(self, p: int, n: int, gamma: Tuple[Tuple[int, ...], ...], levels: int,
+                 coarse: Tensor, details: Dict[Tuple[Tuple[int, ...], int], Tensor]):
+        self.p, self.n, self.gamma, self.levels = p, n, gamma, levels
+        self.coarse, self.details = coarse, details
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiresCoeffs:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in MultiresCoeffs.__slots__)
 
     @property
     def mode(self) -> str:

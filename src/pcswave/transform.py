@@ -48,9 +48,8 @@ no tap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
 from .errors import (DimensionMismatch, DomainError, ShapeMismatch,
                      ShapeNotDivisible, WrongProvenance)
@@ -189,8 +188,7 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
 
 # --- operation accounting ----------------------------------------------------
 
-@dataclass(frozen=True)
-class OpCount:
+class OpCount(NamedTuple):
     """Counted and predicted multiplicative work for decompose+reconstruct."""
 
     multiplicative_ops: int

@@ -446,7 +446,8 @@ def test_dump_polyphase_bytes_pinned(tmp_path, capsys, h, digest):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
-# runs the CLI in a fresh interpreter, then reports whether numpy got imported
+# runs the CLI in a fresh interpreter, then reports whether numpy, dataclasses
+# and inspect got imported
 NUMPY_PROBE = """
 import sys
 from pcswave.cli import main
@@ -454,7 +455,7 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --help exits from argparse
     code = exc.code
-print("numpy" in sys.modules)
+print(*(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 sys.exit(code)
 """
 
@@ -475,13 +476,15 @@ def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    # the records are no dataclasses, so neither dataclasses nor its inspect loads
+    assert proc.stdout.splitlines()[-1] == "False False False"
 
 
 THREADS_PROBE = """
 import sys
 from pcswave.cli import main
 code = main(sys.argv[1:])
+print("dataclasses" in sys.modules)
 with open("/proc/self/status") as fh:
     print(next(line for line in fh if line.startswith("Threads:")).split()[1])
 sys.exit(code)
@@ -511,7 +514,8 @@ def test_transform_commands_start_no_blas_thread_pool(box_bank_path, tmp_path, c
     proc = subprocess.run([sys.executable, "-c", THREADS_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == (preset or "1")
+    # numpy imports inspect, but nothing imports dataclasses
+    assert proc.stdout.splitlines()[-2:] == ["False", preset or "1"]
 
 
 def _record_blas_setting(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,6 +269,14 @@ def test_filter_json_rejects_bad_entries():
     ]:
         with pytest.raises(FormatError):
             filter_from_json(doc)
+    # after good taps, the error names the one bad entry
+    good = [{"k": [k], "v": "1/3"} for k in (-1, 0, 1)]
+    for bad, named in [({"k": [2], "v": "0"}, "(2,)"), ({"k": [0], "v": 2}, "(0,)"),
+                       ({"k": [2.0], "v": 1}, "2.0"), ({"k": [2], "v": 1.5}, "1.5"),
+                       ({"k": [2, 0], "v": 1}, "(2, 0)"), ({"k": [2]}, "[2]"),
+                       ({"k": [[2]], "v": 1}, "[[2]]"), ({"k": [2], "v": "1/0"}, "1/0")]:
+        with pytest.raises(FormatError, match=re.escape(named)):
+            filter_from_json({"p": 3, "dim": 1, "taps": good + [bad]})
 
 
 @st.composite

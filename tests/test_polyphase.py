@@ -10,9 +10,9 @@ from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DomainError
 from pcswave.filterbank import (bank_polyphase_matrices, build_general,
                                 verify_polyphase_matrices)
-from pcswave.filters import FilterND, filter_nd
+from pcswave.filters import FilterND, diagnostics, filter_nd
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, eta_sum,
+from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix, eta_sum,
                                identity_residuals, matmul, polyphase_decompose)
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
@@ -119,6 +119,18 @@ def test_laurent_terms_are_read_only():
 def test_mask_filter_roundtrip():
     f = prime_coset_sum(box_filter_1d(3), 2, make_coset_system(3, 2, "centered"))
     assert FilterND(3, f.mask) == f
+    # the frozen records: equal ones hash equal, and no field can be assigned
+    same, one = FilterND(3, f.mask), box_filter_1d(3)
+    sys, diag = make_coset_system(3, 2, "centered"), diagnostics(f)
+    for a, b in [(same, f), (sys, make_coset_system(3, 2, "centered")),
+                 (diag, diagnostics(same))]:
+        assert a == b and hash(a) == hash(b)
+    assert sys != make_coset_system(3, 2, "standard")
+    # one (p, mask) pair as a 1-D filter and as an n-D filter: never equal
+    assert one != one.to_nd() and one.to_nd() != one
+    for record, field in [(f, "p"), (one, "mask"), (sys, "gamma"), (diag, "accuracy")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_zero_component_of_interpolatory_is_constant():
@@ -356,3 +368,26 @@ def test_perturbed_pair_fails():
     assert verify_polyphase_matrices(A_bad, S_bad, sys.q).passed
     bad = identity_residuals(matmul(S, A_bad), sys.q)
     assert bad and all(not r.is_zero() for _, _, r in bad)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_matmul_matches_reference_product(data):
+    # a term at the zero exponent adds the other factor's terms where they are;
+    # the reference multiplies exponent -> Fraction dicts term by term
+    n, rows, inner, cols = (data.draw(st.integers(1, 3)) for _ in range(4))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), coeffs, max_size=4)
+    if data.draw(st.booleans(), label="zero_terms"):
+        terms = st.builds(lambda t, c: {**t, (0,) * n: c}, terms, coeffs.filter(bool))
+    left = [[data.draw(terms) for _ in range(inner)] for _ in range(rows)]
+    right = [[data.draw(terms) for _ in range(cols)] for _ in range(inner)]
+    product = matmul(PolyphaseMatrix(rows, inner, [[LaurentPoly(n, t) for t in r] for r in left]),
+                     PolyphaseMatrix(inner, cols, [[LaurentPoly(n, t) for t in r] for r in right]))
+    assert (product.rows, product.cols) == (rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            expected = {}
+            for k in range(inner):
+                expected = _ref_combine(expected, _ref_mul(left[i][k], right[k][j]), 1)
+            assert dict(product.entries[i][j].terms) == expected
