@@ -16,6 +16,7 @@ tensors are a verification device, not an interchange format.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Dict, Tuple
@@ -31,6 +32,7 @@ COEFFS_MAGIC = b"PCSC"
 VERSION = 1
 SCALAR_FLOAT64 = 0
 MAX_NDIM = 32   # numpy 1.x's array rank limit
+CHUNK = 1 << 15  # samples per read of compare_tensor
 
 
 def _write_tensor(fh, t: Tensor) -> None:
@@ -49,7 +51,8 @@ def _read_exact(fh, count: int) -> bytes:
     return buf
 
 
-def _read_tensor(fh) -> Tensor:
+def _read_header(fh):
+    """Read and check a PCST header; returns the shape, whose payload the file holds."""
     magic = _read_exact(fh, 4)
     if magic != TENSOR_MAGIC:
         raise FormatError(f"bad tensor magic {magic!r}")
@@ -63,18 +66,26 @@ def _read_tensor(fh) -> Tensor:
     shape = struct.unpack("<" + "Q" * ndim, _read_exact(fh, 8 * ndim))
     if 0 in shape:
         raise FormatError(f"tensor shape {shape} has a zero extent")
-    size = 1
-    for s in shape:
-        size *= s
     # a hostile header may claim any shape: check it before allocating
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if 8 * size > left:
-        raise FormatError(f"shape {shape} needs {8 * size} payload bytes, "
+    wanted = 8 * math.prod(shape)
+    if wanted > left:
+        raise FormatError(f"shape {shape} needs {wanted} payload bytes, "
                           f"the file has {left} left")
+    return shape
+
+
+def _read_payload(fh, out) -> None:
+    """Fill the float64 array out from fh."""
+    got = fh.readinto(out)
+    if got != out.nbytes:
+        raise FormatError(f"truncated stream: wanted {out.nbytes} bytes, got {got}")
+
+
+def _read_tensor(fh) -> Tensor:
+    shape = _read_header(fh)
     data = np.empty(shape, dtype="<f8")
-    got = fh.readinto(data)
-    if got != 8 * size:
-        raise FormatError(f"truncated stream: wanted {8 * size} bytes, got {got}")
+    _read_payload(fh, data)
     return Tensor(shape, FLOAT64, data)
 
 
@@ -86,6 +97,32 @@ def write_tensor(path, t: Tensor) -> None:
 def read_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
         return _read_tensor(fh)
+
+
+def compare_tensor(path, t: Tensor):
+    """(max |t - ref|, max(|min ref|, |max ref|)) for the PCST ref at path.
+
+    The reference is read in chunks of CHUNK samples through one buffer and
+    never held whole; its header is checked as :func:`read_tensor` checks
+    it. Both values are NaN when ref holds a NaN, and the first is NaN when
+    t does.
+    """
+    with open(path, "rb") as fh:
+        shape = _read_header(fh)
+        if t.shape != shape:
+            raise ShapeMismatch(f"shapes {t.shape} and {shape} differ")
+        a = t.to_numpy().reshape(-1)
+        buf = np.empty(min(a.size, CHUNK), dtype="<f8")
+        lows, highs, errs = [], [], []
+        for i in range(0, a.size, CHUNK):
+            ref = buf[:min(CHUNK, a.size - i)]
+            _read_payload(fh, ref)
+            lows.append(ref.min())
+            highs.append(ref.max())
+            d = np.subtract(a[i:i + ref.size], ref, out=ref)
+            errs.append(np.abs(d, out=d).max())
+    # np.min and np.max keep a NaN
+    return float(np.max(errs)), max(abs(float(np.min(lows))), abs(float(np.max(highs))))
 
 
 def write_coeffs(path, c: MultiresCoeffs) -> None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -566,6 +567,39 @@ def test_main_restores_environment(box_bank_path, monkeypatch, capsys, state, se
     assert dict(os.environ) == before
     assert ("numpy" in sys.modules) is (state == "numpy_loaded")
     assert seen == ([] if code is SystemExit else [seen_by_command])
+
+
+ATEXIT_PROBE = """
+import atexit, gc, sys
+from pcswave.cli import run
+atexit.register(lambda: print("atexit", gc.get_freeze_count() > 0))
+sys.argv[0] = "pcswave"
+run()
+"""
+
+
+@pytest.mark.parametrize("case, code", [("ok", 0), ("failed_check", 1), ("missing_input", 2)])
+def test_script_entry_exits_with_main_code_and_output(box_bank_path, tmp_path, capsys,
+                                                      case, code):
+    # python -m pcswave.cli and the pcswave script run main, freeze the live
+    # objects and exit with main's code, printing what main prints in process
+    argv = [str(a) for a in {
+        "ok": ["verify", box_bank_path],
+        "failed_check": ["verify", _damaged_bank(box_bank_path)],
+        "missing_input": ["analyze", "--bank", box_bank_path, "--levels", 1,
+                          tmp_path / "missing.pcst", "-o", tmp_path / "out.pcsc"]}[case]]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "pcswave.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == code
+    # in process, main leaves the collector's objects where they were
+    assert gc.get_freeze_count() == 0
+    # the exit flushes stdout and runs atexit handlers, after the freeze
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[-1] == "atexit True"
 
 
 def test_synthesize_levels_mismatch(box_bank_path, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pcswave.dataio import read_coeffs, read_tensor, write_coeffs, write_tensor
+from pcswave import dataio
+from pcswave.dataio import (compare_tensor, read_coeffs, read_tensor, write_coeffs,
+                            write_tensor)
 from pcswave.errors import DomainError, FormatError, PcswaveError, ShapeMismatch
 from pcswave.filterbank import build_pcs_bank
 from pcswave.filters import filter_1d
@@ -48,6 +50,46 @@ def test_tensor_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(FormatError):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 81, 1 << 15])
+@pytest.mark.parametrize("nan", [None, "ours", "reference"])
+def test_compare_tensor_streams_what_a_whole_read_gives(tmp_path, monkeypatch, chunk, nan):
+    # chunks that divide the payload, that leave a tail, and one larger than it
+    rng = np.random.default_rng(2)
+    ours = rng.standard_normal((9, 9))
+    ref = ours + 1e-9 * rng.standard_normal((9, 9))
+    ref[4, 4] = -7.5  # the peak is the largest magnitude, from the minimum
+    if nan is not None:
+        (ours if nan == "ours" else ref)[2, 3] = np.nan
+    path = tmp_path / "ref.pcst"
+    write_tensor(path, Tensor.from_numpy(ref))
+    monkeypatch.setattr(dataio, "CHUNK", chunk)
+    err, peak = compare_tensor(path, Tensor.from_numpy(ours))
+    whole = read_tensor(path)
+    assert np.array_equal([err], [Tensor.from_numpy(ours).max_abs_diff(whole)], equal_nan=True)
+    assert bool(np.isnan(err)) is (nan is not None)
+    assert bool(np.isnan(peak)) is (nan == "reference")
+    if nan != "reference":
+        assert peak == 7.5
+
+
+def test_compare_tensor_refuses_what_read_tensor_refuses(tmp_path):
+    good = tmp_path / "good.pcst"
+    write_tensor(good, Tensor.from_numpy(np.zeros((3, 3))))
+    raw = good.read_bytes()
+    ours = Tensor.from_numpy(np.zeros((3, 3)))
+    for name, data in (("magic", b"NOPE" + raw[4:]), ("truncated", raw[:-8]),
+                       ("zero_extent", raw[:8] + bytes(8) + raw[16:])):
+        path = tmp_path / f"{name}.pcst"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as want:
+            read_tensor(path)
+        with pytest.raises(FormatError) as got:
+            compare_tensor(path, ours)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ShapeMismatch):
+        compare_tensor(good, Tensor.from_numpy(np.zeros((3, 1))))
 
 
 def test_rational_tensor_not_serializable(tmp_path):

@@ -4,10 +4,10 @@ tracemalloc traces them.
 numpy reports its data buffers to tracemalloc, so a traced peak counts every
 full-size array a step creates. The bounds are multiples of the input's bytes,
 set just above what the transform needs: its outputs, the zero phase the taps
-read (a contiguous copy of it going down), and two phase-sized scratch arrays
-per level. A per-tap copy of a phase, a full-size temporary in the round-trip
-check, or coefficients kept alive while the reference is read each push the
-peak over its bound.
+read (a contiguous copy of it going down), and two scratch tiles per level. A
+per-tap copy of a phase, or a phase-sized scratch array where a tile would
+do, pushes the peak over its bound. The round-trip check of ``synthesize``
+reads its reference in chunks, so it holds one chunk beside the output.
 
 The bank writer holds the text of one filter at a time, so its peak is a
 small share of the file it writes, and the checked bank load holds one
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from pcswave import cli
-from pcswave.dataio import write_tensor
+from pcswave.dataio import compare_tensor, write_tensor
 from pcswave.filterbank import (bank_from_json, bank_to_json, build_pcs_bank,
                                 write_bank_json)
 from pcswave.filters import filter_from_json, to_1d
@@ -33,17 +33,20 @@ from pcswave.transform import decompose_fast
 from conftest import far_tap_1d
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-# deg4 (q = 9) on 729x729: a phase is 1/9 of the input, and numpy's 64 KiB
-# ufunc iteration buffers are small beside it
+# deg4 (q = 9) on 729x729: a phase (243x243, 472 kB) is 1/9 of the input and
+# runs as two tiles of at most 256 KiB
 SHAPE = (729, 729)
 # one level down and up keeps the coefficients (1) and the output (1) and
-# needs three phase-sized arrays (0.33): two scratch arrays and the zero phase
-# the taps read. 2.33 input sizes traced with numpy 2.4; one more phase-sized
-# array reads 2.45
-LEVEL_BOUND = 2.42
-# synthesize peaks while the last level is reconstructed, at 2.48 input sizes;
-# one more full-size array in the check would read at least 3
-SYNTHESIZE_BOUND = 2.6
+# needs the zero phase the taps read (0.11) and two scratch tiles (0.12).
+# 2.24 input sizes traced with numpy 2.4; phase-sized scratch read 2.34, and
+# one more phase-sized array reads 2.35
+LEVEL_BOUND = 2.30
+# synthesize peaks while the last level is reconstructed, at 2.38 input sizes
+# (2.47 with phase-sized scratch); one more phase-sized array reads 2.49
+SYNTHESIZE_BOUND = 2.45
+# the round-trip check holds one chunk of the reference (256 KiB, 0.06 input
+# sizes); reading the whole reference reads 1
+CHECK_BOUND = 0.1
 # box p=5 n=3 writes 6.7 MB of text; its largest filter, a t_d of 444 taps,
 # takes 61 kB, and the writer peaks at 182 kB (a whole-document string: 43 MB)
 WRITER_BOUND = 1 / 20
@@ -91,6 +94,10 @@ def test_synthesize_check_allocation_bound_and_line(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     assert line == (f"round-trip check vs {src}: max abs error = 1.110e-15 "
                     "(2.346e-16 of peak)")
+
+    # the check alone, beside an output it does not copy
+    _, peak = traced_peak(lambda: compare_tensor(src, Tensor.from_numpy(y)))
+    assert peak <= CHECK_BOUND * y.nbytes, peak / y.nbytes
 
     # a NaN in the reference makes both the error and the peak NaN
     y[5, 7] = np.nan

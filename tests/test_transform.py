@@ -4,6 +4,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,11 +279,12 @@ ROLL_SHIFTS = {
 @pytest.mark.parametrize("dtype", [np.float64, object])
 @pytest.mark.parametrize("shift", sorted(ROLL_SHIFTS))
 def test_roll_matches_np_roll(n, dtype, shift):
-    # the one tap-read helper of the fast steps: out = v * (a rolled by shift)
+    # every tap of the fast steps is read through kernels._blocks: a roll by
+    # shift, assembled over tiles of 1, 2 or all leading-axis rows, is np.roll
     shape = ROLL_SHAPES[n]
     shift = ROLL_SHIFTS[shift](shape)
     size = math.prod(shape)
-    # a unit tap, as the tables of a box G hold it, is copied without a multiply
+    # a unit tap, as the tables of a box G hold it, is added without a multiply
     if dtype is object:
         a = np.array([10 ** 20 + 7 * i - size for i in range(size)], dtype=object).reshape(shape)
         taps = (-(3 ** 40), 1)
@@ -290,12 +292,27 @@ def test_roll_matches_np_roll(n, dtype, shift):
         a = np.random.default_rng(n).standard_normal(shape)
         taps = (0.3, 1.0)
     want = np.roll(a, shift, axis=tuple(range(n)))
-    assert np.array_equal(kernels._roll(np.empty_like(a), a, shift), want)
+    for step in (1, 2, shape[0]):
+        got = np.empty_like(a)
+        for r in range(0, shape[0], step):
+            rows = slice(r, min(r + step, shape[0]))
+            tile = got[rows]
+            for dst, src in kernels._blocks(shape, shift, rows):
+                tile[dst] = a[src]
+        assert np.array_equal(got, want)
+    tiles = kernels._Tiles(shape, a.dtype)
+    (rows,) = tiles.rows
+    zero = (0,) * n
     for v in taps:
-        got = kernels._roll(np.empty_like(a), a, shift, v)
-        assert got.dtype == a.dtype and np.array_equal(got, v * want)
+        acc, tmp = tiles.scratch(), tiles.scratch()
+        assert tiles.tap_sum(acc, tmp, a, [(shift, v)], rows)
+        assert acc.dtype == a.dtype and np.array_equal(acc, v * want)
+        # a sum in table order: the first term written, a unit tap added in place
+        tiles.tap_sum(acc, tmp, a, [(zero, 1), (shift, v)], rows, start=False)
+        assert np.array_equal(acc, v * want + a + v * want)
         if dtype is object:
-            assert all(type(x) is int for x in got.flat)
+            assert all(type(x) is int for x in acc.flat)
+    assert not tiles.tap_sum(acc, tmp, a, [], rows)
 
 
 def test_float64_roundtrip_error_bound():
@@ -328,7 +345,8 @@ def _drawer(kind):
 
 
 # deg4 on 9x9 over 2 levels has a 1x1 coarse array, narrower than its tap reach
-@pytest.mark.parametrize("bank_fn,shape,kind,digest", [
+PIN_IDS = ["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"]
+OUTPUT_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
      "ed2c71ac1b2c33dde65b008a75455feffbe5b3a46ced5c4d87ebd3ebfeab7c3b"),
     (lambda: box_bank(3, 3), (27, 27, 27), "normal",
@@ -337,16 +355,8 @@ def _drawer(kind):
      "59b00f7364dd5fbd69f56862b40210a2913ca36d1163678194bc8a789d038cdc"),
     (lambda: deg4_bank(2), (27, 27), "signed_zeros",
      "dc9e7623218b17c783c3f3f8ba23838055803dcbb7655ff2ff375f72b2089152"),
-], ids=["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"])
-def test_float64_output_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
-    # SHA-256 of the PCSC of a fixed input: any change to a float64 output bit
-    # (tap order, accumulation order, normalization, sign of a zero) shows up here
-    path = tmp_path / "probe.pcsc"
-    write_coeffs(path, decompose_fast(Tensor.from_numpy(_drawer(kind)(shape)), bank_fn(), 2))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("bank_fn,shape,kind,digest", [
+]
+SYNTHESIS_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
      "9756cebf1713980d775cadf197b1704e4eb18b00a5e3a3b3baa05b9f4cb0db28"),
     (lambda: box_bank(3, 3), (27, 27, 27), "normal",
@@ -355,11 +365,18 @@ def test_float64_output_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
      "23b59c394cd281f9b4c575ba16cd6501bb0d26395e1c0df7c8a6667fe1f33973"),
     (lambda: deg4_bank(2), (27, 27), "signed_zeros",
      "06175630b2a14297daadf457f8f80b4947a395460d351e1fc4cd842526e72911"),
-], ids=["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"])
-def test_float64_synthesis_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
-    # SHA-256 of the PCST that reconstruct_fast makes from fixed coefficients,
-    # drawn coarse first, then by level and coset; the signed-zero case comes
-    # out with 25 of its 729 samples -0.0
+]
+
+
+def _analysis_digest(path, bank_fn, shape, kind):
+    """SHA-256 of the PCSC written to path from a fixed input, decomposed over 2 levels."""
+    write_coeffs(path, decompose_fast(Tensor.from_numpy(_drawer(kind)(shape)), bank_fn(), 2))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _synthesis_digest(path, bank_fn, shape, kind):
+    """SHA-256 of the PCST written to path from fixed 2-level coefficients,
+    drawn coarse first, then by level and coset."""
     bank, levels, draw = bank_fn(), 2, _drawer(kind)
     p = bank.p
     coarse = Tensor.from_numpy(draw(tuple(s // p ** levels for s in shape)))
@@ -367,9 +384,79 @@ def test_float64_synthesis_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
                for j in range(levels) for nu in bank.sys.gamma_prime}
     coeffs = MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
                             coarse=coarse, details=details)
-    path = tmp_path / "probe.pcst"
     write_tensor(path, reconstruct_fast(coeffs, bank))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bank_fn,shape,kind,digest", OUTPUT_PINS, ids=PIN_IDS)
+def test_float64_output_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
+    # any change to a float64 output bit (tap order, accumulation order,
+    # normalization, sign of a zero) shows up here
+    assert _analysis_digest(tmp_path / "probe.pcsc", bank_fn, shape, kind) == digest
+
+
+@pytest.mark.parametrize("bank_fn,shape,kind,digest", SYNTHESIS_PINS, ids=PIN_IDS)
+def test_float64_synthesis_bits_pinned(bank_fn, shape, kind, digest, tmp_path):
+    # the signed-zero case comes out with 25 of its 729 samples -0.0
+    assert _synthesis_digest(tmp_path / "probe.pcst", bank_fn, shape, kind) == digest
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_float64_bits_pinned_under_forced_tiles(rows, tmp_path):
+    # No pinned probe has a phase large enough to be tiled, so force tiles of
+    # a few leading-axis rows: they need not divide the extent, a tap reaches
+    # past one tile, and tiles wrap at both ends. Every digest stays the same.
+    with mock.patch.object(kernels, "_tile_rows", lambda shape, itemsize: rows):
+        for pins, digest_fn, path in ((OUTPUT_PINS, _analysis_digest, tmp_path / "probe.pcsc"),
+                                      (SYNTHESIS_PINS, _synthesis_digest, tmp_path / "probe.pcst")):
+            for (bank_fn, shape, kind, digest), pin in zip(pins, PIN_IDS):
+                assert digest_fn(path, bank_fn, shape, kind) == digest, (pin, rows)
+
+
+@st.composite
+def tiled_level_cases(draw):
+    """Level kernels of random or far-tap generators, an input of a few phases
+    per axis, and a tile of 1-3 rows."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    sys = make_coset_system(p, n, draw(st.sampled_from(["standard", "centered"] if p % 2
+                                                       else ["standard"])))
+    if p == 3 and draw(st.booleans()):
+        G = H = far_tap_1d(draw(st.sampled_from(FAR_TAPS)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        G, H = random_lowpass_1d(rng, p), random_interpolatory_1d(rng, p)
+    shape = tuple(p * draw(st.integers(1, 9 if n < 3 else 4)) for _ in range(n))
+    return LevelKernels(sys, G, H), shape, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32))
+
+
+def _level_round_trip(kern, y, den):
+    coarse, details, dens = kern.decompose_level(y, den)
+    return (coarse, *details), kern.reconstruct_level(coarse, details, dens), dens
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tiled_level_cases())
+def test_tiled_steps_equal_one_tile_steps(case):
+    # Tiles keep each sample's tap order, so float64 outputs match one-tile
+    # steps bit for bit, and the exact round trip on int numerators stays exact.
+    kern, shape, rows, seed = case
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(shape)
+    exact = np.array([int(v) for v in rng.integers(-10 ** 6, 10 ** 6, size=y.size)],
+                     dtype=object).reshape(shape)
+    whole = _level_round_trip(kern, y, None)
+    whole_exact = _level_round_trip(kern, exact, 7)
+    with mock.patch.object(kernels, "_tile_rows", lambda shape, itemsize: rows):
+        tiled = _level_round_trip(kern, y, None)
+        tiled_exact = _level_round_trip(kern, exact, 7)
+    for a, b in zip((*whole[0], whole[1][0]), (*tiled[0], tiled[1][0])):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+    assert tiled_exact[2] == whole_exact[2]
+    for a, b in zip((*whole_exact[0], whole_exact[1][0]), (*tiled_exact[0], tiled_exact[1][0])):
+        assert np.array_equal(a, b) and all(type(v) is int for v in b.flat)
+    back, den = tiled_exact[1]
+    assert np.array_equal(back * 7, exact * den)
 
 
 @pytest.mark.parametrize("bank_fn,digest", [
