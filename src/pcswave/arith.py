@@ -160,15 +160,9 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self * -1
-
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,8 +200,6 @@ class LaurentPoly:
         return LaurentPoly.reduced(self.n, {f(k): v for k, v in self.num.items()}, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.n, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.n == other.n and self.den == other.den and self.num == other.num

@@ -40,12 +40,13 @@ buffer (:func:`pcswave.dataio.compare_tensor`), so the check never holds the
 whole reference beside the output.
 
 No command calls BLAS: the float64 steps are numpy ufuncs and block copies,
-and the exact ones are pure Python. When numpy is not yet imported,
-:func:`main` sets ``OPENBLAS_NUM_THREADS=1`` unless the variable is already
-set, so that importing numpy starts no OpenBLAS thread pool, and it removes
-the variable again on every exit. A user's own value is kept. Starting the
-pool cost about 0.07 s of each ``analyze`` and ``synthesize`` on a 2-CPU
-host, and no output depends on it.
+and the exact ones are pure Python. :func:`run` sets
+``OPENBLAS_NUM_THREADS=1`` for its process unless the variable is already
+set, before any command imports numpy, so that the import starts no OpenBLAS
+thread pool. A user's own value is kept. Starting the pool cost about 0.07 s
+of each ``analyze`` and ``synthesize`` on a 2-CPU host, and no output depends
+on it. :func:`main` sets nothing, so an in-process caller keeps its own
+environment.
 """
 
 from __future__ import annotations
@@ -364,32 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command with the cyclic collector off and no BLAS thread pool to
-    start, then restore the collector's state and the environment."""
+    """Run one command with the cyclic collector off, then restore its state."""
     was_enabled = gc.isenabled()
     gc.disable()
-    set_blas = "numpy" not in sys.modules and BLAS_THREADS not in os.environ
-    if set_blas:
-        os.environ[BLAS_THREADS] = "1"
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except PcswaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PcswaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if set_blas:
-            os.environ.pop(BLAS_THREADS, None)
         if was_enabled:
             gc.enable()
 
 
 def run() -> None:
-    """The ``pcswave`` script: :func:`main`, then exit with its code, its live
-    objects frozen out of the finalizer's collections."""
+    """The ``pcswave`` script: one OpenBLAS thread unless the user set a
+    count, then :func:`main`, then exit with its code, its live objects
+    frozen out of the finalizer's collections."""
+    os.environ.setdefault(BLAS_THREADS, "1")
     try:
         code = main()
     finally:

@@ -143,8 +143,7 @@ def write_coeffs(path, c: MultiresCoeffs) -> None:
         fh.write(struct.pack("<" + "Q" * c.n, *shape))
         fh.write(struct.pack("<HH", 0, 0))
         _write_tensor(fh, c.coarse)
-        records = sorted(((level, nu_index[nu]) for (nu, level) in c.details),
-                         key=lambda rc: rc)
+        records = sorted((level, nu_index[nu]) for (nu, level) in c.details)
         for level, idx in records:
             nu = c.gamma[idx]
             fh.write(struct.pack("<HH", level, idx))

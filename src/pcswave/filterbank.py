@@ -57,10 +57,7 @@ PRIME_COSET_SUM = "prime_coset_sum"
 
 
 class WaveletFilterBank:
-    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any.
-
-    Two banks are equal when all their fields are.
-    """
+    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any."""
 
     __slots__ = ("sys", "tau", "tau_d", "t", "t_d", "g1d", "h1d")
 
@@ -69,11 +66,6 @@ class WaveletFilterBank:
                  g1d: Optional[Filter1D] = None, h1d: Optional[Filter1D] = None):
         self.sys, self.tau, self.tau_d, self.t, self.t_d = sys, tau, tau_d, t, t_d
         self.g1d, self.h1d = g1d, h1d
-
-    def __eq__(self, other):
-        if other.__class__ is not WaveletFilterBank:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in WaveletFilterBank.__slots__)
 
     @property
     def provenance(self) -> str:

@@ -111,8 +111,6 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD) -> CosetSystem
     else:
         gamma = tuple(tuple(_center(r, p) for r in res) for res in residues)
     index = {res: i for i, res in enumerate(residues)}
-    if len(index) != p ** n:
-        raise DomainError("representative set does not cover Z^n / p Z^n")
     return CosetSystem(p=p, n=n, convention=convention, gamma=gamma, _index=index)
 
 

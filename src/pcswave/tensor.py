@@ -21,8 +21,6 @@ from .errors import DomainError, ShapeMismatch
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
-# samples per block of Tensor.max_abs_diff
-_DIFF_BLOCK = 1 << 14
 
 
 def _shape(shape) -> Tuple[int, ...]:
@@ -90,10 +88,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def ndim(self) -> int:
         return self.data.ndim
 
@@ -137,17 +131,11 @@ class Tensor:
         return bool(np.array_equal(self.data * other.den, other.data * self.den))
 
     def max_abs_diff(self, other: "Tensor") -> float:
+        """The largest |self - other| over all elements, in float64, in one
+        pass; NaN when any difference is NaN."""
         if self.shape != other.shape:
             raise ShapeMismatch(f"shapes {self.shape} and {other.shape} differ")
-        a, b = self.to_numpy().reshape(-1), other.to_numpy().reshape(-1)
-        # block by block through one scratch buffer; np.max keeps a NaN
-        buf = np.empty(min(a.size, _DIFF_BLOCK))
-        peaks = []
-        for i in range(0, a.size, _DIFF_BLOCK):
-            x = a[i:i + _DIFF_BLOCK]
-            d = np.subtract(x, b[i:i + _DIFF_BLOCK], out=buf[:x.size])
-            peaks.append(np.abs(d, out=d).max())
-        return float(np.max(peaks)) if peaks else 0.0
+        return float(np.max(np.abs(self.to_numpy() - other.to_numpy())))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, mode={self.mode})"
@@ -157,8 +145,7 @@ class MultiresCoeffs:
     """Coarse tensor y_0 plus detail tensors w_{nu,j} for a J-level transform.
 
     Level j tensors have shape input_shape / p^(J-j); the coarse tensor sits
-    at level 0, details at levels 0 .. J-1 keyed by (nu, level). Two sets of
-    coefficients are equal when all their fields are.
+    at level 0, details at levels 0 .. J-1 keyed by (nu, level).
     """
 
     __slots__ = ("p", "n", "gamma", "levels", "coarse", "details")
@@ -167,11 +154,6 @@ class MultiresCoeffs:
                  coarse: Tensor, details: Dict[Tuple[Tuple[int, ...], int], Tensor]):
         self.p, self.n, self.gamma, self.levels = p, n, gamma, levels
         self.coarse, self.details = coarse, details
-
-    def __eq__(self, other):
-        if other.__class__ is not MultiresCoeffs:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in MultiresCoeffs.__slots__)
 
     @property
     def mode(self) -> str:

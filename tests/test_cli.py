@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcswave import cli
 from pcswave.cli import main
 from pcswave.dataio import read_tensor, write_tensor
 from pcswave.tensor import Tensor
@@ -116,6 +115,37 @@ def test_verify_corrupted_bank(box_bank_path, tmp_path, capsys):
     assert code == 1
     assert "FAIL  combined biorthogonality" in out
     assert "row" in out and "col" in out
+
+
+def test_verify_general_bank(tmp_path, capsys):
+    # a bank completed from n-D filters carries no generators, so no floor
+    from pcswave.cosetsum import prime_coset_sum
+    from pcswave.filterbank import build_general, write_bank_json
+    from pcswave.lattice import make_coset_system
+    from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
+    sys_ = make_coset_system(3, 2, "centered")
+    bank = build_general(prime_coset_sum(box_filter_1d(3), 2, sys_),
+                         prime_coset_sum(interp_deg4_filter_1d(), 2, sys_), sys_)
+    path = tmp_path / "general.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_bank_json(fh, bank)
+    doc = json.loads(path.read_text())
+    assert (doc["G"], doc["H"], doc["provenance"]) == (None, None, "general")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert "guarantee floor: None" in out.splitlines()
+
+
+def test_verify_tau_below_floor(box_bank_path, tmp_path, capsys):
+    # tau = q delta has accuracy 0, under the box generators' floor of 1
+    doc = json.loads(box_bank_path.read_text())
+    doc["filters"]["tau"]["taps"] = [{"k": [0, 0], "v": "9"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", bad)
+    assert code == 1
+    assert ("FAIL  vanishing-moment floor respected  [tau accuracy 0 < floor 1]"
+            in out.splitlines())
 
 
 def test_verify_dump_builds_polyphase_once(box_bank_path, tmp_path, capsys, monkeypatch):
@@ -250,7 +280,8 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
                                     "key_+1, 00", "key_1,00", "key_a,0", "key_1",
                                     "provenance_general",
                                     "provenance_pcs_no_generators",
-                                    "provenance_unknown", "G_without_H", "G_p5"])
+                                    "provenance_unknown", "G_without_H", "G_p5",
+                                    "G_2d"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -282,6 +313,9 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
     elif damage == "G_p5":
         doc["G"] = json.loads((FIXTURES / "box_p5_centered.json").read_text())
         prefix = "error: generators have dilations 5 and 3, the bank has p=3"
+    elif damage == "G_2d":
+        doc["G"] = doc["filters"]["tau"]
+        prefix = "error: expected a 1-D filter, got dim=2"
     if damage == "not_utf8":
         bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
         prefix = f"error: {bad}: not valid JSON"
@@ -483,12 +517,14 @@ def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
 
 THREADS_PROBE = """
 import sys
-from pcswave.cli import main
-code = main(sys.argv[1:])
-print("dataclasses" in sys.modules)
-with open("/proc/self/status") as fh:
-    print(next(line for line in fh if line.startswith("Threads:")).split()[1])
-sys.exit(code)
+from pcswave.cli import run
+sys.argv[0] = "pcswave"
+try:
+    run()
+finally:
+    print("dataclasses" in sys.modules)
+    with open("/proc/self/status") as fh:
+        print(next(line for line in fh if line.startswith("Threads:")).split()[1])
 """
 
 
@@ -498,7 +534,7 @@ sys.exit(code)
 def test_transform_commands_start_no_blas_thread_pool(box_bank_path, tmp_path, capsys,
                                                       command, preset):
     # numpy's OpenBLAS starts one thread per CPU on import unless told otherwise;
-    # main tells it 1 when the user has not set a value
+    # the pcswave script tells it 1 when the user has not set a value
     if preset is not None and len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts at most one thread per usable CPU")
     y, coeffs = tmp_path / "y.pcst", tmp_path / "y.pcsc"
@@ -519,54 +555,12 @@ def test_transform_commands_start_no_blas_thread_pool(box_bank_path, tmp_path, c
     assert proc.stdout.splitlines()[-2:] == ["False", preset or "1"]
 
 
-def _record_blas_setting(monkeypatch):
-    """OPENBLAS_NUM_THREADS as each read of a JSON file by a command finds it."""
-    seen = []
-    load_json = cli._load_json
-
-    def recording(path):
-        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return load_json(path)
-    monkeypatch.setattr(cli, "_load_json", recording)
-    return seen
-
-
 def _damaged_bank(bank_path):
     doc = json.loads(bank_path.read_text())
     next(iter(doc["filters"]["t"].values()))["taps"][0]["v"] = "17/2"
     bad = bank_path.with_name("bad.json")
     bad.write_text(json.dumps(doc))
     return bad
-
-
-@pytest.mark.parametrize("state, seen_by_command", [("unset", "1"), ("user_value", "3"),
-                                                    ("numpy_loaded", None)])
-@pytest.mark.parametrize("case, code", [("ok", 0), ("failed_check", 1), ("bad_input", 2),
-                                        ("argparse", SystemExit)])
-def test_main_restores_environment(box_bank_path, monkeypatch, capsys, state, seen_by_command,
-                                   case, code):
-    # in-process; these commands import no numpy, so one can run as before a
-    # first numpy import. Once numpy is loaded, OpenBLAS has read its setting.
-    argv = {"ok": ["verify", box_bank_path],
-            "failed_check": ["verify", _damaged_bank(box_bank_path)],
-            "bad_input": ["bench", "--bank", box_bank_path, "--shape", "9x0"],
-            "argparse": ["verify", "--no-such-option"]}[case]
-    if state == "user_value":
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", seen_by_command)
-    else:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    if state != "numpy_loaded":
-        monkeypatch.delitem(sys.modules, "numpy")
-    seen = _record_blas_setting(monkeypatch)
-    before = dict(os.environ)
-    if code is SystemExit:
-        with pytest.raises(SystemExit):
-            main([str(a) for a in argv])
-    else:
-        assert main([str(a) for a in argv]) == code
-    assert dict(os.environ) == before
-    assert ("numpy" in sys.modules) is (state == "numpy_loaded")
-    assert seen == ([] if code is SystemExit else [seen_by_command])
 
 
 ATEXIT_PROBE = """

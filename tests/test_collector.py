@@ -1,10 +1,11 @@
 """The exact layers build no reference cycles, so ``cli.main`` can run with
 CPython's cyclic collector off: whatever a command leaves for the collector
 must not grow with the bank, and ``main`` must hand the collector back in
-the state it found it."""
+the state it found it, and the environment unchanged."""
 
 import gc
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -118,11 +119,15 @@ def _corrupted(bank_file):
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("case, code", [("ok", 0), ("failed_check", 1), ("bad_input", 2),
                                         ("argparse", SystemExit)])
-def test_main_restores_collector_state(box_bank_file, capsys, enabled, case, code):
+def test_main_restores_collector_state(box_bank_file, capsys, monkeypatch, enabled, case,
+                                       code):
     argv = {"ok": ["verify", box_bank_file],
             "failed_check": ["verify", _corrupted(box_bank_file)],
             "bad_input": ["bench", "--bank", box_bank_file, "--shape", "9x0"],
             "argparse": ["verify", "--no-such-option"]}[case]
+    # main sets no BLAS default: that is run()'s, before numpy is imported
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -132,5 +137,6 @@ def test_main_restores_collector_state(box_bank_file, capsys, enabled, case, cod
         else:
             assert main([str(a) for a in argv]) == code
         assert gc.isenabled() is enabled
+        assert dict(os.environ) == before
     finally:
         (gc.enable if was_enabled else gc.disable)()

@@ -95,6 +95,9 @@ def test_compare_tensor_refuses_what_read_tensor_refuses(tmp_path):
 def test_rational_tensor_not_serializable(tmp_path):
     with pytest.raises(DomainError):
         write_tensor(tmp_path / "r.pcst", Tensor.zeros((3,), "rational"))
+    exact = decompose_fast(Tensor.zeros((9, 9), "rational"), box_bank(3, 2), 1)
+    with pytest.raises(DomainError):
+        write_coeffs(tmp_path / "r.pcsc", exact)
 
 
 def test_coeffs_roundtrip(tmp_path):
@@ -112,6 +115,10 @@ def test_coeffs_roundtrip(tmp_path):
         assert np.array_equal(back.details[k].data, c.details[k].data)
     r = reconstruct_fast(back, bank)
     assert np.max(np.abs(r.data - y.data)) <= 1e-12 * np.max(np.abs(y.data))
+    # a set missing one detail tensor has no PCSC form
+    c.details.pop(next(iter(c.details)))
+    with pytest.raises(ShapeMismatch):
+        write_coeffs(tmp_path / "short.pcsc", c)
 
 
 def test_coeffs_deterministic_bytes(tmp_path):

@@ -295,6 +295,10 @@ def test_build_pcs_bank_preconditions():
         build_pcs_bank(box_filter_1d(3), filter_1d(3, {0: 1, 3: Fraction(1, 3),
                                                        1: Fraction(5, 3)}), 2)
     assert "H(3) = 1/3" in str(err.value)
+    with pytest.raises(NotInterpolatory) as err:
+        build_pcs_bank(box_filter_1d(3), filter_1d(3, {0: 2, 1: Fraction(1, 2),
+                                                       -1: Fraction(1, 2)}), 2)
+    assert "H(0) = 2 != 1" in str(err.value)
     with pytest.raises(NotLowpass):
         build_pcs_bank(filter_1d(3, {0: 1}), box_filter_1d(3), 2)
     with pytest.raises(DimensionMismatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pcswave.dataio import write_coeffs, write_tensor
 from pcswave import kernels, lattice
-from pcswave.errors import (DomainError, PcswaveError, ShapeMismatch,
+from pcswave.errors import (DimensionMismatch, DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
 from pcswave.filterbank import (build_general, build_pcs_bank, pcs_bank_masks,
                                 write_bank_json)
@@ -493,6 +493,8 @@ def test_shape_validation():
         decompose_fast(Tensor.zeros((9, 9)), bank, 3)
     with pytest.raises(DomainError):
         decompose_fast(Tensor.zeros((9, 9)), bank, 0)
+    with pytest.raises(DimensionMismatch):
+        decompose_direct(Tensor.zeros((9, 9, 9)), bank, 1)
 
 
 def test_coeffs_bank_consistency(rng):
@@ -502,6 +504,9 @@ def test_coeffs_bank_consistency(rng):
     other = box_bank(2, 2)
     with pytest.raises(ShapeMismatch):
         reconstruct_fast(c, other)
+    c.details[((1, 0), 0)] = Tensor.zeros((9, 9), "rational")
+    with pytest.raises(ShapeMismatch, match="has shape"):
+        reconstruct_fast(c, bank)
     c.details.pop(((1, 0), 0))
     with pytest.raises(ShapeMismatch):
         reconstruct_fast(c, bank)
