@@ -98,7 +98,7 @@ def _require_lowpass_nd(f: FilterND, name: str) -> None:
         raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
 
 
-def _require_generators(G: Filter1D, H: Filter1D) -> None:
+def require_generators(G: Filter1D, H: Filter1D) -> None:
     """G and H share p, both are lowpass, and H is interpolatory."""
     if G.p != H.p:
         raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
@@ -204,7 +204,7 @@ def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem
     This is the second construction route of :func:`build_pcs_bank` and the
     check :func:`bank_from_json` runs.
     """
-    _require_generators(G, H)
+    require_generators(G, H)
     h = prime_coset_sum(H, sys.n, sys)
     yield "tau", None, _pcs_lowpass_mask(G, h, sys)
     yield "tau_d", None, h.mask
@@ -229,7 +229,7 @@ def _first_mismatch(bank: WaveletFilterBank,
 def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
                    convention: str = "centered") -> WaveletFilterBank:
     """Bank from two 1-D lowpass filters via the prime coset sum; H interpolatory."""
-    _require_generators(G, H)
+    require_generators(G, H)
     sys = make_coset_system(G.p, n, convention)
     g = prime_coset_sum(G, n, sys)
     h = prime_coset_sum(H, n, sys)

@@ -21,7 +21,9 @@ componentwise. Every tap of steps (i) and (iv) reads the zero phase, since
 nu - eta(l,nu) m is in pZ^n, so reconstruction finishes the zero phase,
 then each coset's phase, and interleaves them once. Tap sums accumulate in
 table order and each output sample is normalized once, so float64 output
-depends only on the input and the tables.
+depends only on the input and the tables. No predict table is empty: the
+plan takes only an interpolatory H, whose taps off pZ all reach every nu and
+sum to p - 1 != 0, so even a merged exact table keeps a nonzero sum.
 
 Every tap of every step is read one way. A level runs in tiles of
 leading-axis rows of at most TILE_BYTES (256 KiB) of a phase, so that a tap
@@ -133,10 +135,9 @@ class _Tiles:
         """acc = the tap sum of a over one tile, or acc += it when not ``start``.
 
         The sum is of v * (a rolled by shift) over (shift, v) in taps, in table
-        order; acc and tmp hold the tile's rows. Returns False when there are
-        no taps. The first term of a sum that starts is copied into acc; a
-        unit tap adds its blocks of a into acc in place; any other tap is
-        copied into tmp, multiplied there and added.
+        order; acc and tmp hold the tile's rows. The first term of a sum that
+        starts is copied into acc; a unit tap adds its blocks of a into acc in
+        place; any other tap is copied into tmp, multiplied there and added.
         """
         for shift, v in taps:
             pairs = self.split(shift, rows)
@@ -154,7 +155,6 @@ class _Tiles:
                 for dst, src in pairs:
                     tmp[dst] = a[src]
                 acc += np.multiply(tmp, v, out=tmp)
-        return bool(taps)
 
 
 def _scale(s, a):
@@ -213,8 +213,8 @@ class LevelKernels:
                 for dst, src in tiles.split(back, rows):
                     w[dst] = src_phase[src]
                 _scale(keep_w, w)
-                if tiles.tap_sum(a, t, even, taps, rows):
-                    w -= _scale(corr_w, a)
+                tiles.tap_sum(a, t, even, taps, rows)
+                w -= _scale(corr_w, a)
         del even, acc, a  # before the update step
         coarse = np.empty_like(zero)
         for rows in tiles.rows:
@@ -255,10 +255,8 @@ class LevelKernels:
             a, t = acc[:size], tmp[:size]
             for (phase, back), taps, w in zip(self._cosets, tables.hi, details):
                 w, dst_phase = w[rows], out[phase]
-                if tiles.tap_sum(a, t, even, taps, rows):
-                    odd = np.add(_scaled(keep_o, w, t), _scale(corr_o, a), out=a)
-                else:
-                    odd = _scaled(keep_o, w, a)
+                tiles.tap_sum(a, t, even, taps, rows)
+                odd = np.add(_scaled(keep_o, w, t), _scale(corr_o, a), out=a)
                 # each tile goes straight to its rolled place in the fine grid
                 for dst, src in tiles.split(back, rows):
                     dst_phase[src] = odd[dst]

@@ -1,9 +1,12 @@
 """The plan of the fast transform: tap tables, scales and multiply counts.
 
 A plan is built from the coset system and the two 1-D generators alone and
-holds no array, so it needs no numpy. :class:`pcswave.kernels.LevelKernels`
-runs its tables on arrays, and :func:`pcswave.transform.count_ops` counts the
-multiplies of the same tables.
+holds no array, so it needs no numpy. It holds the transform's whole contract
+on the bank, and refuses a bank without G and H, with generators of another
+dilation than the system, or with generators that are not lowpass with H
+interpolatory (:func:`pcswave.filterbank.require_generators`).
+:class:`pcswave.kernels.LevelKernels` runs its tables on arrays, and
+:func:`pcswave.transform.count_ops` counts the multiplies of the same tables.
 
 For each nu in Gamma', the tap lists of H (predict) and G (update) are the
 routes of :func:`pcswave.lattice.eta_routes` divided by p, in increasing m:
@@ -25,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import DimensionMismatch, WrongProvenance
+from .filterbank import require_generators
 from .lattice import eta_routes
 
 
@@ -65,6 +70,11 @@ class LevelPlan:
     """Steps (i)-(iv) of one bank as tap tables, from its coset system and G, H alone."""
 
     def __init__(self, sys, G, H):
+        if G is None or H is None:
+            raise WrongProvenance("the fast transform needs a bank built from 1-D generators")
+        if G.p != sys.p:
+            raise DimensionMismatch(f"G has dilation {G.p}, the coset system has {sys.p}")
+        require_generators(G, H)
         p, n = sys.p, sys.n
         self.n = n
         # (offset, mask numerator) per route, for tap m = p num[m] / den of G or H;

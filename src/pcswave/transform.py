@@ -51,8 +51,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
-from .errors import (DimensionMismatch, DomainError, ShapeMismatch,
-                     ShapeNotDivisible, WrongProvenance)
+from .errors import DimensionMismatch, DomainError, ShapeMismatch, ShapeNotDivisible
 from .filterbank import WaveletFilterBank
 from .plan import LevelPlan
 
@@ -60,11 +59,6 @@ if TYPE_CHECKING:
     from .tensor import MultiresCoeffs, Tensor
 
 MultiIndex = Tuple[int, ...]
-
-
-def _require_pcs(bank: WaveletFilterBank) -> None:
-    if bank.g1d is None or bank.h1d is None:
-        raise WrongProvenance("the fast transform needs a bank built from 1-D generators")
 
 
 def _check_divisible(shape, p: int, levels: int) -> None:
@@ -83,11 +77,10 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
     """J-level decomposition by the fast per-coset steps."""
     from .kernels import LevelKernels
     from .tensor import MultiresCoeffs, Tensor
-    _require_pcs(bank)
+    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     if len(y.shape) != bank.n:
         raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
     _check_divisible(y.shape, bank.p, levels)
-    kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
     cur, den = y.data, y.den
     for j in range(levels, 0, -1):
@@ -117,9 +110,8 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     """Inverse of :func:`decompose_fast`; exact in rational mode."""
     from .kernels import LevelKernels
     from .tensor import Tensor
-    _require_pcs(bank)
-    _check_coeffs(c, bank)
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
+    _check_coeffs(c, bank)
     cur, den = c.coarse.data, c.coarse.den
     for j in range(c.levels):
         dets = [c.details[(nu, j)] for nu in bank.sys.gamma_prime]
@@ -217,10 +209,9 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     (:meth:`pcswave.plan.LevelPlan.mults`). The closed form is computed
     separately from the 1-D generators, and the two must agree exactly.
     """
-    _require_pcs(bank)
+    plan = LevelPlan(bank.sys, bank.g1d, bank.h1d)
     shape = tuple(int(s) for s in shape)
     _check_divisible(shape, bank.p, levels)
-    plan = LevelPlan(bank.sys, bank.g1d, bank.h1d)
     p, n = bank.p, bank.n
     q = p ** n
 

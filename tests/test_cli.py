@@ -134,6 +134,19 @@ def test_verify_general_bank(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path)
     assert code == 0
     assert "guarantee floor: None" in out.splitlines()
+    # nor a fast transform or op count, which the plan refuses
+    from pcswave.dataio import write_coeffs
+    from pcswave.transform import decompose_direct
+    y = Tensor.from_numpy(np.ones((9, 9)))
+    write_tensor(tmp_path / "in.pcst", y)
+    write_coeffs(tmp_path / "in.pcsc", decompose_direct(y, bank, 1))
+    for argv in (("analyze", "--bank", path, "--levels", 1, tmp_path / "in.pcst",
+                  "-o", tmp_path / "out.pcsc"),
+                 ("synthesize", "--bank", path, tmp_path / "in.pcsc", "-o", tmp_path / "out.pcst"),
+                 ("bench", "--bank", path, "--shape", "9x9")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "needs a bank built from 1-D generators" in err
 
 
 def test_verify_tau_below_floor(box_bank_path, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcswave.dataio import write_coeffs, write_tensor
+from pcswave.filters import filter_1d
 from pcswave import kernels, lattice
 from pcswave.errors import (DimensionMismatch, DomainError, PcswaveError, ShapeMismatch,
                             ShapeNotDivisible, WrongProvenance)
@@ -145,6 +146,33 @@ def test_direct_roundtrip_general_provenance(rng):
     assert reconstruct_direct(c, bank) == y
     with pytest.raises(WrongProvenance):
         decompose_fast(y, bank, 1)
+
+
+# a valid bank whose stored generators break the fast algorithm's contract
+BAD_GENERATORS = {
+    "h_not_interpolatory": ("h1d", filter_1d(3, {-1: 1, 0: 1, 3: 1})),
+    "h_all_taps_on_pZ": ("h1d", filter_1d(3, {0: 2, 3: 1})),
+    "g_other_dilation": ("g1d", box_filter_1d(5)),
+    "g_missing": ("g1d", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATORS))
+def test_plan_refuses_bad_generators(case):
+    # the plan checks the generators, so no transform, count or kernel runs
+    # on taps that are not those of the bank's filters
+    bank = box_bank(3, 2)
+    setattr(bank, *BAD_GENERATORS[case])
+    y = Tensor.from_numpy(np.ones((9, 9)))
+    with pytest.raises(PcswaveError):
+        decompose_fast(y, bank, 1)
+    c = decompose_fast(y, box_bank(3, 2), 1)
+    with pytest.raises(PcswaveError):
+        reconstruct_fast(c, bank)
+    with pytest.raises(PcswaveError):
+        count_ops(bank, (9, 9), 1)
+    with pytest.raises(PcswaveError):
+        LevelKernels(bank.sys, bank.g1d, bank.h1d)
 
 
 def test_cross_route_roundtrips(rng):
@@ -305,14 +333,17 @@ def test_roll_matches_np_roll(n, dtype, shift):
     zero = (0,) * n
     for v in taps:
         acc, tmp = tiles.scratch(), tiles.scratch()
-        assert tiles.tap_sum(acc, tmp, a, [(shift, v)], rows)
+        tiles.tap_sum(acc, tmp, a, [(shift, v)], rows)
         assert acc.dtype == a.dtype and np.array_equal(acc, v * want)
         # a sum in table order: the first term written, a unit tap added in place
         tiles.tap_sum(acc, tmp, a, [(zero, 1), (shift, v)], rows, start=False)
         assert np.array_equal(acc, v * want + a + v * want)
         if dtype is object:
             assert all(type(x) is int for x in acc.flat)
-    assert not tiles.tap_sum(acc, tmp, a, [], rows)
+    # an empty sum writes nothing: a G with no taps off pZ has empty update tables
+    before = acc.copy()
+    tiles.tap_sum(acc, tmp, a, [], rows)
+    assert np.array_equal(acc, before)
 
 
 def test_float64_roundtrip_error_bound():
