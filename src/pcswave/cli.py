@@ -273,8 +273,6 @@ def cmd_bench(args) -> int:
     from .transform import count_ops
     bank = bank_from_json(_load_json(args.bank))
     shape = _parse_shape(args.shape)
-    if len(shape) != bank.n:
-        raise PcswaveError(f"shape {args.shape} is {len(shape)}-D, bank is {bank.n}-D")
     oc = count_ops(bank, shape, args.levels)
     per_sample = Fraction(oc.multiplicative_ops, oc.data_points)
     match = oc.predicted == oc.multiplicative_ops

@@ -175,6 +175,8 @@ class LevelKernels:
     the denominators are ints: ``decompose_level(y, den)`` returns the
     denominators of the coarse array and then of each detail, and
     ``reconstruct_level`` takes that list and returns the fine array's.
+    Axes past the first n are batch axes: each level runs on the first n
+    axes of every batch entry alike.
     """
 
     def __init__(self, sys, G, H):
@@ -242,7 +244,8 @@ class LevelKernels:
         tiles = _Tiles(coarse.shape, coarse.dtype)
         acc, tmp = tiles.scratch(), tiles.scratch()
         even = np.empty(coarse.shape, coarse.dtype)
-        out = np.empty(tuple(s * self.p for s in coarse.shape), dtype=coarse.dtype)
+        out = np.empty(tuple(s * self.p for s in coarse.shape[:self.n]) + coarse.shape[self.n:],
+                       dtype=coarse.dtype)
         out_zero = out[self._zero]
         for rows in tiles.rows:
             e, t = even[rows], tmp[:rows.stop - rows.start]

@@ -23,6 +23,11 @@ resamples with the materialized analysis filters:
 
     subband_f(k) = (1/q) * sum over taps f(t) * y(pk + t)
 
+It runs that sum tap by tap on whole arrays, each read through ``np.roll``,
+so it shares no indexing code with the fast route's kernels. Its rational
+mode also runs on integers: the taps are the filters' mask numerators, and
+no ``Fraction`` is made.
+
 Both routes are exact in rational mode and must agree everywhere; that
 equivalence, and the direct inverse in the tests, are the oracles the test
 suite leans on.
@@ -47,7 +52,6 @@ no tap.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
 
@@ -61,9 +65,12 @@ if TYPE_CHECKING:
 MultiIndex = Tuple[int, ...]
 
 
-def _check_divisible(shape, p: int, levels: int) -> None:
+def _check_shape(shape, bank: WaveletFilterBank, levels: int) -> None:
+    if len(shape) != bank.n:
+        raise DimensionMismatch(f"tensor is {len(shape)}-D, bank is {bank.n}-D")
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
+    p = bank.p
     for axis, s in enumerate(shape):
         # one level at a time: a huge levels never forms p^levels
         for _ in range(levels):
@@ -78,9 +85,7 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
     from .kernels import LevelKernels
     from .tensor import MultiresCoeffs, Tensor
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-    if len(y.shape) != bank.n:
-        raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
-    _check_divisible(y.shape, bank.p, levels)
+    _check_shape(y.shape, bank, levels)
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
     cur, den = y.data, y.den
     for j in range(levels, 0, -1):
@@ -122,60 +127,43 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
 
 # --- direct (filter + resample) oracle --------------------------------------
 
-def _iter_coords(shape):
-    return itertools.product(*(range(s) for s in shape))
-
-
-def _flat(idx, shape, strides) -> int:
-    return sum(((i % s) * st) for i, s, st in zip(idx, shape, strides))
-
-
-def _strides(shape):
-    out = [1] * len(shape)
-    for a in range(len(shape) - 2, -1, -1):
-        out[a] = out[a + 1] * shape[a + 1]
-    return tuple(out)
-
-
-def _subband_direct(data, shape, strides, p, f, one_over_q):
-    oshape = tuple(s // p for s in shape)
-    out = []
-    taps = sorted(f.taps.items())
-    for k in _iter_coords(oshape):
-        s = 0
-        for t, v in taps:
-            idx = _flat([p * a + b for a, b in zip(k, t)], shape, strides)
-            s = s + v * data[idx]
-        out.append(one_over_q * s)
-    return out, oshape
-
-
 def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
     """Reference decomposition: correlate with each analysis filter, decimate.
 
     Works for any provenance since it only needs the materialized filters.
-    subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis. The
-    same code serves both modes: the exact 1/q and taps meet the Fractions of
-    :meth:`pcswave.tensor.Tensor.values` in rational mode and are rounded to
-    float64 when multiplied with floats.
+    subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis, is
+    computed on whole arrays: for each tap t in index order, y rolled by -t
+    (reduced modulo the extent) and sampled at every p-th point is added
+    times the tap. In float64 the tap is float(f(t)) and the sum is then
+    multiplied by float(1/q). In rational mode the tap is the mask numerator
+    of f, whose mask is f/q, so a subband is an int array over the input's
+    denominator times the mask's.
     """
+    import numpy as np
+
     from .tensor import MultiresCoeffs, Tensor
-    if len(y.shape) != bank.n:
-        raise DimensionMismatch(f"tensor is {len(y.shape)}-D, bank is {bank.n}-D")
-    _check_divisible(y.shape, bank.p, levels)
-    p = bank.p
-    scale = Fraction(1, bank.q)
-    data = y.values().ravel().tolist()
-    shape = y.shape
+    _check_shape(y.shape, bank, levels)
+    p, n = bank.p, bank.n
+    exact = y.den is not None
+    scale = float(Fraction(1, bank.q))
+
+    def subband(x, f):
+        s = 0
+        for t, v in sorted(f.mask.num.items() if exact else f.taps.items()):
+            rolled = np.roll(x.data, [-(a % e) for a, e in zip(t, x.shape)], axis=tuple(range(n)))
+            s = s + (v if exact else float(v)) * rolled[(slice(None, None, p),) * n]
+        if exact:
+            return Tensor(s.shape, y.mode, s, x.den * f.mask.den)
+        return Tensor(s.shape, y.mode, scale * s)
+
     details: Dict[Tuple[MultiIndex, int], Tensor] = {}
+    cur = y
     for j in range(levels, 0, -1):
-        strides = _strides(shape)
         for nu in bank.sys.gamma_prime:
-            sub, oshape = _subband_direct(data, shape, strides, p, bank.t[nu], scale)
-            details[(nu, j - 1)] = Tensor(oshape, y.mode, sub)
-        data, shape = _subband_direct(data, shape, strides, p, bank.tau, scale)
-    return MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=Tensor(shape, y.mode, data), details=details)
+            details[(nu, j - 1)] = subband(cur, bank.t[nu])
+        cur = subband(cur, bank.tau)
+    return MultiresCoeffs(p=p, n=n, gamma=bank.sys.gamma, levels=levels,
+                          coarse=cur, details=details)
 
 
 # --- operation accounting ----------------------------------------------------
@@ -211,7 +199,7 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     """
     plan = LevelPlan(bank.sys, bank.g1d, bank.h1d)
     shape = tuple(int(s) for s in shape)
-    _check_divisible(shape, bank.p, levels)
+    _check_shape(shape, bank, levels)
     p, n = bank.p, bank.n
     q = p ** n
 

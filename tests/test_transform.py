@@ -367,6 +367,32 @@ def test_float64_fast_matches_direct():
         assert t.max_abs_diff(cd.details[k]) <= 1e-12
 
 
+ORACLE_PINS = [
+    (lambda: deg4_bank(2), (81, 81), 2,
+     "f73611ec207373f4d6ab46125fead35ee3919e669a9c75ab087b54c323dd90cb"),
+    (lambda: box_bank(3, 3), (27, 27, 27), 1,
+     "586a99e1a505ef65fc8a59c2c8ec27670d136f94babcf09f62db74564d1123a8"),
+    (lambda: box_bank(2, 2), (16, 16), 3,
+     "418b0c67a61194d0d58686e153c0cd3f7be1d7b2e6271f0e9c7350046fa94106"),
+    (lambda: build_pcs_bank(far_tap_1d(), far_tap_1d(), 2, "standard"), (27, 27), 2,
+     "a9128f513e8d5f5904688b0793fc7225feec71392375c44de3b9c3a1aa5c9a20"),
+]
+
+
+@pytest.mark.parametrize("bank_fn,shape,levels,digest", ORACLE_PINS,
+                         ids=["deg4_n2", "box_p3_n3", "box_p2_n2", "far_tap"])
+def test_float64_oracle_bits_pinned(bank_fn, shape, levels, digest):
+    # the direct route's float64 output: its tap order, its one 1/q multiply
+    # per sample and the sign of a zero sample (the input starts with -0.0)
+    data = np.random.default_rng(0).standard_normal(shape)
+    data.flat[0] = -0.0
+    c = decompose_direct(Tensor.from_numpy(data), bank_fn(), levels)
+    h = hashlib.sha256(c.coarse.data.tobytes())
+    for key in sorted(c.details):
+        h.update(c.details[key].data.tobytes())
+    assert h.hexdigest() == digest
+
+
 def _drawer(kind):
     """A seeded source of float64 arrays by shape: normal values, or zeros of either sign."""
     rng = np.random.default_rng(0)
@@ -490,6 +516,26 @@ def test_tiled_steps_equal_one_tile_steps(case):
     assert np.array_equal(back * 7, exact * den)
 
 
+def test_level_runs_over_trailing_batch_axes():
+    # an n = 1 level on a 243x17 array is the 17 per-column levels, both ways
+    kern = LevelKernels(make_coset_system(3, 1, "centered"), box_filter_1d(3),
+                        interp_deg4_filter_1d())
+    y = np.random.default_rng(5).standard_normal((243, 17))
+    coarse, details, dens = kern.decompose_level(y)
+    fine, _ = kern.reconstruct_level(coarse, details, dens)
+    for col in range(y.shape[1]):
+        c, ds, _ = kern.decompose_level(np.ascontiguousarray(y[:, col]))
+        for got, want in zip((coarse, *details), (c, *ds)):
+            assert np.ascontiguousarray(got[:, col]).tobytes() == want.tobytes()
+        back, _ = kern.reconstruct_level(c, ds, dens)
+        assert np.ascontiguousarray(fine[:, col]).tobytes() == back.tobytes()
+    # and an exact batched round trip on int numerators is exact
+    exact = np.array([int(v) for v in range(-54, 54)], dtype=object).reshape(27, 4)
+    coarse, details, dens = kern.decompose_level(exact, 5)
+    back, den = kern.reconstruct_level(coarse, details, dens)
+    assert back.shape == exact.shape and np.array_equal(back * 5, exact * den)
+
+
 @pytest.mark.parametrize("bank_fn,digest", [
     (lambda: box_bank(3, 2), "db88133b502dbdc9665694986bcfcffe10e1ee58ccbfaecfe12ab73cb0d001b3"),
     (lambda: deg4_bank(2), "4d2f45b72a4397f852438dfb08887622583d9cde2dfe21f54327b5ca246865f3"),
@@ -526,6 +572,9 @@ def test_shape_validation():
         decompose_fast(Tensor.zeros((9, 9)), bank, 0)
     with pytest.raises(DimensionMismatch):
         decompose_direct(Tensor.zeros((9, 9, 9)), bank, 1)
+    # a count over a shape of another dimension would match a closed form of it
+    with pytest.raises(DimensionMismatch, match="tensor is 3-D, bank is 2-D"):
+        count_ops(deg4_bank(2), (81, 81, 81), 1)
 
 
 def test_coeffs_bank_consistency(rng):
