@@ -27,6 +27,11 @@ is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
 on integer numerators over common denominators, and a stored filter matches
 a derived mask when the two integer forms are equal.
 
+``verify_combined_biorthogonality`` decides S(w) A(w) = (1/q) I in the filter
+domain, building neither polyphase matrix; ``bank_polyphase_matrices`` builds
+(A, S) for the ``--dump-polyphase`` file only. The matrix product that decides
+the identity entry by entry is the tests' oracle, in ``tests/conftest.py``.
+
 ``write_json`` writes every JSON file of pcswave (the bank, the polyphase dump
 and the reports) with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
 each filter and polyphase entry formatted from its integer numerators.
@@ -37,6 +42,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import LaurentPoly, format_rational, poly_sum
@@ -48,7 +56,7 @@ from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
                       is_interpolatory, to_1d)
 from .lattice import CosetSystem, make_coset_system
 from .polyphase import (ANALYSIS, SYNTHESIS, PolyphaseMatrix, eta_sum,
-                        identity_residuals, matmul, polyphase_decompose)
+                        polyphase_decompose)
 
 MultiIndex = Tuple[int, ...]
 
@@ -273,16 +281,79 @@ def bank_polyphase_matrices(bank: WaveletFilterBank) -> Tuple[PolyphaseMatrix, P
     return (PolyphaseMatrix(q, q, a_rows), PolyphaseMatrix(q, q, s_rows))
 
 
-def verify_polyphase_matrices(A: PolyphaseMatrix, S: PolyphaseMatrix,
-                              q: int) -> VerificationReport:
-    """Exact check of S A = (1/q) I for a bank's (A, S)."""
-    bad = identity_residuals(matmul(S, A), q)
-    return VerificationReport(passed=not bad, q=q, failures=bad)
+def _packed(keys: List[MultiIndex], base: int) -> List[int]:
+    """Each exponent k of keys as the int k[0] base^(n-1) + ... + k[n-2] base + k[n-1]."""
+    cols = list(zip(*keys)) or [()]
+    packed = cols[0]
+    for col in cols[1:]:
+        packed = [base * v + x for v, x in zip(packed, col)]
+    return list(packed)
+
+
+def _unpacked(key: int, base: int, n: int) -> MultiIndex:
+    """The exponent that :func:`_packed` packed into key, read in balanced digits."""
+    out = []
+    for _ in range(n):
+        d = key % base
+        if 2 * d > base:
+            d -= base
+        out.append(d)
+        key = (key - d) // base
+    return tuple(out[::-1])
 
 
 def verify_combined_biorthogonality(bank: WaveletFilterBank) -> VerificationReport:
-    """Exact perfect-reconstruction check of the bank via its polyphase matrices."""
-    return verify_polyphase_matrices(*bank_polyphase_matrices(bank), bank.q)
+    """Exact check of S(w) A(w) = (1/q) I in the filter domain, one column at a time.
+
+    P_j(x) = sum_k s_k(x) A_kj(x^p), over the synthesis masks s_k, equals
+    sum_i (S A)_ij(x^p) x^{gamma_i}. The classes gamma_i + pZ^n are disjoint, so
+    S A = (1/q) I exactly when every P_j is x^{gamma_j} / q, and the term of P_j
+    at t in class gamma_i is the coefficient of (S A)_ij at (t - gamma_i) / p.
+    A_kj(x^p) holds the analysis taps x of class j at exponent gamma_j - x. Each
+    side goes over one denominator and each exponent is one int in balanced base
+    4M + 4p + 1 (M the largest |tap exponent|); only failing columns are unpacked.
+    """
+    sys = bank.sys
+    p, n, q, gamma = sys.p, sys.n, sys.q, sys.gamma
+    ana, syn = bank.analysis_filters(), bank.synthesis_filters()
+    if any(f.dim != n or f.p != p for f in ana + syn):
+        raise DimensionMismatch("filter and coset system disagree on p or dimension")
+    far = max((max(max(c), -min(c)) for f in ana + syn for c in zip(*f.mask.num)), default=0)
+    base = 4 * far + 4 * p + 1
+    d_syn, d_ana = lcm(*(f.mask.den for f in syn)), lcm(*(f.mask.den for f in ana))
+    den, origin = d_syn * d_ana, _packed(list(gamma), base)
+    s_keys = [_packed(list(f.mask.num), base) for f in syn]
+    s_values = [list(map(mul, f.mask.num.values(), repeat(d_syn // f.mask.den))) for f in syn]
+    # column j: (k, gamma_j - x, value) for each analysis tap x of filter k in class j
+    columns: List[List[Tuple[int, int, int]]] = [[] for _ in range(q)]
+    for k, f in enumerate(ana):
+        keys, scale = list(f.mask.num), d_ana // f.mask.den
+        for j, x, v in zip(map(sys.index_of, keys), _packed(keys, base), f.mask.num.values()):
+            columns[j].append((k, origin[j] - x, v * scale))
+    failures = []
+    for j, column in enumerate(columns):
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for k, shift, a in column:
+            for s, v in zip(s_keys[k], s_values[k]):
+                t = s + shift
+                acc[t] = get(t, 0) + v * a
+        diagonal = acc.pop(origin[j], 0)
+        if q * diagonal == den and not any(acc.values()):
+            continue
+        # the entries of column j: (S A)_ij at m from the term at gamma_i + p m
+        entries: Dict[int, Dict[MultiIndex, int]] = {j: {(0,) * n: q * diagonal - den}}
+        for t, v in acc.items():
+            if v:
+                x = _unpacked(t, base, n)
+                i = sys.index_of(x)
+                entries.setdefault(i, {})[tuple((a - b) // p for a, b in zip(x, gamma[i]))] = q * v
+        for i, num in entries.items():
+            res = LaurentPoly.from_integers(n, num, q * den)
+            if res.num:
+                failures.append((i, j, res))
+    failures.sort(key=lambda f: f[:2])
+    return VerificationReport(passed=not failures, q=q, failures=failures)
 
 
 class FilterReport(NamedTuple):

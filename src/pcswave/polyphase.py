@@ -1,4 +1,4 @@
-"""Polyphase representations of filters, and the S.A = (1/q) I identity.
+"""Polyphase representations of filters.
 
 Masks are :class:`~pcswave.arith.LaurentPoly` values, where the exponent k
 stands for the basis function e^{-i k.w}. Under that convention, conjugating
@@ -6,23 +6,23 @@ a real-coefficient polynomial negates exponents, and substituting w -> p*w
 multiplies them by p; both are exact exponent transforms, so the whole
 polyphase layer stays in Q. It runs on integer numerators over one
 denominator: a filter is its mask (see :mod:`pcswave.filters`), so no tap is
-converted. ``Fraction`` appears only where a scalar such as 1/q enters.
+converted.
 
 The polyphase decomposition splits a filter into q = p^n subfilters indexed by
 Gamma. Synthesis components are (1/q) sum_k f(nu + p k) e^{-i k.w}; analysis
 components conjugate, which for real taps means (1/q) sum_k f(nu - p k)
 e^{-i k.w}. A filter bank becomes a pair of q x q matrices over this ring, and
-perfect reconstruction is the exact identity S(w) A(w) = (1/q) I, which
-:func:`matmul` and :func:`identity_residuals` decide over one common
-denominator per matrix. The pair of a bank is built in one place, from its
-filters: :func:`pcswave.filterbank.bank_polyphase_matrices`.
+perfect reconstruction is the exact identity S(w) A(w) = (1/q) I. The pair of
+a bank is built in one place, from its filters, for the ``--dump-polyphase``
+file: :func:`pcswave.filterbank.bank_polyphase_matrices`. The identity itself
+is decided in the filter domain, with no matrix built
+(:func:`pcswave.filterbank.verify_combined_biorthogonality`); the matrix
+product that decides it entry by entry is the test suite's oracle, in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-from operator import add
 from typing import Dict, List, NamedTuple, Tuple
 
 from .arith import LaurentPoly
@@ -83,59 +83,3 @@ class PolyphaseMatrix(NamedTuple):
     rows: int
     cols: int
     entries: List[List[LaurentPoly]]
-
-
-def _integer_entries(m: PolyphaseMatrix) -> Tuple[int, List[List[List[Tuple[MultiIndex, int]]]]]:
-    """m over one common denominator D: (D, term lists of D * entry)."""
-    den = lcm(*(e.den for row in m.entries for e in row))
-    return den, [[[(k, v * (den // e.den)) for k, v in e.num.items()] for e in row]
-                 for row in m.entries]
-
-
-def matmul(left: PolyphaseMatrix, right: PolyphaseMatrix) -> PolyphaseMatrix:
-    """Exact product; both factors go over one common denominator each first."""
-    if left.cols != right.rows:
-        raise DimensionMismatch(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
-    n = left.entries[0][0].n if left.rows and left.cols else 1
-    zero = (0,) * n
-    dl, a = _integer_entries(left)
-    dr, b = _integer_entries(right)
-    acc: List[List[Dict[MultiIndex, int]]] = [
-        [dict() for _ in range(right.cols)] for _ in range(left.rows)
-    ]
-    for k in range(left.cols):
-        col = [(i, a[i][k]) for i in range(left.rows) if a[i][k]]
-        row = [(j, b[k][j]) for j in range(right.cols) if b[k][j]]
-        for i, ta in col:
-            acc_i = acc[i]
-            for j, tb in row:
-                dst = acc_i[j]
-                get = dst.get
-                for kb, vb in tb:
-                    if kb == zero:  # the constant terms, such as all of A's diagonal
-                        for ka, va in ta:
-                            dst[ka] = get(ka, 0) + va * vb
-                        continue
-                    for ka, va in ta:
-                        kk = tuple(map(add, ka, kb))
-                        dst[kk] = get(kk, 0) + va * vb
-    den = dl * dr
-    entries = [[LaurentPoly.from_integers(n, acc[i][j], den) for j in range(right.cols)]
-               for i in range(left.rows)]
-    return PolyphaseMatrix(rows=left.rows, cols=right.cols, entries=entries)
-
-
-def identity_residuals(m: PolyphaseMatrix, q: int) -> List[Tuple[int, int, LaurentPoly]]:
-    """Entries of m - (1/q) I that are nonzero, with their residual polynomials."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("identity residual needs a square matrix")
-    bad = []
-    for i, row in enumerate(m.entries):
-        for j, e in enumerate(row):
-            if i != j:
-                if e.num:
-                    bad.append((i, j, e))
-            elif e.den != q or e.num != {(0,) * e.n: 1}:
-                bad.append((i, j, e - Fraction(1, q)))
-    return bad
-

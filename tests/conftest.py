@@ -1,11 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul
 
 import pytest
 
+from pcswave.errors import DimensionMismatch
+from pcswave.filterbank import VerificationReport
 from pcswave.filters import Filter1D, filter_1d
+from pcswave.polyphase import LaurentPoly, PolyphaseMatrix
 
 
 def random_lowpass_1d(rng: random.Random, p: int, max_taps: int = 5) -> Filter1D:
@@ -108,6 +112,66 @@ def reconstruct_direct(c, bank):
                     out[x] = out[x] + v * sub[k]
         cur, oshape = out, shape
     return Tensor(oshape, c.mode, list(cur.values()))
+
+
+def _integer_entries(m):
+    """m over one common denominator D: (D, term lists of D * entry)."""
+    den = lcm(*(e.den for row in m.entries for e in row))
+    return den, [[[(k, v * (den // e.den)) for k, v in e.num.items()] for e in row]
+                 for row in m.entries]
+
+
+def matmul(left, right):
+    """The exact product of two polyphase matrices, over one common denominator each."""
+    if left.cols != right.rows:
+        raise DimensionMismatch(f"cannot multiply {left.rows}x{left.cols} by {right.rows}x{right.cols}")
+    n = left.entries[0][0].n if left.rows and left.cols else 1
+    zero = (0,) * n
+    dl, a = _integer_entries(left)
+    dr, b = _integer_entries(right)
+    acc = [[dict() for _ in range(right.cols)] for _ in range(left.rows)]
+    for k in range(left.cols):
+        col = [(i, a[i][k]) for i in range(left.rows) if a[i][k]]
+        row = [(j, b[k][j]) for j in range(right.cols) if b[k][j]]
+        for i, ta in col:
+            acc_i = acc[i]
+            for j, tb in row:
+                dst = acc_i[j]
+                get = dst.get
+                for kb, vb in tb:
+                    if kb == zero:  # the constant terms, such as all of A's diagonal
+                        for ka, va in ta:
+                            dst[ka] = get(ka, 0) + va * vb
+                        continue
+                    for ka, va in ta:
+                        kk = tuple(map(add, ka, kb))
+                        dst[kk] = get(kk, 0) + va * vb
+    den = dl * dr
+    entries = [[LaurentPoly.from_integers(n, acc[i][j], den) for j in range(right.cols)]
+               for i in range(left.rows)]
+    return PolyphaseMatrix(rows=left.rows, cols=right.cols, entries=entries)
+
+
+def identity_residuals(m, q):
+    """Entries of m - (1/q) I that are nonzero, with their residual polynomials."""
+    if m.rows != m.cols:
+        raise DimensionMismatch("identity residual needs a square matrix")
+    bad = []
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if i != j:
+                if e.num:
+                    bad.append((i, j, e))
+            elif e.den != q or e.num != {(0,) * e.n: 1}:
+                bad.append((i, j, e - Fraction(1, q)))
+    return bad
+
+
+def verify_polyphase_matrices(A, S, q):
+    """The oracle of filterbank.verify_combined_biorthogonality: S A = (1/q) I
+    decided entry by entry on the bank's polyphase matrices (A, S)."""
+    bad = identity_residuals(matmul(S, A), q)
+    return VerificationReport(passed=not bad, q=q, failures=bad)
 
 
 def zero_count(reps, p, g):

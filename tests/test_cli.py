@@ -97,13 +97,17 @@ def test_design_rejects_noninterpolatory_h(tmp_path, capsys):
 
 
 def test_verify_good_bank(box_bank_path, capsys, tmp_path):
-    code, out, _ = run(capsys, "verify", box_bank_path,
-                       "--json", tmp_path / "verify.json")
-    assert code == 0
-    assert "PASS  combined biorthogonality" in out
-    assert "FAIL" not in out
-    rep = json.loads((tmp_path / "verify.json").read_text())
-    assert rep["passed"] is True
+    # the p=3 centered box bank and the p=2 standard-convention one
+    p2_bank, box = tmp_path / "p2.json", FIXTURES / "box_p2.json"
+    assert run(capsys, "design", "--p", 2, "--dim", 2, "--g", box, "--h", box,
+               "--gamma", "standard", "-o", p2_bank)[0] == 0
+    for bank in (box_bank_path, p2_bank):
+        code, out, _ = run(capsys, "verify", bank, "--json", tmp_path / "verify.json")
+        assert code == 0
+        assert "PASS  combined biorthogonality (S.A = (1/q) I)" in out.splitlines()
+        assert "FAIL" not in out
+        rep = json.loads((tmp_path / "verify.json").read_text())
+        assert rep["passed"] is True
 
 
 def test_verify_corrupted_bank(box_bank_path, tmp_path, capsys):
@@ -162,7 +166,8 @@ def test_verify_tau_below_floor(box_bank_path, tmp_path, capsys):
 
 
 def test_verify_dump_builds_polyphase_once(box_bank_path, tmp_path, capsys, monkeypatch):
-    # the dump and the S.A check share one (A, S); the report does not change
+    # the S.A check builds no (A, S) and the dump builds one; the report does
+    # not change
     from pcswave import cli, filterbank
     doc = json.loads(box_bank_path.read_text())
     doc["filters"]["t"]["0,1"]["taps"][0]["v"] = "17/2"
@@ -180,6 +185,55 @@ def test_verify_dump_builds_polyphase_once(box_bank_path, tmp_path, capsys, monk
     assert code == dumped_code == 1
     assert dumped == plain
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("emptied, count, digest", [
+    ("t_d", 54, "89a9405be0289dca69cf2afda6c976d604a7997874b2d0500525f42cfd250ff6"),
+    ("tau", 729, "cbd6fc86ff28c87c9b2d99ff5f6d5bb3efc08c40887f6c8028e4c6f88e6077f8"),
+])
+def test_verify_general_bank_with_an_empty_filter(tmp_path, capsys, emptied, count, digest):
+    # an empty mask adds no terms to any column of S.A; the report names the
+    # entries it leaves wrong and is pinned byte for byte (SHA-256 of stdout)
+    from pcswave.cosetsum import prime_coset_sum
+    from pcswave.filterbank import bank_to_json, build_general
+    from pcswave.lattice import make_coset_system
+    from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
+    sys_ = make_coset_system(3, 3, "centered")
+    doc = bank_to_json(build_general(prime_coset_sum(box_filter_1d(3), 3, sys_),
+                                     prime_coset_sum(interp_deg4_filter_1d(), 3, sys_), sys_))
+    filters = doc["filters"]
+    (filters["tau"] if emptied == "tau" else filters["t_d"]["-1,-1,-1"])["taps"] = []
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    assert out.startswith("FAIL  combined biorthogonality (S.A = (1/q) I)  "
+                          f"[{count} of 729 entries violate S(w) A(w) = (1/q) I; first at row 0, col 0")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_far_tap_bank_sizes_nothing_by_its_offset(tmp_path, capsys):
+    # the tap at 30000001 only lengthens the packed exponents: the check
+    # passes and peaks where it does for the tap at 301, whose bank has as
+    # many taps (48.7 kB against 47.9 kB traced)
+    import tracemalloc
+    from pcswave.filterbank import build_pcs_bank, verify_combined_biorthogonality
+    from conftest import far_tap_1d
+    far, bank = FIXTURES / "far_tap_p3.json", tmp_path / "far.json"
+    assert run(capsys, "design", "--p", 3, "--dim", 2, "--g", far, "--h", far, "-o", bank)[0] == 0
+    code, out, _ = run(capsys, "verify", bank)
+    assert code == 0 and "FAIL" not in out
+    peaks = []
+    for m in (30000001, 301):
+        near = build_pcs_bank(far_tap_1d(m), far_tap_1d(m), 2, "standard")
+        verify_combined_biorthogonality(near)
+        tracemalloc.start()
+        try:
+            assert verify_combined_biorthogonality(near).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 4096, peaks
 
 
 def test_verify_reports_orders(tmp_path, capsys):

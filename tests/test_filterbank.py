@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
                             NotLowpass, PcswaveError)
-from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_report,
-                                bank_to_json, build_general, build_pcs_bank,
+from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_polyphase_matrices,
+                                bank_report, bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, verify_combined_biorthogonality,
                                 write_bank_json, write_json)
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
@@ -24,7 +24,8 @@ from pcswave.polyphase import LaurentPoly, eta_sum
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
                              interp_deg4_filter_1d)
 
-from conftest import random_interpolatory_1d, random_lowpass_1d
+from conftest import (FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d,
+                      verify_polyphase_matrices)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -267,6 +268,63 @@ def test_verify_fails_for_mismatched_lowpass():
     i, j, res = rep.failures[0]
     assert not res.is_zero()
     assert "row" in rep.describe()
+
+
+def _with_filter(bank, name, nu, f):
+    """bank with its filter name (name[nu] for a highpass one) replaced by f."""
+    fields = {"tau": bank.tau, "tau_d": bank.tau_d, "t": dict(bank.t), "t_d": dict(bank.t_d)}
+    if nu is None:
+        fields[name] = f
+    else:
+        fields[name][nu] = f
+    return WaveletFilterBank(sys=bank.sys, g1d=bank.g1d, h1d=bank.h1d, **fields)
+
+
+def _drawn_bank(data):
+    kind = data.draw(st.sampled_from(["pcs", "general", "far"]), label="kind")
+    if kind == "far":
+        m = data.draw(st.sampled_from(FAR_TAPS), label="far tap")
+        return build_pcs_bank(far_tap_1d(m), far_tap_1d(m), data.draw(st.integers(1, 2)),
+                              "standard")
+    p = data.draw(st.sampled_from([2, 3, 5]), label="p")
+    # _random_lowpass_nd samples more taps than a line at p = 2 offers
+    n = data.draw(st.integers(1 if kind == "pcs" else 2, 3), label="n")
+    convention = data.draw(st.sampled_from(["standard", "centered"] if p % 2 else ["standard"]),
+                           label="convention")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    if kind == "pcs":
+        return build_pcs_bank(random_lowpass_1d(rng, p), random_interpolatory_1d(rng, p), n,
+                              convention)
+    return build_general(_random_lowpass_nd(rng, p, n),
+                         _random_lowpass_nd(rng, p, n, interpolatory=True),
+                         make_coset_system(p, n, convention))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_verify_matches_polyphase_matrix_oracle(data):
+    # the filter-domain check against S A formed entry by entry, on a bank as
+    # built, with one tap changed and with one tap removed; A is invertible,
+    # so either damage breaks the identity
+    bank = _drawn_bank(data)
+    name = data.draw(st.sampled_from(["tau", "tau_d", "t", "t_d"]), label="filter")
+    nu = None if name in ("tau", "tau_d") else data.draw(st.sampled_from(bank.sys.gamma_prime))
+    f = getattr(bank, name) if nu is None else getattr(bank, name)[nu]
+    key = data.draw(st.sampled_from(sorted(f.mask.num)), label="tap")
+    delta = data.draw(st.fractions(-5, 5, max_denominator=9).filter(bool), label="delta")
+    kept = {k: v for k, v in f.mask.num.items() if k != key}
+    passed = []
+    for case in (bank,
+                 _with_filter(bank, name, nu, FilterND(f.p, f.mask + LaurentPoly.monomial(key, delta))),
+                 _with_filter(bank, name, nu, FilterND(f.p, LaurentPoly.from_integers(
+                     bank.n, kept, f.mask.den)))):
+        got = verify_combined_biorthogonality(case)
+        want = verify_polyphase_matrices(*bank_polyphase_matrices(case), case.q)
+        assert (got.passed, got.q) == (want.passed, want.q) and got.q == bank.q
+        assert got.failures == want.failures
+        assert got.describe() == want.describe()
+        passed.append(got.passed)
+    assert passed == [True, False, False]
 
 
 def test_corollary_biorthogonality(rng):

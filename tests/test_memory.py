@@ -11,7 +11,9 @@ reads its reference in chunks, so it holds one chunk beside the output.
 
 The bank writer holds the text of one filter at a time, so its peak is a
 small share of the file it writes, and the checked bank load holds one
-re-derived mask at a time beside the bank it parsed.
+re-derived mask at a time beside the bank it parsed. The S.A check holds the
+bank's taps as packed ints and one column of the product at a time, far less
+than the polyphase matrices and their product that its oracle builds.
 """
 
 import json
@@ -22,7 +24,8 @@ import numpy as np
 
 from pcswave import cli
 from pcswave.dataio import compare_tensor, write_tensor
-from pcswave.filterbank import (bank_from_json, bank_to_json, build_pcs_bank,
+from pcswave.filterbank import (bank_from_json, bank_polyphase_matrices, bank_to_json,
+                                build_pcs_bank, verify_combined_biorthogonality,
                                 write_bank_json)
 from pcswave.filters import filter_from_json, to_1d
 from pcswave.kernels import LevelKernels
@@ -30,7 +33,7 @@ from pcswave.presets import box_bank, box_filter_1d, deg4_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast
 
-from conftest import far_tap_1d
+from conftest import far_tap_1d, verify_polyphase_matrices
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # deg4 (q = 9) on 729x729: a phase (243x243, 472 kB) is 1/9 of the input and
@@ -56,6 +59,9 @@ FAR_TABLES_ALLOWANCE = 16 * 1024
 # is the parsed bank (5.0 MiB traced); holding all 2q re-derived masks at once
 # read 2.07
 CHECKED_LOAD_BOUND = 1.25
+# box p=5 n=3: the S.A check peaks at 0.13 times the oracle's (A, S) and
+# product (2.8 against 20.8 MB traced)
+SA_CHECK_BOUND = 0.4
 
 
 def traced_peak(fn):
@@ -161,3 +167,12 @@ def test_checked_load_compares_each_mask_as_it_is_derived():
     _, unchecked = traced_peak(lambda: bank_from_json(doc, cross_check=False))
     _, checked = traced_peak(lambda: bank_from_json(doc))
     assert checked <= CHECKED_LOAD_BOUND * unchecked, checked / unchecked
+
+
+def test_sa_check_builds_no_polyphase_matrix():
+    bank = box_bank(5, 3)
+    report, peak = traced_peak(lambda: verify_combined_biorthogonality(bank))
+    oracle, oracle_peak = traced_peak(
+        lambda: verify_polyphase_matrices(*bank_polyphase_matrices(bank), bank.q))
+    assert report.passed and oracle.passed
+    assert peak <= SA_CHECK_BOUND * oracle_peak, peak / oracle_peak

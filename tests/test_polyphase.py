@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DomainError
-from pcswave.filterbank import (bank_polyphase_matrices, build_general,
-                                verify_polyphase_matrices)
+from pcswave.filterbank import bank_polyphase_matrices, build_general
 from pcswave.filters import FilterND, diagnostics, filter_nd
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix, eta_sum,
-                               identity_residuals, matmul, polyphase_decompose)
+                               polyphase_decompose)
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
-from conftest import random_interpolatory_1d, random_lowpass_1d, zeta_sum
+from conftest import (identity_residuals, matmul, random_interpolatory_1d, random_lowpass_1d,
+                      verify_polyphase_matrices, zeta_sum)
 
 
 def coset_sum_polyphase(H, sys, nu):
