@@ -14,9 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import DimensionMismatch, DomainError
 
@@ -174,12 +173,8 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         out: Dict[MultiIndex, int] = {}
-        get = out.get
-        right = list(other.num.items())
-        for ka, va in self.num.items():
-            for kb, vb in right:
-                k = tuple(map(add, ka, kb))
-                out[k] = get(k, 0) + va * vb
+        accumulate_products(out, self.num.items(), list(zip(*other.num)),
+                            list(other.num.values()))
         return LaurentPoly.from_integers(self.n, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -212,6 +207,19 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         body = " + ".join(f"({v})*x^{list(k)}" for k, v in sorted(self.terms.items()))
         return f"LaurentPoly({body})"
+
+
+def accumulate_products(acc: Dict[MultiIndex, int], left: Iterable[Tuple[MultiIndex, int]],
+                        cols: List[Tuple[int, ...]], values: List[int]) -> None:
+    """Add va * vb to acc at ka + kb for each term (ka, va) of left and each term
+    (kb, vb) of the right operand, which is given as its exponent columns (one
+    tuple per axis, as ``list(zip(*num))``) and its values in the same order."""
+    get = acc.get
+    for ka, va in left:
+        # the right operand's exponents shifted by ka, axis by axis
+        shifted = zip(*[[x + a for x in col] for col, a in zip(cols, ka)])
+        for k, vb in zip(shifted, values):
+            acc[k] = get(k, 0) + va * vb
 
 
 def poly_sum(n: int, polys: Iterable[LaurentPoly]) -> LaurentPoly:

@@ -1,6 +1,7 @@
 """The prime coset sum: 1-D lowpass filters lifted to n-D non-separable ones.
 
-The n-D filter h built from a 1-D lowpass filter H with prime dilation p is
+The n-D filter h built from a 1-D lowpass filter H with prime dilation p, for
+the dimension n of the coset system it is given, is
 
     h(0) = (p - p^n + (p^n - 1) H(0)) / (p - 1)
     h(k) = (1/(p-1)) * sum of H(l) over all l != 0 with k = l * nu, nu in Gamma'
@@ -17,26 +18,19 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .arith import LaurentPoly
-from .errors import DimensionMismatch, NotLowpass
-from .filters import Filter1D, FilterND
+from .errors import DimensionMismatch
+from .filters import Filter1D, FilterND, require_lowpass
 from .lattice import CosetSystem
 
 MultiIndex = Tuple[int, ...]
 
 
-def _require_compatible(H: Filter1D, n: int, sys: CosetSystem) -> None:
+def prime_coset_sum(H: Filter1D, sys: CosetSystem) -> FilterND:
+    """Lift the 1-D lowpass filter H to a sys.n-D lowpass filter with dilation p*I_n."""
     if sys.p != H.p:
         raise DimensionMismatch(f"filter dilation {H.p} != coset system dilation {sys.p}")
-    if sys.n != n:
-        raise DimensionMismatch(f"requested dimension {n} != coset system dimension {sys.n}")
-    if H.tap_sum != H.p:
-        raise NotLowpass(f"1-D filter tap sum is {H.tap_sum}, lowpass needs {H.p}")
-
-
-def prime_coset_sum(H: Filter1D, n: int, sys: CosetSystem) -> FilterND:
-    """Lift the 1-D lowpass filter H to an n-D lowpass filter with dilation p*I_n."""
-    _require_compatible(H, n, sys)
-    p, q = sys.p, sys.q
+    require_lowpass(H, "1-D filter")
+    p, n, q = sys.p, sys.n, sys.q
     num, den = H.mask.num, H.mask.den
     # H(l) = p num[l] / den, so over D = den (p-1) p^(n-1) the mask h(k) / q has
     # numerator (1 - p^(n-1)) den + (q-1) num[0] at 0 and the sum of num[l] at k

@@ -17,8 +17,10 @@ masks over the frequency cosets numerically.
 and then through ``build_general``. Its second route, ``pcs_bank_masks``,
 re-derives the 2q masks from G and H one at a time: tau_d as the prime coset
 sum of H, tau as above, and every highpass mask from the closed forms in
-terms of the 1-D polyphase components routed through eta. ``design`` runs
-both routes and refuses a bank where they disagree on any filter.
+terms of the 1-D polyphase components routed through eta. Both routes derive
+tau and tau_d by the same functions, so ``build_pcs_bank`` derives them once
+and refuses a bank where the routes disagree on any of the 2(q-1) highpass
+filters.
 
 Loading runs only the second route: ``bank_from_json`` compares each of the
 2q stored filters with ``pcs_bank_masks`` of the stored generators as that
@@ -47,16 +49,14 @@ from math import lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .arith import LaurentPoly, format_rational, poly_sum
+from .arith import LaurentPoly, accumulate_products, format_rational, poly_sum
 from .cosetsum import prime_coset_sum
-from .errors import (DimensionMismatch, FormatError, NotInterpolatory,
-                     NotLowpass, PcswaveError)
+from .errors import DimensionMismatch, FormatError, NotInterpolatory, PcswaveError
 from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
                       diagnostics, filter_from_json, filter_to_json,
-                      is_interpolatory, to_1d)
+                      is_interpolatory, require_lowpass, to_1d)
 from .lattice import CosetSystem, make_coset_system
-from .polyphase import (ANALYSIS, SYNTHESIS, PolyphaseMatrix, eta_sum,
-                        polyphase_decompose)
+from .polyphase import PolyphaseMatrix, eta_sum, polyphase_decompose
 
 MultiIndex = Tuple[int, ...]
 
@@ -101,17 +101,12 @@ class WaveletFilterBank:
         return [self.tau_d] + [self.t_d[nu] for nu in self.sys.gamma_prime]
 
 
-def _require_lowpass_nd(f: FilterND, name: str) -> None:
-    if f.tap_sum != f.q:
-        raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
-
-
 def require_generators(G: Filter1D, H: Filter1D) -> None:
     """G and H share p, both are lowpass, and H is interpolatory."""
     if G.p != H.p:
         raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
-    _require_lowpass_nd(G, "G")
-    _require_lowpass_nd(H, "H")
+    require_lowpass(G, "G")
+    require_lowpass(H, "H")
     num = H.mask.num
     if H.p * num.get((0,), 0) != H.mask.den:
         raise NotInterpolatory(f"H is not interpolatory: H(0) = {H.taps.get(0, 0)} != 1")
@@ -137,14 +132,14 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
     """Complete (g, h) into a bank; h must be interpolatory, both lowpass."""
     if g.p != sys.p or h.p != sys.p or g.dim != sys.n or h.dim != sys.n:
         raise DimensionMismatch("g, h, and the coset system must agree on p and dimension")
-    _require_lowpass_nd(g, "g")
-    _require_lowpass_nd(h, "h")
+    require_lowpass(g, "g")
+    require_lowpass(h, "h")
     if not is_interpolatory(h):
         raise NotInterpolatory("h is not interpolatory")
 
     p, q = sys.p, sys.q
-    sg = polyphase_decompose(g, sys, SYNTHESIS)
-    sh = polyphase_decompose(h, sys, SYNTHESIS)
+    sg = polyphase_decompose(g, sys)
+    sh = polyphase_decompose(h, sys)
 
     t: Dict[MultiIndex, FilterND] = {}
     t_d: Dict[MultiIndex, FilterND] = {}
@@ -167,17 +162,12 @@ def _synthesis_highpass_masks(G: Filter1D, sys: CosetSystem, tau_d_mask: Laurent
     over den(E) den(tau_d) and reduced once.
     """
     td_cols = list(zip(*tau_d_mask.num))
-    td_values = list(tau_d_mask.num.values())
+    minus_td = [-v for v in tau_d_mask.num.values()]
     for nu in sys.gamma_prime:
         e_g = eta_sum(G, sys, nu)
         den = e_g.den * tau_d_mask.den
         acc: Dict[MultiIndex, int] = {nu: den}
-        get = acc.get
-        for ka, va in e_g.num.items():
-            # tau_d's exponents shifted by ka, axis by axis
-            shifted = zip(*[[x + a for x in col] for col, a in zip(td_cols, ka)])
-            for k, vb in zip(shifted, td_values):
-                acc[k] = get(k, 0) - va * vb
+        accumulate_products(acc, e_g.num.items(), td_cols, minus_td)
         yield nu, LaurentPoly.from_integers(sys.n, acc, sys.q * den)
 
 
@@ -187,9 +177,8 @@ def _pcs_lowpass_mask(G: Filter1D, h: FilterND, sys: CosetSystem) -> LaurentPoly
     A function of its own, so that g and the polyphase components are freed
     before :func:`pcs_bank_masks` goes on to the highpass masks.
     """
-    g = prime_coset_sum(G, sys.n, sys)
-    return _lowpass_mask(g, polyphase_decompose(g, sys, SYNTHESIS),
-                         polyphase_decompose(h, sys, SYNTHESIS), sys)
+    g = prime_coset_sum(G, sys)
+    return _lowpass_mask(g, polyphase_decompose(g, sys), polyphase_decompose(h, sys), sys)
 
 
 def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem
@@ -209,16 +198,22 @@ def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem
     expanded into term maps: each sum over (l, U_l) becomes a sum over the
     taps m of H (resp. G) with m != 0 mod p, contributing coefficient
     H(m)/(p-1) at exponent nu - m * eta(l, nu) (:func:`~pcswave.polyphase.eta_sum`).
-    This is the second construction route of :func:`build_pcs_bank` and the
-    check :func:`bank_from_json` runs.
+    All 2q masks are the check :func:`bank_from_json` runs; the highpass ones
+    are the second construction route of :func:`build_pcs_bank`.
     """
     require_generators(G, H)
-    h = prime_coset_sum(H, sys.n, sys)
+    h = prime_coset_sum(H, sys)
     yield "tau", None, _pcs_lowpass_mask(G, h, sys)
     yield "tau_d", None, h.mask
+    yield from _pcs_highpass_masks(G, H, sys, h.mask)
+
+
+def _pcs_highpass_masks(G: Filter1D, H: Filter1D, sys: CosetSystem, tau_d_mask: LaurentPoly
+                        ) -> Iterator[Tuple[str, Optional[MultiIndex], LaurentPoly]]:
+    """The t and then the t_d masks of :func:`pcs_bank_masks`, given tau_d's mask."""
     for nu in sys.gamma_prime:
         yield "t", nu, LaurentPoly.monomial(nu, 1) - eta_sum(H, sys, nu)
-    for nu, mask in _synthesis_highpass_masks(G, sys, h.mask):
+    for nu, mask in _synthesis_highpass_masks(G, sys, tau_d_mask):
         yield "t_d", nu, mask
 
 
@@ -226,7 +221,8 @@ def _first_mismatch(bank: WaveletFilterBank,
                     masks: Iterable[Tuple[str, Optional[MultiIndex], LaurentPoly]]
                     ) -> Optional[str]:
     """Name of the first filter of bank whose (unique, integer) mask differs from
-    the one masks gives for it, in the order of :func:`pcs_bank_masks`."""
+    the one masks gives for it, in the order masks gives them: that of
+    :func:`pcs_bank_masks` for a load, t and then t_d for a design."""
     for name, nu, mask in masks:
         f = getattr(bank, name) if nu is None else getattr(bank, name)[nu]
         if not (f.p == bank.p and f.mask == mask):
@@ -239,15 +235,14 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     """Bank from two 1-D lowpass filters via the prime coset sum; H interpolatory."""
     require_generators(G, H)
     sys = make_coset_system(G.p, n, convention)
-    g = prime_coset_sum(G, n, sys)
-    h = prime_coset_sum(H, n, sys)
-    bank = build_general(g, h, sys)
+    bank = build_general(prime_coset_sum(G, sys), prime_coset_sum(H, sys), sys)
     bank.g1d = G
     bank.h1d = H
 
     # Construction cross-check: the polyphase route above and the closed
-    # forms from G and H must give the same 2q filters.
-    bad = _first_mismatch(bank, pcs_bank_masks(G, H, sys))
+    # forms from G and H must give the same 2(q-1) highpass filters; tau and
+    # tau_d are one derivation on both routes, so they are not compared.
+    bad = _first_mismatch(bank, _pcs_highpass_masks(G, H, sys, bank.tau_d.mask))
     if bad is not None:
         raise PcswaveError(f"construction routes disagree at {bad}")
     return bank
@@ -270,13 +265,13 @@ def bank_polyphase_matrices(bank: WaveletFilterBank) -> Tuple[PolyphaseMatrix, P
     """(A, S) built from the bank's materialized filters.
 
     Rows of A are the analysis polyphase representations of (tau, t_nu...),
-    columns of S the synthesis representations of (tau_d, t_nu_d...), both in
-    the Gamma ordering.
+    the conjugates of their synthesis components, and columns of S the
+    synthesis representations of (tau_d, t_nu_d...), both in the Gamma ordering.
     """
     sys = bank.sys
     q = sys.q
-    a_rows = [polyphase_decompose(f, sys, ANALYSIS) for f in bank.analysis_filters()]
-    s_cols = [polyphase_decompose(f, sys, SYNTHESIS) for f in bank.synthesis_filters()]
+    a_rows = [[c.conj() for c in polyphase_decompose(f, sys)] for f in bank.analysis_filters()]
+    s_cols = [polyphase_decompose(f, sys) for f in bank.synthesis_filters()]
     s_rows = [[s_cols[j][i] for j in range(q)] for i in range(q)]
     return (PolyphaseMatrix(q, q, a_rows), PolyphaseMatrix(q, q, s_rows))
 

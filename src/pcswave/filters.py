@@ -24,7 +24,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .arith import LaurentPoly, format_rational, split_rational
-from .errors import DimensionMismatch, DomainError, FormatError
+from .errors import DimensionMismatch, DomainError, FormatError, NotLowpass
 from .lattice import MAX_COSETS, too_many_cosets
 
 MultiIndex = Tuple[int, ...]
@@ -117,6 +117,12 @@ def to_1d(f: FilterND) -> Filter1D:
     return Filter1D(f.p, f.mask)
 
 
+def require_lowpass(f: FilterND, name: str) -> None:
+    """Refuse f, called name in the message, unless its taps sum to q."""
+    if f.tap_sum != f.q:
+        raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
+
+
 def is_interpolatory(f: FilterND) -> bool:
     """h(0) = 1 and h vanishes on p Z^n away from the origin."""
     zero = (0,) * f.dim
@@ -184,7 +190,9 @@ def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
     order d, times the column of a, the first axis where mu is nonzero.
     """
     p, n = f.p, f.dim
-    cols = list(zip(*f.mask.num)) or [()] * n
+    if not f.mask.num:
+        return max_order  # the zero mask vanishes to every order
+    cols = list(zip(*f.mask.num))
     level = {(0,) * n: list(f.mask.num.values())}   # the weights of one order, by mu
     dots = []
     for order in range(max_order):

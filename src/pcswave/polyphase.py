@@ -9,10 +9,11 @@ denominator: a filter is its mask (see :mod:`pcswave.filters`), so no tap is
 converted.
 
 The polyphase decomposition splits a filter into q = p^n subfilters indexed by
-Gamma. Synthesis components are (1/q) sum_k f(nu + p k) e^{-i k.w}; analysis
-components conjugate, which for real taps means (1/q) sum_k f(nu - p k)
-e^{-i k.w}. A filter bank becomes a pair of q x q matrices over this ring, and
-perfect reconstruction is the exact identity S(w) A(w) = (1/q) I. The pair of
+Gamma. Synthesis components are (1/q) sum_k f(nu + p k) e^{-i k.w}. An
+analysis component is the conjugate of the synthesis one, which for real taps
+is (1/q) sum_k f(nu - p k) e^{-i k.w}, so only the synthesis side is split. A
+filter bank becomes a pair of q x q matrices over this ring, and perfect
+reconstruction is the exact identity S(w) A(w) = (1/q) I. The pair of
 a bank is built in one place, from its filters, for the ``--dump-polyphase``
 file: :func:`pcswave.filterbank.bank_polyphase_matrices`. The identity itself
 is decided in the filter domain, with no matrix built
@@ -26,24 +27,19 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Tuple
 
 from .arith import LaurentPoly
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch
 from .filters import Filter1D, FilterND
 from .lattice import CosetSystem, eta_routes
 
 MultiIndex = Tuple[int, ...]
 
-SYNTHESIS = "synthesis"
-ANALYSIS = "analysis"
 
+def polyphase_decompose(f: FilterND, sys: CosetSystem) -> List[LaurentPoly]:
+    """Synthesis polyphase components of f indexed by sys.gamma (zero class first).
 
-def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) -> List[LaurentPoly]:
-    """Polyphase components of f indexed by sys.gamma (zero class first).
-
-    Synthesis side: component nu is (1/q) sum_k f(nu + p k) e^{-i k.w}.
-    Analysis side: the conjugate, (1/q) sum_k f(nu - p k) e^{-i k.w}.
+    Component nu is (1/q) sum_k f(nu + p k) e^{-i k.w}; the analysis component
+    is its ``.conj()``.
     """
-    if side not in (SYNTHESIS, ANALYSIS):
-        raise DomainError(f"side must be {SYNTHESIS!r} or {ANALYSIS!r}")
     if f.dim != sys.n or f.p != sys.p:
         raise DimensionMismatch("filter and coset system disagree on p or dimension")
     p, num = sys.p, f.mask.num
@@ -53,10 +49,7 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem, side: str = SYNTHESIS) ->
     position = {r: sys.index_of(r) for r in set(classes)}
     index = [position[r] for r in classes]
     reps = list(zip(*[sys.gamma[i] for i in index]))
-    if side == SYNTHESIS:
-        quotients = [[(x - r) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
-    else:
-        quotients = [[(r - x) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
+    quotients = [[(x - r) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
     comps: List[Dict[MultiIndex, int]] = [{} for _ in range(sys.q)]
     # x -> (coset, k) is one to one, so no two taps share a slot
     for i, k, v in zip(index, zip(*quotients), num.values()):

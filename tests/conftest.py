@@ -66,7 +66,7 @@ def mask_eval(f, g):
 
 
 def coset_sum_mask_eval(H, n, sys, g):
-    """The mask of prime_coset_sum(H, n, sys) at (2*pi/p) * g, from H's mask alone."""
+    """The mask of prime_coset_sum(H, sys) at (2*pi/p) * g, from H's mask alone."""
     p, den = sys.p, H.mask.den
     scale = Fraction(1, (p - 1) * p ** (n - 1))
     terms = [(0, (1 - p ** (n - 1)) * scale)]

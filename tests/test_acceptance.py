@@ -34,8 +34,8 @@ def report(num, text):
 def test_criterion_01_box_lift():
     H = box_filter_1d(3)
     sys = make_coset_system(3, 2, "centered")
-    best = min(_timed(lambda: prime_coset_sum(H, 2, sys)) for _ in range(5))
-    h = prime_coset_sum(H, 2, sys)
+    best = min(_timed(lambda: prime_coset_sum(H, sys)) for _ in range(5))
+    h = prime_coset_sum(H, sys)
     expected = {(a, b): Fraction(1) for a in (-1, 0, 1) for b in (-1, 0, 1)}
     assert h.taps == expected
     assert best < 1e-3
@@ -74,7 +74,7 @@ def test_criterion_02_deg4_lift_tap_for_tap():
             if v:
                 expected[(i - 5, j - 5)] = v
     sys = make_coset_system(3, 2, "centered")
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
+    h = prime_coset_sum(interp_deg4_filter_1d(), sys)
     assert h.taps == expected
     report(2, f"accuracy-4 lift matches the 11x11 grid tap-for-tap "
               f"({len(expected)} nonzero taps, corners -4/81)")
@@ -99,9 +99,8 @@ def test_criterion_03_zero_count_law():
 
 
 def test_criterion_04_biorthogonality_dichotomy():
-    cen = prime_coset_sum(box_filter_1d(3), 2, make_coset_system(3, 2, "centered"))
-    std = prime_coset_sum(box_filter_1d(3, centered=False), 2,
-                          make_coset_system(3, 2, "standard"))
+    cen = prime_coset_sum(box_filter_1d(3), make_coset_system(3, 2, "centered"))
+    std = prime_coset_sum(box_filter_1d(3, centered=False), make_coset_system(3, 2, "standard"))
     assert is_biorthogonal(cen, cen)
     assert not is_biorthogonal(std, std)
     report(4, "box-lift self-biorthogonality holds centered, fails on {0,1,2}^2")
@@ -155,7 +154,7 @@ def test_criterion_07_preservation_properties():
         key = (H.p, n)
         if key not in sys_cache:
             sys_cache[key] = make_coset_system(H.p, n, "standard")
-        return prime_coset_sum(H, n, sys_cache[key])
+        return prime_coset_sum(H, sys_cache[key])
 
     lowpass_checked = 0
     for i in range(100):

@@ -128,8 +128,8 @@ def test_verify_general_bank(tmp_path, capsys):
     from pcswave.lattice import make_coset_system
     from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
     sys_ = make_coset_system(3, 2, "centered")
-    bank = build_general(prime_coset_sum(box_filter_1d(3), 2, sys_),
-                         prime_coset_sum(interp_deg4_filter_1d(), 2, sys_), sys_)
+    bank = build_general(prime_coset_sum(box_filter_1d(3), sys_),
+                         prime_coset_sum(interp_deg4_filter_1d(), sys_), sys_)
     path = tmp_path / "general.json"
     with open(path, "w", encoding="utf-8") as fh:
         write_bank_json(fh, bank)
@@ -199,8 +199,8 @@ def test_verify_general_bank_with_an_empty_filter(tmp_path, capsys, emptied, cou
     from pcswave.lattice import make_coset_system
     from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
     sys_ = make_coset_system(3, 3, "centered")
-    doc = bank_to_json(build_general(prime_coset_sum(box_filter_1d(3), 3, sys_),
-                                     prime_coset_sum(interp_deg4_filter_1d(), 3, sys_), sys_))
+    doc = bank_to_json(build_general(prime_coset_sum(box_filter_1d(3), sys_),
+                                     prime_coset_sum(interp_deg4_filter_1d(), sys_), sys_))
     filters = doc["filters"]
     (filters["tau"] if emptied == "tau" else filters["t_d"]["-1,-1,-1"])["taps"] = []
     path = tmp_path / "general.json"
@@ -210,6 +210,12 @@ def test_verify_general_bank_with_an_empty_filter(tmp_path, capsys, emptied, cou
     assert out.startswith("FAIL  combined biorthogonality (S.A = (1/q) I)  "
                           f"[{count} of 729 entries violate S(w) A(w) = (1/q) I; first at row 0, col 0")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the empty filter's diagnostics saturate at once, at any --max-order
+    proc = subprocess.run([sys.executable, "-m", "pcswave.cli", "verify", str(path),
+                           "--max-order", "1000000"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[0] == out.splitlines()[0]
 
 
 def test_verify_far_tap_bank_sizes_nothing_by_its_offset(tmp_path, capsys):

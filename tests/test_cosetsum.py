@@ -15,7 +15,7 @@ from conftest import (coset_sum_mask_eval, mask_eval, random_interpolatory_1d,
 
 def test_box_lift_is_all_ones():
     sys = make_coset_system(3, 2, "centered")
-    h = prime_coset_sum(box_filter_1d(3), 2, sys)
+    h = prime_coset_sum(box_filter_1d(3), sys)
     expected = {(a, b): Fraction(1) for a in (-1, 0, 1) for b in (-1, 0, 1)}
     assert h.taps == expected
 
@@ -23,14 +23,14 @@ def test_box_lift_is_all_ones():
 def test_interpolatory_input_keeps_unit_center(rng):
     sys = make_coset_system(3, 2, "centered")
     for _ in range(5):
-        h = prime_coset_sum(random_interpolatory_1d(rng, 3), 2, sys)
+        h = prime_coset_sum(random_interpolatory_1d(rng, 3), sys)
         assert h.taps[(0, 0)] == 1
 
 
 def test_deg4_lift_center_row_and_corners():
     sys = make_coset_system(3, 2, "centered")
     H = interp_deg4_filter_1d()
-    h = prime_coset_sum(H, 2, sys)
+    h = prime_coset_sum(H, sys)
     for k, v in H.taps.items():
         assert h.taps.get((k, 0), Fraction(0)) == v
     assert h.taps[(5, 5)] == Fraction(-4, 81)
@@ -43,15 +43,13 @@ def test_deg4_lift_center_row_and_corners():
 def test_not_lowpass_rejected():
     sys = make_coset_system(3, 2, "centered")
     with pytest.raises(NotLowpass):
-        prime_coset_sum(filter_1d(3, {0: 1, 1: 1}), 2, sys)
+        prime_coset_sum(filter_1d(3, {0: 1, 1: 1}), sys)
 
 
 def test_dimension_mismatch_rejected():
     sys = make_coset_system(3, 2, "centered")
     with pytest.raises(DimensionMismatch):
-        prime_coset_sum(box_filter_1d(3), 3, sys)
-    with pytest.raises(DimensionMismatch):
-        prime_coset_sum(box_filter_1d(5), 2, sys)
+        prime_coset_sum(box_filter_1d(5), sys)
 
 
 def test_mask_eval_at_zero_is_one():
@@ -70,7 +68,7 @@ def test_mask_routes_agree(rng):
     sys = make_coset_system(3, 2, "centered")
     for _ in range(6):
         H = random_lowpass_1d(rng, 3)
-        h = prime_coset_sum(H, 2, sys)
+        h = prime_coset_sum(H, sys)
         for g in itertools.product(range(3), repeat=2):
             assert coset_sum_mask_eval(H, 2, sys, g) == mask_eval(h, g)
 
@@ -98,7 +96,7 @@ def test_interpolatory_preservation(rng, p, n, convention):
     for _ in range(8):
         H = random_interpolatory_1d(rng, p)
         assert is_interpolatory(H.to_nd())
-        assert is_interpolatory(prime_coset_sum(H, n, sys))
+        assert is_interpolatory(prime_coset_sum(H, sys))
 
 
 def test_accuracy_and_flatness_bounds(rng):
@@ -106,7 +104,7 @@ def test_accuracy_and_flatness_bounds(rng):
     for _ in range(10):
         H = random_lowpass_1d(rng, 3)
         d1 = diagnostics(H.to_nd(), max_order=6)
-        d2 = diagnostics(prime_coset_sum(H, 2, sys), max_order=6)
+        d2 = diagnostics(prime_coset_sum(H, sys), max_order=6)
         assert d2.accuracy >= min(d1.accuracy, d1.flatness)
         assert d2.flatness >= d1.flatness
 
@@ -117,7 +115,7 @@ def test_support_bound(rng):
     sys = make_coset_system(3, 2, "centered")
     for _ in range(10):
         H = random_lowpass_1d(rng, 3)
-        h = prime_coset_sum(H, 2, sys)
+        h = prime_coset_sum(H, sys)
         off_center = sum(1 for k in H.taps if k != 0)
         assert h.support_size <= 1 + off_center * (3 ** 2 - 1)
         if 0 in H.taps:
@@ -128,5 +126,5 @@ def test_ray_collision_accumulates():
     # taps at 1 and 2 both reach k = (2,2): via l=2, nu=(1,1) and l=1, nu=(2,2)
     sys = make_coset_system(3, 2, "standard")
     H = filter_1d(3, {0: 1, 1: 1, 2: 1})
-    h = prime_coset_sum(H, 2, sys)
+    h = prime_coset_sum(H, sys)
     assert h.taps[(2, 2)] == Fraction(1, 2) * (H.taps[1] + H.taps[2])

@@ -45,7 +45,7 @@ def test_box_bank_structure():
 
 def test_tau_equals_g_for_biorthogonal_inputs():
     sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
+    g = prime_coset_sum(box_filter_1d(3), sys)
     bank = build_general(g, g, sys)
     assert bank.tau == g
     assert bank.tau_d == g
@@ -54,14 +54,14 @@ def test_tau_equals_g_for_biorthogonal_inputs():
 def test_tau_d_is_always_h(rng):
     sys = make_coset_system(3, 2, "standard")
     for _ in range(4):
-        g = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
-        h = prime_coset_sum(random_interpolatory_1d(rng, 3), 2, sys)
+        g = prime_coset_sum(random_lowpass_1d(rng, 3), sys)
+        h = prime_coset_sum(random_interpolatory_1d(rng, 3), sys)
         assert build_general(g, h, sys).tau_d == h
 
 
 def test_build_general_preconditions():
     sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
+    g = prime_coset_sum(box_filter_1d(3), sys)
     with pytest.raises(NotInterpolatory):
         build_general(g, filter_nd(3, 2, {(0, 0): 5, (1, 1): 4}), sys)
     with pytest.raises(NotLowpass):
@@ -179,7 +179,7 @@ def test_closed_form_routes_agree(seeds):
     for G, H, n in cases:
         p = G.p
         sys = make_coset_system(p, n, "centered" if p % 2 and n % 2 else "standard")
-        g, h = prime_coset_sum(G, n, sys), prime_coset_sum(H, n, sys)
+        g, h = prime_coset_sum(G, sys), prime_coset_sum(H, sys)
         derived = {}
         for name, nu, mask in pcs_bank_masks(G, H, sys):
             derived.setdefault(name, {})[nu] = mask
@@ -253,7 +253,7 @@ def test_verify_general_banks_from_raw_nd_filters(rng):
 def test_verify_fails_for_mismatched_lowpass():
     # non-biorthogonal standard-box lowpass pair forced onto box-bank wavelets
     sys = make_coset_system(3, 2, "standard")
-    std = prime_coset_sum(box_filter_1d(3, centered=False), 2, sys)
+    std = prime_coset_sum(box_filter_1d(3, centered=False), sys)
     q = sys.q
     t = {nu: filter_nd(3, 2, {nu: q, (0, 0): -q}) for nu in sys.gamma_prime}
     t_d = {}
@@ -376,6 +376,24 @@ def test_build_pcs_bank_refuses_disagreeing_routes(monkeypatch):
     monkeypatch.setattr(fb, "_synthesis_highpass_masks", skewed)
     with pytest.raises(PcswaveError, match=r"routes disagree at t_d\[-1,-1\]"):
         build_pcs_bank(box_filter_1d(3), box_filter_1d(3), 2)
+
+
+def test_build_pcs_bank_derives_each_mask_once(monkeypatch):
+    # tau and tau_d are one derivation on both routes: one coset sum per
+    # generator, one generator check, one lowpass correction; the checked
+    # load still derives all 2q masks and compares them
+    import pcswave.filterbank as fb
+    calls = {"prime_coset_sum": 0, "require_generators": 0, "_lowpass_mask": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fb, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(fb, name, counted)
+    bank = build_pcs_bank(box_filter_1d(3), interp_deg4_filter_1d(), 2)
+    assert calls == {"prime_coset_sum": 2, "require_generators": 1, "_lowpass_mask": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    bank_from_json(bank_to_json(bank))
+    assert calls == {"prime_coset_sum": 2, "require_generators": 1, "_lowpass_mask": 1}
 
 
 def test_dyadic_reduction_to_coset_sum_masks():
@@ -540,8 +558,8 @@ def _writer_banks():
 
     def general_bank():
         sys = make_coset_system(3, 2, "centered")
-        return build_general(prime_coset_sum(box_filter_1d(3), 2, sys),
-                             prime_coset_sum(interp_deg4_filter_1d(), 2, sys), sys)
+        return build_general(prime_coset_sum(box_filter_1d(3), sys),
+                             prime_coset_sum(interp_deg4_filter_1d(), sys), sys)
     cases.append(pytest.param(general_bank, id="general"))
     return cases
 

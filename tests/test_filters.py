@@ -1,5 +1,6 @@
 import itertools
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from conftest import mask_eval, random_interpolatory_1d, random_lowpass_1d, zeta
 
 def box2d_centered():
     sys = make_coset_system(3, 2, "centered")
-    return prime_coset_sum(box_filter_1d(3), 2, sys)
+    return prime_coset_sum(box_filter_1d(3), sys)
 
 
 def test_mask_eval_at_zero_is_one_for_box():
@@ -50,7 +51,7 @@ def test_interpolatory_box2d():
 
 def test_interpolatory_lifted_deg4():
     sys = make_coset_system(3, 2, "centered")
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
+    h = prime_coset_sum(interp_deg4_filter_1d(), sys)
     assert is_interpolatory(h)
 
 
@@ -65,7 +66,7 @@ def test_biorthogonality_centered_vs_standard_box():
     cen = box2d_centered()
     assert is_biorthogonal(cen, cen)
     sys = make_coset_system(3, 2, "standard")
-    std = prime_coset_sum(box_filter_1d(3, centered=False), 2, sys)
+    std = prime_coset_sum(box_filter_1d(3, centered=False), sys)
     assert not is_biorthogonal(std, std)
 
 
@@ -90,8 +91,8 @@ def _biorthogonal_oracle(h, g):
 def test_biorthogonality_against_bruteforce_oracle(rng):
     sys = make_coset_system(3, 2, "centered")
     for _ in range(10):
-        h = prime_coset_sum(random_interpolatory_1d(rng, 3), 2, sys)
-        g = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
+        h = prime_coset_sum(random_interpolatory_1d(rng, 3), sys)
+        g = prime_coset_sum(random_lowpass_1d(rng, 3), sys)
         assert is_biorthogonal(h, g) == _biorthogonal_oracle(h, g)
         assert is_biorthogonal(h, g) == is_biorthogonal(g, h)
 
@@ -208,7 +209,7 @@ def small_filters(draw):
     for axis in draw(st.lists(st.sampled_from([None] + list(range(n))),
                               max_size=2 if n == 1 else 1)):
         if axis is None:
-            factor = prime_coset_sum(box, n, make_coset_system(p, n, "standard")).taps
+            factor = prime_coset_sum(box, make_coset_system(p, n, "standard")).taps
         else:
             factor = {tuple(m if a == axis else 0 for a in range(n)): v * p ** (n - 1)
                       for m, v in box.taps.items()}
@@ -229,6 +230,27 @@ def test_diagnostics_match_brute_force(case):
         d = diagnostics(f, max_order)
         assert (d.accuracy, d.vanishing_moments, d.flatness) == \
             _brute_force_orders(f, max_order)
+
+
+def test_diagnostics_of_the_zero_mask_return_at_once():
+    # the zero mask vanishes to every order, so each search saturates at
+    # max_order without running: 10^6 orders in n = 3 would take hours
+    zero = FilterND(3, LaurentPoly.zero(3))
+    want = _brute_force_orders(zero, 4)
+    d = diagnostics(zero, 4)
+    assert (d.accuracy, d.vanishing_moments, d.flatness) == want == (4, 4, 0)
+
+    def stop(signum, frame):
+        raise TimeoutError("diagnostics of the zero mask ran for 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        d = diagnostics(zero, 10 ** 6)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert d == (False, False, 10 ** 6, 10 ** 6, 0, 0, 10 ** 6)
 
 
 def test_filter_json_roundtrip():

@@ -11,8 +11,7 @@ from pcswave.errors import DomainError
 from pcswave.filterbank import bank_polyphase_matrices, build_general
 from pcswave.filters import FilterND, diagnostics, filter_nd
 from pcswave.lattice import make_coset_system
-from pcswave.polyphase import (ANALYSIS, SYNTHESIS, LaurentPoly, PolyphaseMatrix, eta_sum,
-                               polyphase_decompose)
+from pcswave.polyphase import LaurentPoly, PolyphaseMatrix, eta_sum, polyphase_decompose
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
 from conftest import (identity_residuals, matmul, random_interpolatory_1d, random_lowpass_1d,
@@ -109,6 +108,36 @@ def test_integer_laurent_matches_fraction_reference(a, b, s, factor):
         assert same == pa and hash(same) == hash(pa)
 
 
+FAR = 2 ** 70
+
+
+@st.composite
+def far_operands(draw):
+    """Two term dicts in n = 1, 2 or 3 variables, either possibly empty, whose
+    exponents sit near 0, +2^70 or -2^70."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.sampled_from([-FAR, 0, FAR]).flatmap(
+        lambda c: st.integers(c - 3, c + 3))] * n)
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    return n, draw(st.dictionaries(exps, coeffs, max_size=5)), \
+        draw(st.dictionaries(exps, coeffs, max_size=5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(far_operands())
+def test_laurent_product_matches_fraction_reference_far_and_empty(case):
+    # the one column-wise product, in 1 to 3 variables, at exponents past
+    # 64 bits and with an empty operand on either side
+    n, a, b = case
+    ra = {k: v for k, v in a.items() if v}
+    rb = {k: v for k, v in b.items() if v}
+    pa, pb = LaurentPoly(n, a), LaurentPoly(n, b)
+    for prod in (pa * pb, pb * pa):
+        assert dict(prod.terms) == _ref_mul(ra, rb)
+        assert prod.den > 0 and gcd(prod.den, *prod.num.values()) == 1
+    assert (pa * LaurentPoly.zero(n)).is_zero() and (LaurentPoly.zero(n) * pb).is_zero()
+
+
 def test_laurent_terms_are_read_only():
     poly = LaurentPoly.monomial((1, 0), Fraction(1, 3))
     with pytest.raises(TypeError):
@@ -117,7 +146,7 @@ def test_laurent_terms_are_read_only():
 
 
 def test_mask_filter_roundtrip():
-    f = prime_coset_sum(box_filter_1d(3), 2, make_coset_system(3, 2, "centered"))
+    f = prime_coset_sum(box_filter_1d(3), make_coset_system(3, 2, "centered"))
     assert FilterND(3, f.mask) == f
     # the frozen records: equal ones hash equal, and no field can be assigned
     same, one = FilterND(3, f.mask), box_filter_1d(3)
@@ -135,8 +164,8 @@ def test_mask_filter_roundtrip():
 
 def test_zero_component_of_interpolatory_is_constant():
     sys = make_coset_system(3, 2, "centered")
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
-    comps = polyphase_decompose(h, sys, SYNTHESIS)
+    h = prime_coset_sum(interp_deg4_filter_1d(), sys)
+    comps = polyphase_decompose(h, sys)
     assert comps[0] == LaurentPoly.const(2, Fraction(1, 9))
 
 
@@ -144,8 +173,8 @@ def test_recomposition_identity(rng):
     # sum_nu e^{-i w.nu} H_nu(p w) rebuilds the mask exactly
     sys = make_coset_system(3, 2, "centered")
     for _ in range(5):
-        f = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
-        comps = polyphase_decompose(f, sys, SYNTHESIS)
+        f = prime_coset_sum(random_lowpass_1d(rng, 3), sys)
+        comps = polyphase_decompose(f, sys)
         acc = LaurentPoly.zero(2)
         for nu, comp in zip(sys.gamma, comps):
             acc = acc + LaurentPoly.monomial(nu) * comp.stretch(3)
@@ -154,17 +183,20 @@ def test_recomposition_identity(rng):
 
 def test_box_1d_components_are_thirds():
     sys = make_coset_system(3, 1, "centered")
-    comps = polyphase_decompose(box_filter_1d(3).to_nd(), sys, SYNTHESIS)
+    comps = polyphase_decompose(box_filter_1d(3).to_nd(), sys)
     assert all(c == LaurentPoly.const(1, Fraction(1, 3)) for c in comps)
 
 
 def test_analysis_components_conjugate_synthesis(rng):
     sys = make_coset_system(3, 2, "centered")
-    f = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
-    syn = polyphase_decompose(f, sys, SYNTHESIS)
-    ana = polyphase_decompose(f, sys, ANALYSIS)
-    for a, s in zip(ana, syn):
-        assert a == s.conj()
+    f = prime_coset_sum(random_lowpass_1d(rng, 3), sys)
+    # analysis component nu holds (1/q) f(x) at k = (nu - x) / p for each tap x
+    # of coset nu: the synthesis component conjugated
+    ana = [{} for _ in sys.gamma]
+    for x, v in f.taps.items():
+        nu = sys.gamma[sys.index_of(x)]
+        ana[sys.index_of(x)][tuple((a - b) // 3 for a, b in zip(nu, x))] = v / 9
+    assert [dict(c.conj().terms) for c in polyphase_decompose(f, sys)] == ana
 
 
 @st.composite
@@ -183,29 +215,24 @@ def random_filters(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(random_filters())
 def test_polyphase_decompose_matches_per_tap_definition(case):
-    # tap x = nu + p k of coset nu lands in component nu at k on the
-    # synthesis side and at -k on the analysis side, with value f(x)/q
+    # tap x = nu + p k of coset nu lands in synthesis component nu at k and in
+    # analysis component nu, its conjugate, at -k, with value f(x)/q
     f, sys = case
-    for side, sign in ((SYNTHESIS, 1), (ANALYSIS, -1)):
+    syn = polyphase_decompose(f, sys)
+    for sign, comps in ((1, syn), (-1, [c.conj() for c in syn])):
         want = [{} for _ in sys.gamma]
         for x, v in f.taps.items():
             i = sys.index_of(x)
             k = tuple(sign * (a - r) // sys.p for a, r in zip(x, sys.gamma[i]))
             want[i][k] = v / sys.q
-        assert polyphase_decompose(f, sys, side) == [LaurentPoly(sys.n, w) for w in want]
-
-
-def test_polyphase_side_validation():
-    sys = make_coset_system(3, 1, "centered")
-    with pytest.raises(DomainError):
-        polyphase_decompose(box_filter_1d(3).to_nd(), sys, "middle")
+        assert comps == [LaurentPoly(sys.n, w) for w in want]
 
 
 def test_coset_sum_polyphase_box_explicit():
     sys = make_coset_system(3, 2, "centered")
     H = box_filter_1d(3)
-    h = prime_coset_sum(H, 2, sys)
-    direct = polyphase_decompose(h, sys, SYNTHESIS)
+    h = prime_coset_sum(H, sys)
+    direct = polyphase_decompose(h, sys)
     nu = (1, 0)
     lhs = direct[sys.index_of(nu)].stretch(3)
     assert coset_sum_polyphase(H, sys, nu) == lhs
@@ -221,8 +248,8 @@ def test_coset_sum_polyphase_identity_on_corpus(rng, p, n, convention):
     sys = make_coset_system(p, n, convention)
     for _ in range(4):
         H = random_lowpass_1d(rng, p)
-        h = prime_coset_sum(H, n, sys)
-        direct = polyphase_decompose(h, sys, SYNTHESIS)
+        h = prime_coset_sum(H, sys)
+        direct = polyphase_decompose(h, sys)
         for i, nu in enumerate(sys.gamma):
             if i == 0:
                 continue
@@ -248,8 +275,8 @@ def test_coset_sum_polyphase_value_at_zero(rng):
     sys = make_coset_system(3, 2, "centered")
     for _ in range(4):
         H = random_interpolatory_1d(rng, 3)
-        h = prime_coset_sum(H, 2, sys)
-        direct = polyphase_decompose(h, sys, SYNTHESIS)
+        h = prime_coset_sum(H, sys)
+        direct = polyphase_decompose(h, sys)
         for i, nu in enumerate(sys.gamma):
             if i == 0:
                 continue
@@ -260,8 +287,8 @@ def test_coset_sum_polyphase_value_at_zero(rng):
 
 def test_stretch_exponents_are_multiples():
     sys = make_coset_system(3, 2, "centered")
-    f = prime_coset_sum(box_filter_1d(3), 2, sys)
-    for comp in polyphase_decompose(f, sys, SYNTHESIS):
+    f = prime_coset_sum(box_filter_1d(3), sys)
+    for comp in polyphase_decompose(f, sys):
         for k in comp.stretch(3).terms:
             assert all(x % 3 == 0 for x in k)
 
@@ -286,7 +313,7 @@ def _box_pair(p, n):
     convention = "centered" if p % 2 else "standard"
     sys = make_coset_system(p, n, convention)
     H = box_filter_1d(p, centered=p % 2 == 1)
-    h = prime_coset_sum(H, n, sys)
+    h = prime_coset_sum(H, sys)
     return h, h, sys
 
 
@@ -304,8 +331,8 @@ def test_build_A_S_box_banks():
 
 def _deg4_pair():
     sys = make_coset_system(3, 2, "centered")
-    g = prime_coset_sum(box_filter_1d(3), 2, sys)
-    h = prime_coset_sum(interp_deg4_filter_1d(), 2, sys)
+    g = prime_coset_sum(box_filter_1d(3), sys)
+    h = prime_coset_sum(interp_deg4_filter_1d(), sys)
     return g, h, sys
 
 
@@ -321,8 +348,8 @@ def _random_pairs(rng):
                              (3, 2, "centered"), (5, 2, "centered")]:
         sys = make_coset_system(p, n, convention)
         for _ in range(2):
-            g = prime_coset_sum(random_lowpass_1d(rng, p), n, sys)
-            h = prime_coset_sum(random_interpolatory_1d(rng, p), n, sys)
+            g = prime_coset_sum(random_lowpass_1d(rng, p), sys)
+            h = prime_coset_sum(random_interpolatory_1d(rng, p), sys)
             yield g, h, sys
 
 
@@ -350,8 +377,7 @@ def test_A_factors_into_triangulars(rng):
 def test_biorthogonal_pair_gives_zero_correction():
     g, h, sys = _box_pair(3, 2)
     A, _ = _bank_pair(g, h, sys)
-    ga = polyphase_decompose(g, sys, ANALYSIS)
-    assert A.entries[0][0] == ga[0]
+    assert A.entries[0][0] == polyphase_decompose(g, sys)[0].conj()
 
 
 def test_perturbed_pair_fails():

@@ -138,8 +138,8 @@ def test_direct_roundtrip_exact_rational(rng):
 def test_direct_roundtrip_general_provenance(rng):
     # the direct route works for banks without 1-D generators
     sys = make_coset_system(3, 2, "standard")
-    g = prime_coset_sum(random_lowpass_1d(rng, 3), 2, sys)
-    h = prime_coset_sum(random_interpolatory_1d(rng, 3), 2, sys)
+    g = prime_coset_sum(random_lowpass_1d(rng, 3), sys)
+    h = prime_coset_sum(random_interpolatory_1d(rng, 3), sys)
     bank = build_general(g, h, sys)
     y = rational_tensor(rng, (9, 9))
     c = decompose_direct(y, bank, 1)
