@@ -217,8 +217,8 @@ def cmd_analyze(args) -> int:
     if args.oracle:
         ref = decompose_direct(y, bank, args.levels)
         dev = coeffs.coarse.max_abs_diff(ref.coarse)
-        for key, t in coeffs.details.items():
-            dev = max(dev, t.max_abs_diff(ref.details[key]))
+        for fast, direct in zip(coeffs.details, ref.details):
+            dev = max(dev, *(t.max_abs_diff(r) for t, r in zip(fast, direct)))
         print(f"oracle cross-check: max abs deviation from direct transform = {dev:.3e}")
         report["oracle_max_abs_deviation"] = dev
     if args.json:
@@ -232,10 +232,10 @@ def cmd_synthesize(args) -> int:
     from .transform import reconstruct_fast
     bank = bank_from_json(_load_json(args.bank))
     coeffs = dataio.read_coeffs(args.input, bank)
-    if args.levels is not None and args.levels != coeffs.levels:
-        raise PcswaveError(f"--levels {args.levels} does not match file ({coeffs.levels})")
+    levels = len(coeffs.details)
+    if args.levels is not None and args.levels != levels:
+        raise PcswaveError(f"--levels {args.levels} does not match file ({levels})")
     y = reconstruct_fast(coeffs, bank)
-    levels = coeffs.levels
     del coeffs  # before the reference is read
     dataio.write_tensor(args.output, y)
     print(f"synthesized {args.input} levels={levels} -> {args.output} "

@@ -7,8 +7,9 @@ PCSC: magic b"PCSC", u16 version = 1, u8 p, u8 n, u8 levels, then n x u64
 input shape, then one record per subband. Each record is a u16 level and a
 u16 coset index (position in the bank's Gamma ordering; 0 is the coarse
 tensor at level 0) followed by a complete PCST block. Records are written
-coarse first, then details ordered by (level, coset index), so identical
-inputs serialize byte-identically.
+coarse first, then level 0 up, each level's details in Gamma' order, so
+identical inputs serialize byte-identically. A PCST file ends with its
+payload and a PCSC file with its last record; a reader refuses a byte more.
 
 All integers are little-endian. Only float64 tensors are serialized; rational
 tensors are a verification device, not an interchange format.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -75,6 +75,15 @@ def _read_header(fh):
     return shape
 
 
+def _read_lone_header(fh):
+    """:func:`_read_header` for a file that holds one PCST and nothing after it."""
+    shape = _read_header(fh)
+    extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * math.prod(shape)
+    if extra:
+        raise FormatError(f"{extra} trailing bytes after the payload")
+    return shape
+
+
 def _read_payload(fh, out) -> None:
     """Fill the float64 array out from fh."""
     got = fh.readinto(out)
@@ -82,8 +91,7 @@ def _read_payload(fh, out) -> None:
         raise FormatError(f"truncated stream: wanted {out.nbytes} bytes, got {got}")
 
 
-def _read_tensor(fh) -> Tensor:
-    shape = _read_header(fh)
+def _read_tensor(fh, shape) -> Tensor:
     data = np.empty(shape, dtype="<f8")
     _read_payload(fh, data)
     return Tensor(shape, FLOAT64, data)
@@ -96,19 +104,19 @@ def write_tensor(path, t: Tensor) -> None:
 
 def read_tensor(path) -> Tensor:
     with open(path, "rb") as fh:
-        return _read_tensor(fh)
+        return _read_tensor(fh, _read_lone_header(fh))
 
 
 def compare_tensor(path, t: Tensor):
     """(max |t - ref|, max(|min ref|, |max ref|)) for the PCST ref at path.
 
     The reference is read in chunks of CHUNK samples through one buffer and
-    never held whole; its header is checked as :func:`read_tensor` checks
-    it. Both values are NaN when ref holds a NaN, and the first is NaN when
-    t does.
+    never held whole; its header and size are checked as :func:`read_tensor`
+    checks them. Both values are NaN when ref holds a NaN, and the first is
+    NaN when t does.
     """
     with open(path, "rb") as fh:
-        shape = _read_header(fh)
+        shape = _read_lone_header(fh)
         if t.shape != shape:
             raise ShapeMismatch(f"shapes {t.shape} and {shape} differ")
         a = t.to_numpy().reshape(-1)
@@ -128,26 +136,21 @@ def compare_tensor(path, t: Tensor):
 def write_coeffs(path, c: MultiresCoeffs) -> None:
     if c.mode != FLOAT64:
         raise DomainError("only float64 coefficients have a binary form")
-    q = len(c.gamma)
-    if len(c.details) != c.levels * (q - 1):
-        raise ShapeMismatch(f"expected {c.levels * (q - 1)} detail tensors, "
-                            f"have {len(c.details)}")
-    if not all(0 <= x <= 255 for x in (c.p, c.n, c.levels)):
+    c.check_layout()
+    levels = len(c.details)
+    if not all(0 <= x <= 255 for x in (c.p, c.n, levels)):
         raise DomainError(f"a PCSC header holds p, n and levels in one byte each, "
-                          f"got p={c.p}, n={c.n}, levels={c.levels}")
-    shape = c.input_shape()
-    nu_index = {nu: i for i, nu in enumerate(c.gamma)}
+                          f"got p={c.p}, n={c.n}, levels={levels}")
     with open(path, "wb") as fh:
         fh.write(COEFFS_MAGIC)
-        fh.write(struct.pack("<HBBB", VERSION, c.p, c.n, c.levels))
-        fh.write(struct.pack("<" + "Q" * c.n, *shape))
+        fh.write(struct.pack("<HBBB", VERSION, c.p, c.n, levels))
+        fh.write(struct.pack("<" + "Q" * c.n, *c.input_shape()))
         fh.write(struct.pack("<HH", 0, 0))
         _write_tensor(fh, c.coarse)
-        records = sorted((level, nu_index[nu]) for (nu, level) in c.details)
-        for level, idx in records:
-            nu = c.gamma[idx]
-            fh.write(struct.pack("<HH", level, idx))
-            _write_tensor(fh, c.details[(nu, level)])
+        for level, dets in enumerate(c.details):
+            for idx, t in enumerate(dets, 1):
+                fh.write(struct.pack("<HH", level, idx))
+                _write_tensor(fh, t)
 
 
 def read_coeffs(path, bank: WaveletFilterBank) -> MultiresCoeffs:
@@ -175,27 +178,26 @@ def read_coeffs(path, bank: WaveletFilterBank) -> MultiresCoeffs:
         level, idx = struct.unpack("<HH", _read_exact(fh, 4))
         if (level, idx) != (0, 0):
             raise FormatError("first record must be the coarse tensor")
-        coarse = _read_tensor(fh)
+        coarse = _read_tensor(fh, _read_header(fh))
         want_coarse = tuple(s // bank.p ** levels for s in shape)
         if coarse.shape != want_coarse:
             raise ShapeMismatch(f"coarse shape {coarse.shape}, expected {want_coarse}")
 
-        details: Dict[Tuple[Tuple[int, ...], int], Tensor] = {}
         q = bank.q
+        details = [[None] * (q - 1) for _ in range(levels)]
         for _ in range(levels * (q - 1)):
             level, idx = struct.unpack("<HH", _read_exact(fh, 4))
             if not (0 <= level < levels) or not (1 <= idx < q):
                 raise FormatError(f"record tag (level={level}, index={idx}) out of range")
-            nu = bank.sys.gamma[idx]
-            t = _read_tensor(fh)
+            t = _read_tensor(fh, _read_header(fh))
             want = tuple(s // bank.p ** (levels - level) for s in shape)
             if t.shape != want:
-                raise ShapeMismatch(
-                    f"detail (nu={nu}, level={level}) shape {t.shape}, expected {want}")
-            if (nu, level) in details:
+                raise ShapeMismatch(f"detail (nu={bank.sys.gamma[idx]}, level={level}) "
+                                    f"shape {t.shape}, expected {want}")
+            if details[level][idx - 1] is not None:
                 raise FormatError(f"duplicate record (level={level}, index={idx})")
-            details[(nu, level)] = t
+            details[level][idx - 1] = t
         if fh.read(1):
             raise FormatError("trailing bytes after the last record")
     return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma,
-                          levels=levels, coarse=coarse, details=details)
+                          coarse=coarse, details=details)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -142,17 +142,19 @@ class Tensor:
 
 
 class MultiresCoeffs:
-    """Coarse tensor y_0 plus detail tensors w_{nu,j} for a J-level transform.
+    """Coarse tensor y_0 plus the detail tensors w_{nu,j} of a J-level transform.
 
-    Level j tensors have shape input_shape / p^(J-j); the coarse tensor sits
-    at level 0, details at levels 0 .. J-1 keyed by (nu, level).
+    ``details[j]`` lists level j's q - 1 detail tensors in Gamma' order, as
+    the kernels make them: entry i - 1 is coset gamma[i], the coset index of
+    its PCSC record. Level j tensors have shape input_shape / p^(J-j), and
+    the coarse tensor sits at level 0, so J is ``len(details)``.
     """
 
-    __slots__ = ("p", "n", "gamma", "levels", "coarse", "details")
+    __slots__ = ("p", "n", "gamma", "coarse", "details")
 
-    def __init__(self, p: int, n: int, gamma: Tuple[Tuple[int, ...], ...], levels: int,
-                 coarse: Tensor, details: Dict[Tuple[Tuple[int, ...], int], Tensor]):
-        self.p, self.n, self.gamma, self.levels = p, n, gamma, levels
+    def __init__(self, p: int, n: int, gamma: Tuple[Tuple[int, ...], ...],
+                 coarse: Tensor, details: List[List[Tensor]]):
+        self.p, self.n, self.gamma = p, n, gamma
         self.coarse, self.details = coarse, details
 
     @property
@@ -160,5 +162,17 @@ class MultiresCoeffs:
         return self.coarse.mode
 
     def input_shape(self) -> Tuple[int, ...]:
-        scale = self.p ** self.levels
+        scale = self.p ** len(self.details)
         return tuple(s * scale for s in self.coarse.shape)
+
+    def check_layout(self) -> None:
+        """Refuse a level that does not hold q - 1 details of the level's shape."""
+        cosets = self.gamma[1:]
+        for j, dets in enumerate(self.details):
+            if len(dets) != len(cosets):
+                raise ShapeMismatch(f"level {j} holds {len(dets)} details, not {len(cosets)}")
+            want = tuple(s * self.p ** j for s in self.coarse.shape)
+            for nu, t in zip(cosets, dets):
+                if t.shape != want:
+                    raise ShapeMismatch(
+                        f"detail (nu={nu}, level={j}) has shape {t.shape}, expected {want}")

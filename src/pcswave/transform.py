@@ -53,7 +53,7 @@ no tap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple
 
 from .errors import DimensionMismatch, DomainError, ShapeMismatch, ShapeNotDivisible
 from .filterbank import WaveletFilterBank
@@ -61,8 +61,6 @@ from .plan import LevelPlan
 
 if TYPE_CHECKING:
     from .tensor import MultiresCoeffs, Tensor
-
-MultiIndex = Tuple[int, ...]
 
 
 def _check_shape(shape, bank: WaveletFilterBank, levels: int) -> None:
@@ -81,34 +79,19 @@ def _check_shape(shape, bank: WaveletFilterBank, levels: int) -> None:
 
 
 def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
-    """J-level decomposition by the fast per-coset steps."""
+    """J-level decomposition by the fast per-coset steps; each level's
+    details are the Gamma'-ordered list that ``decompose_level`` returns."""
     from .kernels import LevelKernels
     from .tensor import MultiresCoeffs, Tensor
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
     _check_shape(y.shape, bank, levels)
-    details: Dict[Tuple[MultiIndex, int], Tensor] = {}
+    details: List[List[Tensor]] = []
     cur, den = y.data, y.den
-    for j in range(levels, 0, -1):
+    for _ in range(levels):
         cur, dets, (den, *dens) = kern.decompose_level(cur, den)
-        for nu, w, d in zip(bank.sys.gamma_prime, dets, dens):
-            details[(nu, j - 1)] = Tensor(w.shape, y.mode, w, d)
-    return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=Tensor(cur.shape, y.mode, cur, den), details=details)
-
-
-def _check_coeffs(c: MultiresCoeffs, bank: WaveletFilterBank) -> None:
-    if c.p != bank.p or c.n != bank.n or c.gamma != bank.sys.gamma:
-        raise ShapeMismatch("coefficients were produced for a different coset system")
-    shape = c.coarse.shape
-    for j in range(c.levels):
-        want = tuple(s * bank.p ** j for s in shape)
-        for nu in bank.sys.gamma_prime:
-            t = c.details.get((nu, j))
-            if t is None:
-                raise ShapeMismatch(f"missing detail tensor (nu={nu}, level={j})")
-            if t.shape != want:
-                raise ShapeMismatch(
-                    f"detail (nu={nu}, level={j}) has shape {t.shape}, expected {want}")
+        details.append([Tensor(w.shape, y.mode, w, d) for w, d in zip(dets, dens)])
+    return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma,
+                          coarse=Tensor(cur.shape, y.mode, cur, den), details=details[::-1])
 
 
 def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
@@ -116,10 +99,11 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     from .kernels import LevelKernels
     from .tensor import Tensor
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-    _check_coeffs(c, bank)
+    if c.p != bank.p or c.n != bank.n or c.gamma != bank.sys.gamma:
+        raise ShapeMismatch("coefficients were produced for a different coset system")
+    c.check_layout()
     cur, den = c.coarse.data, c.coarse.den
-    for j in range(c.levels):
-        dets = [c.details[(nu, j)] for nu in bank.sys.gamma_prime]
+    for dets in c.details:
         cur, den = kern.reconstruct_level(cur, [t.data for t in dets],
                                           [den] + [t.den for t in dets])
     return Tensor(cur.shape, c.mode, cur, den)
@@ -137,7 +121,8 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     times the tap. In float64 the tap is float(f(t)) and the sum is then
     multiplied by float(1/q). In rational mode the tap is the mask numerator
     of f, whose mask is f/q, so a subband is an int array over the input's
-    denominator times the mask's.
+    denominator times the mask's. Each level lists its subbands in Gamma'
+    order, as :func:`decompose_fast` does, so the two sets pair entry by entry.
     """
     import numpy as np
 
@@ -156,14 +141,12 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
             return Tensor(s.shape, y.mode, s, x.den * f.mask.den)
         return Tensor(s.shape, y.mode, scale * s)
 
-    details: Dict[Tuple[MultiIndex, int], Tensor] = {}
+    details: List[List[Tensor]] = []
     cur = y
-    for j in range(levels, 0, -1):
-        for nu in bank.sys.gamma_prime:
-            details[(nu, j - 1)] = subband(cur, bank.t[nu])
+    for _ in range(levels):
+        details.append([subband(cur, bank.t[nu]) for nu in bank.sys.gamma_prime])
         cur = subband(cur, bank.tau)
-    return MultiresCoeffs(p=p, n=n, gamma=bank.sys.gamma, levels=levels,
-                          coarse=cur, details=details)
+    return MultiresCoeffs(p=p, n=n, gamma=bank.sys.gamma, coarse=cur, details=details[::-1])
 
 
 # --- operation accounting ----------------------------------------------------

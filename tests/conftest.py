@@ -99,11 +99,11 @@ def reconstruct_direct(c, bank):
     from pcswave.tensor import Tensor
     p = bank.p
     cur, oshape = c.coarse.values(), c.coarse.shape
-    for j in range(c.levels):
+    for dets in c.details:
         shape = tuple(s * p for s in oshape)
         out = dict.fromkeys(itertools.product(*map(range, shape)), 0)
-        pairs = [(bank.tau_d, cur)] + [(bank.t_d[nu], c.details[(nu, j)].values())
-                                       for nu in bank.sys.gamma_prime]
+        pairs = [(bank.tau_d, cur)] + [
+            (bank.t_d[nu], t.values()) for nu, t in zip(bank.sys.gamma_prime, dets, strict=True)]
         for f, sub in pairs:
             taps = sorted(f.taps.items())
             for k in itertools.product(*map(range, oshape)):

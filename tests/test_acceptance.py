@@ -187,7 +187,7 @@ def test_criterion_08_fast_equals_direct_and_roundtrips():
                 cf = decompose_fast(y, bank, 1)
                 cd = decompose_direct(y, bank, 1)
                 assert cf.coarse == cd.coarse
-                assert all(cf.details[k] == cd.details[k] for k in cf.details)
+                assert cf.details == cd.details
     rng = random.Random(99)
     for bank in banks.values():
         for levels in (1, 2):

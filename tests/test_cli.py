@@ -507,6 +507,29 @@ def test_bad_input_exits_2(box_bank_path, tmp_path, capsys, case, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, extra", [
+    (_pcst((9, 9)) + bytes(5), 5),
+    (_pcst((3, 9)) + bytes(8 * 54), 8 * 54),
+], ids=["appended", "smaller_header"])
+def test_pcst_with_trailing_bytes_exits_2(box_bank_path, tmp_path, capsys, data, extra):
+    # a PCST file ends with its payload, as an input and as a reference
+    bad, good, coeffs = tmp_path / "bad.pcst", tmp_path / "good.pcst", tmp_path / "c.pcsc"
+    bad.write_bytes(data)
+    good.write_bytes(_pcst((9, 9)))
+    message = f"{extra} trailing bytes after the payload"
+    code, _, err = run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1, bad,
+                       "-o", coeffs)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert not coeffs.exists()
+    assert run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1, good,
+               "-o", coeffs)[0] == 0
+    code, _, err = run(capsys, "synthesize", "--bank", box_bank_path, coeffs,
+                       "-o", tmp_path / "back.pcst", "--check-against", bad)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("command", ["design", "verify"])
 def test_max_order_refused_before_writing(box_bank_path, tmp_path, capsys, command):
     box = FIXTURES / "box_p3_centered.json"

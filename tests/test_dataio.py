@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,11 +81,17 @@ def test_compare_tensor_refuses_what_read_tensor_refuses(tmp_path):
     write_tensor(good, Tensor.from_numpy(np.zeros((3, 3))))
     raw = good.read_bytes()
     ours = Tensor.from_numpy(np.zeros((3, 3)))
-    for name, data in (("magic", b"NOPE" + raw[4:]), ("truncated", raw[:-8]),
-                       ("zero_extent", raw[:8] + bytes(8) + raw[16:])):
+    # the header ends at byte 24; a file holds its payload and nothing more
+    for name, data, message in (
+            ("magic", b"NOPE" + raw[4:], "bad tensor magic"),
+            ("truncated", raw[:-8], "needs 72 payload bytes"),
+            ("zero_extent", raw[:8] + bytes(8) + raw[16:], "zero extent"),
+            ("appended", raw + bytes(5), "5 trailing bytes after the payload"),
+            ("smaller_header", raw[:8] + struct.pack("<QQ", 3, 2) + raw[24:],
+             "24 trailing bytes after the payload")):
         path = tmp_path / f"{name}.pcst"
         path.write_bytes(data)
-        with pytest.raises(FormatError) as want:
+        with pytest.raises(FormatError, match=message) as want:
             read_tensor(path)
         with pytest.raises(FormatError) as got:
             compare_tensor(path, ours)
@@ -108,15 +116,15 @@ def test_coeffs_roundtrip(tmp_path):
     path = tmp_path / "c.pcsc"
     write_coeffs(path, c)
     back = read_coeffs(path, bank)
-    assert back.levels == 2
+    assert [len(level) for level in back.details] == [8, 8]
     assert np.array_equal(back.coarse.data, c.coarse.data)
-    assert set(back.details) == set(c.details)
-    for k in c.details:
-        assert np.array_equal(back.details[k].data, c.details[k].data)
+    for level, want in zip(back.details, c.details, strict=True):
+        for t, w in zip(level, want, strict=True):
+            assert np.array_equal(t.data, w.data)
     r = reconstruct_fast(back, bank)
     assert np.max(np.abs(r.data - y.data)) <= 1e-12 * np.max(np.abs(y.data))
     # a set missing one detail tensor has no PCSC form
-    c.details.pop(next(iter(c.details)))
+    c.details[0].pop()
     with pytest.raises(ShapeMismatch):
         write_coeffs(tmp_path / "short.pcsc", c)
 
@@ -147,6 +155,26 @@ def test_coeffs_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(FormatError):
         read_coeffs(path, bank)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("extra_detail", "level 1 holds 9 details, not 8"),
+    ("detail_shape", r"detail \(nu=\(0, 1\), level=1\) has shape \(2, 2\), expected \(9, 9\)"),
+], ids=["extra_detail", "detail_shape"])
+def test_write_coeffs_refuses_a_malformed_set(tmp_path, damage, message):
+    # the layout check reconstruct_fast runs, before the file is opened
+    bank = box_bank(3, 2)
+    c = decompose_fast(Tensor.from_numpy(np.zeros((27, 27))), bank, 2)
+    if damage == "extra_detail":
+        c.details[1].append(c.details[1][0])
+    else:
+        c.details[1][0] = Tensor.from_numpy(np.zeros((2, 2)))
+    path = tmp_path / "c.pcsc"
+    with pytest.raises(ShapeMismatch, match=message):
+        write_coeffs(path, c)
+    assert not path.exists()
+    with pytest.raises(ShapeMismatch, match=message):
+        reconstruct_fast(c, bank)
 
 
 def test_coeffs_refuse_p_beyond_header_byte(tmp_path):

@@ -23,6 +23,11 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 BANK = box_bank(3, 2)
 BANK_DOC = bank_to_json(BANK)
 REPLACEMENTS = [None, [], {}, "x", 0, -1, 2 ** 70, 1.5, True]
+# the sample PCSC: a 25-byte header, then 9 records of 100 bytes each (a
+# u16 level, a u16 index and a 3x3 PCST)
+PCSC_HEADER, PCSC_RECORD = 25, 100
+# mutants that hold bytes no header gives a meaning to, which a reader must refuse
+SURPLUS = ("append", "splice")
 
 
 @pytest.fixture(scope="module")
@@ -33,23 +38,33 @@ def samples(tmp_path_factory):
     y = Tensor.from_numpy(rng.standard_normal((9, 9)))
     write_tensor(root / "y.pcst", y)
     write_coeffs(root / "y.pcsc", decompose_fast(y, BANK, 1))
+    assert (root / "y.pcsc").stat().st_size == PCSC_HEADER + 9 * PCSC_RECORD
     return {"pcst": (root / "y.pcst").read_bytes(),
             "pcsc": (root / "y.pcsc").read_bytes(),
             "scratch": root / "mutant"}
 
 
 @st.composite
-def mutations(draw, raw):
-    kind = draw(st.sampled_from(["truncate", "flip", "header_byte"]))
+def mutations(draw, raw, fmt):
+    """(kind, mutant) of the valid bytes raw; a PCSC may have a record spliced in twice."""
+    kind = draw(st.sampled_from(["truncate", "flip", "header_byte", "append"]
+                                + (["splice"] if fmt == "pcsc" else [])))
     buf = bytearray(raw)
     if kind == "truncate":
-        return bytes(buf[:draw(st.integers(0, len(buf) - 1))])
-    if kind == "flip":
+        del buf[draw(st.integers(0, len(buf) - 1)):]
+    elif kind == "flip":
         bit = draw(st.integers(0, 8 * len(buf) - 1))
         buf[bit // 8] ^= 1 << (bit % 8)
-    else:
+    elif kind == "header_byte":
         buf[draw(st.integers(0, 39))] = draw(st.integers(0, 255))
-    return bytes(buf)
+    elif kind == "append":
+        buf += draw(st.binary(min_size=1, max_size=64))
+    else:
+        records = (len(raw) - PCSC_HEADER) // PCSC_RECORD
+        start = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records - 1))
+        at = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records))
+        buf[at:at] = raw[start:start + PCSC_RECORD]
+    return kind, bytes(buf)
 
 
 def _load_or_pcswave_error(load, *args, **kwargs):
@@ -63,11 +78,14 @@ def _load_or_pcswave_error(load, *args, **kwargs):
 @given(data=st.data(), fmt=st.sampled_from(["pcst", "pcsc"]))
 def test_damaged_binary_files(samples, data, fmt):
     path = samples["scratch"]
-    path.write_bytes(data.draw(mutations(samples[fmt])))
-    if fmt == "pcst":
-        _load_or_pcswave_error(read_tensor, path)
+    kind, mutant = data.draw(mutations(samples[fmt], fmt))
+    path.write_bytes(mutant)
+    load = (lambda: read_tensor(path)) if fmt == "pcst" else (lambda: read_coeffs(path, BANK))
+    if kind in SURPLUS:
+        with pytest.raises(PcswaveError):
+            load()
     else:
-        _load_or_pcswave_error(read_coeffs, path, BANK)
+        _load_or_pcswave_error(load)
 
 
 def _node_paths(node, path=()):

@@ -41,15 +41,20 @@ def rational_tensor(rng, shape):
 
 
 def coeffs_equal(a, b):
-    return a.coarse == b.coarse and set(a.details) == set(b.details) and \
-        all(a.details[k] == b.details[k] for k in a.details)
+    # list == compares the levels, and within them the tensors, entry by entry
+    return a.coarse == b.coarse and a.details == b.details
+
+
+def all_details(c):
+    """Every detail tensor of c, level 0 first, each level in Gamma' order."""
+    return [t for level in c.details for t in level]
 
 
 def test_constant_signal_has_zero_details():
     bank = box_bank(3, 2)
     y = Tensor((9, 9), "rational", [Fraction(7, 3)] * 81)
     c = decompose_fast(y, bank, 1)
-    for t in c.details.values():
+    for t in all_details(c):
         assert all(v == 0 for v in t.values().flat)
     assert all(v == Fraction(7, 3) for v in c.coarse.values().flat)
     assert coeffs_equal(c, decompose_direct(y, bank, 1))
@@ -188,7 +193,7 @@ def test_zero_detail_reconstruction_matches_direct():
     bank = box_bank(3, 2)
     c = decompose_fast(Tensor((9, 9), "rational",
                               [Fraction(1)] * 81), bank, 1)
-    c.details = {k: Tensor.zeros(t.shape, "rational") for k, t in c.details.items()}
+    c.details = [[Tensor.zeros(t.shape, "rational") for t in level] for level in c.details]
     assert reconstruct_fast(c, bank) == reconstruct_direct(c, bank)
 
 
@@ -274,7 +279,7 @@ def test_exact_fast_equals_direct_on_random_banks(p, n):
         back = reconstruct_fast(c, bank)
         assert back == y
         # Fractions of Python ints: a numpy integer inside would overflow silently
-        for t in (c.coarse, back, *c.details.values()):
+        for t in (c.coarse, back, *all_details(c)):
             assert all(type(v) is Fraction and type(v.numerator) is int
                        and type(v.denominator) is int for v in t.values().flat)
 
@@ -363,8 +368,8 @@ def test_float64_fast_matches_direct():
     cf = decompose_fast(Tensor.from_numpy(data), bank, 1)
     cd = decompose_direct(Tensor.from_numpy(data), bank, 1)
     assert cf.coarse.max_abs_diff(cd.coarse) <= 1e-12
-    for k, t in cf.details.items():
-        assert t.max_abs_diff(cd.details[k]) <= 1e-12
+    for t, r in zip(all_details(cf), all_details(cd), strict=True):
+        assert t.max_abs_diff(r) <= 1e-12
 
 
 ORACLE_PINS = [
@@ -388,8 +393,11 @@ def test_float64_oracle_bits_pinned(bank_fn, shape, levels, digest):
     data.flat[0] = -0.0
     c = decompose_direct(Tensor.from_numpy(data), bank_fn(), levels)
     h = hashlib.sha256(c.coarse.data.tobytes())
-    for key in sorted(c.details):
-        h.update(c.details[key].data.tobytes())
+    # the details in sorted (nu, level) order, the order these digests were taken in
+    keyed = {(nu, j): t for j, level in enumerate(c.details)
+             for nu, t in zip(c.gamma[1:], level, strict=True)}
+    for key in sorted(keyed):
+        h.update(keyed[key].data.tobytes())
     assert h.hexdigest() == digest
 
 
@@ -437,10 +445,9 @@ def _synthesis_digest(path, bank_fn, shape, kind):
     bank, levels, draw = bank_fn(), 2, _drawer(kind)
     p = bank.p
     coarse = Tensor.from_numpy(draw(tuple(s // p ** levels for s in shape)))
-    details = {(nu, j): Tensor.from_numpy(draw(tuple(s // p ** (levels - j) for s in shape)))
-               for j in range(levels) for nu in bank.sys.gamma_prime}
-    coeffs = MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, levels=levels,
-                            coarse=coarse, details=details)
+    details = [[Tensor.from_numpy(draw(tuple(s // p ** (levels - j) for s in shape)))
+                for nu in bank.sys.gamma_prime] for j in range(levels)]
+    coeffs = MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, coarse=coarse, details=details)
     write_tensor(path, reconstruct_fast(coeffs, bank))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -558,8 +565,8 @@ def test_float64_matches_rational_ground_truth():
     cr = decompose_fast(Tensor((9, 9), "rational",
                                [Fraction(int(v)) for v in ints.ravel()]), bank, 1)
     assert cf.coarse.max_abs_diff(cr.coarse) <= 1e-12
-    for k, t in cf.details.items():
-        assert t.max_abs_diff(cr.details[k]) <= 1e-12
+    for t, r in zip(all_details(cf), all_details(cr), strict=True):
+        assert t.max_abs_diff(r) <= 1e-12
 
 
 def test_shape_validation():
@@ -584,11 +591,13 @@ def test_coeffs_bank_consistency(rng):
     other = box_bank(2, 2)
     with pytest.raises(ShapeMismatch):
         reconstruct_fast(c, other)
-    c.details[((1, 0), 0)] = Tensor.zeros((9, 9), "rational")
-    with pytest.raises(ShapeMismatch, match="has shape"):
+    nu = (1, 0)
+    i = bank.sys.gamma_prime.index(nu)
+    c.details[0][i] = Tensor.zeros((9, 9), "rational")
+    with pytest.raises(ShapeMismatch, match=r"detail \(nu=\(1, 0\), level=0\) has shape"):
         reconstruct_fast(c, bank)
-    c.details.pop(((1, 0), 0))
-    with pytest.raises(ShapeMismatch):
+    del c.details[0][i]
+    with pytest.raises(ShapeMismatch, match="level 0 holds 7 details, not 8"):
         reconstruct_fast(c, bank)
 
 
