@@ -35,9 +35,8 @@ loaded, and would find nothing to free. ``os._exit`` would skip flushing the
 streams and the atexit handlers, so it is not used. :func:`main` itself
 freezes nothing.
 
-``synthesize --check-against`` reads the reference in chunks through one
-buffer (:func:`pcswave.dataio.compare_tensor`), so the check never holds the
-whole reference beside the output.
+``synthesize --check-against`` checks the reference before it reconstructs,
+then reads it in chunks (:func:`pcswave.dataio.compare_tensor`), never whole.
 
 No command calls BLAS: the float64 steps are numpy ufuncs and block copies,
 and the exact ones are pure Python. :func:`run` sets
@@ -231,10 +230,12 @@ def cmd_synthesize(args) -> int:
     from .filterbank import bank_from_json
     from .transform import reconstruct_fast
     bank = bank_from_json(_load_json(args.bank))
-    coeffs = dataio.read_coeffs(args.input, bank)
+    coeffs = dataio.read_coeffs(args.input, bank.sys)
     levels = len(coeffs.details)
     if args.levels is not None and args.levels != levels:
         raise PcswaveError(f"--levels {args.levels} does not match file ({levels})")
+    if args.check_against:
+        dataio.check_reference(args.check_against, coeffs.input_shape())
     y = reconstruct_fast(coeffs, bank)
     del coeffs  # before the reference is read
     dataio.write_tensor(args.output, y)

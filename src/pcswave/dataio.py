@@ -5,11 +5,12 @@ little-endian), u8 n, then n x u64 shape, then the row-major payload.
 
 PCSC: magic b"PCSC", u16 version = 1, u8 p, u8 n, u8 levels, then n x u64
 input shape, then one record per subband. Each record is a u16 level and a
-u16 coset index (position in the bank's Gamma ordering; 0 is the coarse
-tensor at level 0) followed by a complete PCST block. Records are written
-coarse first, then level 0 up, each level's details in Gamma' order, so
-identical inputs serialize byte-identically. A PCST file ends with its
-payload and a PCSC file with its last record; a reader refuses a byte more.
+u16 coset index (position in the coset system's Gamma ordering; 0 is the
+coarse tensor at level 0) followed by a complete PCST block. Records are
+written, and must be read, coarse first, then level 0 up, each level's
+details in Gamma' order, so identical inputs serialize byte-identically. A
+PCST file ends with its payload and a PCSC file with its last record; a
+reader refuses a byte more, and a record out of place.
 
 All integers are little-endian. Only float64 tensors are serialized; rational
 tensors are a verification device, not an interchange format.
@@ -17,6 +18,7 @@ tensors are a verification device, not an interchange format.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -24,7 +26,7 @@ import struct
 import numpy as np
 
 from .errors import DomainError, FormatError, ShapeMismatch
-from .filterbank import WaveletFilterBank
+from .lattice import CosetSystem
 from .tensor import FLOAT64, MultiresCoeffs, Tensor
 
 TENSOR_MAGIC = b"PCST"
@@ -107,18 +109,25 @@ def read_tensor(path) -> Tensor:
         return _read_tensor(fh, _read_lone_header(fh))
 
 
+def check_reference(path, shape) -> None:
+    """Refuse the PCST at path unless it holds one tensor of this shape and nothing more."""
+    with open(path, "rb") as fh:
+        ref = _read_lone_header(fh)
+    if shape != ref:
+        raise ShapeMismatch(f"shapes {shape} and {ref} differ")
+
+
 def compare_tensor(path, t: Tensor):
     """(max |t - ref|, max(|min ref|, |max ref|)) for the PCST ref at path.
 
     The reference is read in chunks of CHUNK samples through one buffer and
-    never held whole; its header and size are checked as :func:`read_tensor`
-    checks them. Both values are NaN when ref holds a NaN, and the first is
-    NaN when t does.
+    never held whole; it is first checked by :func:`check_reference`, as
+    :func:`read_tensor` checks a file. Both values are NaN when ref holds a
+    NaN, and the first is NaN when t does.
     """
+    check_reference(path, t.shape)
     with open(path, "rb") as fh:
-        shape = _read_lone_header(fh)
-        if t.shape != shape:
-            raise ShapeMismatch(f"shapes {t.shape} and {shape} differ")
+        _read_header(fh)
         a = t.to_numpy().reshape(-1)
         buf = np.empty(min(a.size, CHUNK), dtype="<f8")
         lows, highs, errs = [], [], []
@@ -137,14 +146,14 @@ def write_coeffs(path, c: MultiresCoeffs) -> None:
     if c.mode != FLOAT64:
         raise DomainError("only float64 coefficients have a binary form")
     c.check_layout()
-    levels = len(c.details)
-    if not all(0 <= x <= 255 for x in (c.p, c.n, levels)):
+    p, n, levels = c.sys.p, c.sys.n, len(c.details)
+    if not all(0 <= x <= 255 for x in (p, n, levels)):
         raise DomainError(f"a PCSC header holds p, n and levels in one byte each, "
-                          f"got p={c.p}, n={c.n}, levels={levels}")
+                          f"got p={p}, n={n}, levels={levels}")
     with open(path, "wb") as fh:
         fh.write(COEFFS_MAGIC)
-        fh.write(struct.pack("<HBBB", VERSION, c.p, c.n, levels))
-        fh.write(struct.pack("<" + "Q" * c.n, *c.input_shape()))
+        fh.write(struct.pack("<HBBB", VERSION, p, n, levels))
+        fh.write(struct.pack("<" + "Q" * n, *c.input_shape()))
         fh.write(struct.pack("<HH", 0, 0))
         _write_tensor(fh, c.coarse)
         for level, dets in enumerate(c.details):
@@ -153,12 +162,11 @@ def write_coeffs(path, c: MultiresCoeffs) -> None:
                 _write_tensor(fh, t)
 
 
-def read_coeffs(path, bank: WaveletFilterBank) -> MultiresCoeffs:
-    """Load a PCSC file against the bank that will consume it.
-
-    The header carries p, n, levels, and shape; the coset indices refer to
-    the bank's Gamma ordering, so the bank (or at least its coset system) is
-    required to give the records meaning.
+def read_coeffs(path, sys: CosetSystem) -> MultiresCoeffs:
+    """Load a PCSC file as a set that holds sys, the coset system that gives
+    its coset indices their meaning. The records must come in the order
+    :func:`write_coeffs` writes them: each tag is checked against the one
+    expected there before its tensor is read.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4)
@@ -167,37 +175,27 @@ def read_coeffs(path, bank: WaveletFilterBank) -> MultiresCoeffs:
         version, p, n, levels = struct.unpack("<HBBB", _read_exact(fh, 5))
         if version != VERSION:
             raise FormatError(f"unsupported coefficient version {version}")
-        if p != bank.p or n != bank.n:
-            raise ShapeMismatch(
-                f"file is for p={p}, n={n}; bank has p={bank.p}, n={bank.n}")
+        if p != sys.p or n != sys.n:
+            raise ShapeMismatch(f"file is for p={p}, n={n}; bank has p={sys.p}, n={sys.n}")
         shape = struct.unpack("<" + "Q" * n, _read_exact(fh, 8 * n))
         for axis, s in enumerate(shape):
-            if s % bank.p ** levels:
+            if s % p ** levels:
                 raise FormatError(f"axis {axis} extent {s} not divisible by p^levels")
 
-        level, idx = struct.unpack("<HH", _read_exact(fh, 4))
-        if (level, idx) != (0, 0):
-            raise FormatError("first record must be the coarse tensor")
-        coarse = _read_tensor(fh, _read_header(fh))
-        want_coarse = tuple(s // bank.p ** levels for s in shape)
-        if coarse.shape != want_coarse:
-            raise ShapeMismatch(f"coarse shape {coarse.shape}, expected {want_coarse}")
-
-        q = bank.q
-        details = [[None] * (q - 1) for _ in range(levels)]
-        for _ in range(levels * (q - 1)):
-            level, idx = struct.unpack("<HH", _read_exact(fh, 4))
-            if not (0 <= level < levels) or not (1 <= idx < q):
-                raise FormatError(f"record tag (level={level}, index={idx}) out of range")
-            t = _read_tensor(fh, _read_header(fh))
-            want = tuple(s // bank.p ** (levels - level) for s in shape)
-            if t.shape != want:
-                raise ShapeMismatch(f"detail (nu={bank.sys.gamma[idx]}, level={level}) "
-                                    f"shape {t.shape}, expected {want}")
-            if details[level][idx - 1] is not None:
-                raise FormatError(f"duplicate record (level={level}, index={idx})")
-            details[level][idx - 1] = t
+        tensors = []
+        tags = ((level, idx) for level in range(levels) for idx in range(1, sys.q))
+        for level, idx in itertools.chain([(0, 0)], tags):
+            tag = struct.unpack("<HH", _read_exact(fh, 4))
+            if tag != (level, idx):
+                raise FormatError(f"record (level={tag[0]}, index={tag[1]}) "
+                                  f"where (level={level}, index={idx}) belongs")
+            got = _read_header(fh)
+            want = tuple(s // p ** (levels - level) for s in shape)
+            if got != want:
+                what = f"detail (nu={sys.gamma[idx]}, level={level})" if idx else "coarse"
+                raise ShapeMismatch(f"{what} shape {got}, expected {want}")
+            tensors.append(_read_tensor(fh, got))
         if fh.read(1):
             raise FormatError("trailing bytes after the last record")
-    return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma,
-                          coarse=coarse, details=details)
+    k = sys.q - 1
+    return MultiresCoeffs(sys, tensors[0], [tensors[i:i + k] for i in range(1, len(tensors), k)])

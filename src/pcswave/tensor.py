@@ -18,6 +18,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, ShapeMismatch
+from .lattice import CosetSystem
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
@@ -144,35 +145,35 @@ class Tensor:
 class MultiresCoeffs:
     """Coarse tensor y_0 plus the detail tensors w_{nu,j} of a J-level transform.
 
-    ``details[j]`` lists level j's q - 1 detail tensors in Gamma' order, as
-    the kernels make them: entry i - 1 is coset gamma[i], the coset index of
-    its PCSC record. Level j tensors have shape input_shape / p^(J-j), and
-    the coarse tensor sits at level 0, so J is ``len(details)``.
+    It holds ``sys``, its bank's CosetSystem, and ``details[j]``: level j's
+    q - 1 detail tensors in the kernels' Gamma' order, entry i - 1 being coset
+    sys.gamma[i], its PCSC record's coset index. Level j tensors have shape
+    input_shape / p^(J-j); the coarse tensor sits at level 0, so J is ``len(details)``.
     """
 
-    __slots__ = ("p", "n", "gamma", "coarse", "details")
+    __slots__ = ("sys", "coarse", "details")
 
-    def __init__(self, p: int, n: int, gamma: Tuple[Tuple[int, ...], ...],
-                 coarse: Tensor, details: List[List[Tensor]]):
-        self.p, self.n, self.gamma = p, n, gamma
-        self.coarse, self.details = coarse, details
+    def __init__(self, sys: CosetSystem, coarse: Tensor, details: List[List[Tensor]]):
+        self.sys, self.coarse, self.details = sys, coarse, details
 
     @property
     def mode(self) -> str:
         return self.coarse.mode
 
     def input_shape(self) -> Tuple[int, ...]:
-        scale = self.p ** len(self.details)
+        scale = self.sys.p ** len(self.details)
         return tuple(s * scale for s in self.coarse.shape)
 
     def check_layout(self) -> None:
-        """Refuse a level that does not hold q - 1 details of the level's shape."""
-        cosets = self.gamma[1:]
+        """Refuse a level that does not hold q - 1 details of its shape and mode."""
+        cosets = self.sys.gamma_prime
         for j, dets in enumerate(self.details):
             if len(dets) != len(cosets):
                 raise ShapeMismatch(f"level {j} holds {len(dets)} details, not {len(cosets)}")
-            want = tuple(s * self.p ** j for s in self.coarse.shape)
+            want = tuple(s * self.sys.p ** j for s in self.coarse.shape)
             for nu, t in zip(cosets, dets):
+                if t.mode != self.mode:
+                    raise DomainError(f"detail (nu={nu}, level={j}) is {t.mode}, not {self.mode}")
                 if t.shape != want:
                     raise ShapeMismatch(
                         f"detail (nu={nu}, level={j}) has shape {t.shape}, expected {want}")

@@ -90,8 +90,7 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
     for _ in range(levels):
         cur, dets, (den, *dens) = kern.decompose_level(cur, den)
         details.append([Tensor(w.shape, y.mode, w, d) for w, d in zip(dets, dens)])
-    return MultiresCoeffs(p=bank.p, n=bank.n, gamma=bank.sys.gamma,
-                          coarse=Tensor(cur.shape, y.mode, cur, den), details=details[::-1])
+    return MultiresCoeffs(bank.sys, Tensor(cur.shape, y.mode, cur, den), details[::-1])
 
 
 def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
@@ -99,7 +98,7 @@ def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
     from .kernels import LevelKernels
     from .tensor import Tensor
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-    if c.p != bank.p or c.n != bank.n or c.gamma != bank.sys.gamma:
+    if c.sys != bank.sys:
         raise ShapeMismatch("coefficients were produced for a different coset system")
     c.check_layout()
     cur, den = c.coarse.data, c.coarse.den
@@ -146,7 +145,7 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     for _ in range(levels):
         details.append([subband(cur, bank.t[nu]) for nu in bank.sys.gamma_prime])
         cur = subband(cur, bank.tau)
-    return MultiresCoeffs(p=p, n=n, gamma=bank.sys.gamma, coarse=cur, details=details[::-1])
+    return MultiresCoeffs(bank.sys, cur, details[::-1])
 
 
 # --- operation accounting ----------------------------------------------------

@@ -486,10 +486,18 @@ def _bad_input(case, bank_path, tmp_path):
         (tmp_path / "y.pcst").write_bytes(_pcst((9, 9, 9)))
         return ["analyze", "--bank", bank_path, "--levels", 1, tmp_path / "y.pcst",
                 "-o", out]
-    records = ([(0, 1, (3, 3))] * 2 if case == "pcsc_duplicate"
-               else [(0, 1, (3, 4))])
+    if case.startswith("reference_"):
+        # a valid set, and a reference that is refused before out is written
+        records = [(0, idx, (3, 3)) for idx in range(1, 9)]
+        (tmp_path / "ref.pcst").write_bytes(_pcst((27, 27)))
+        check = ["--check-against", tmp_path / ("ref.pcst" if case == "reference_shape"
+                                                else "none.pcst")]
+    else:
+        records = ([(0, 1, (3, 3))] * 2 if case == "pcsc_duplicate"
+                   else [(0, 1, (3, 4))])
+        check = []
     (tmp_path / "y.pcsc").write_bytes(_pcsc_9x9(records))
-    return ["synthesize", "--bank", bank_path, tmp_path / "y.pcsc", "-o", out]
+    return ["synthesize", "--bank", bank_path, tmp_path / "y.pcsc", "-o", out, *check]
 
 
 @pytest.mark.parametrize("case, message", [
@@ -497,8 +505,10 @@ def _bad_input(case, bank_path, tmp_path):
     ("design_g_2d", "g2d.json: expected a 1-D filter, got dim=2"),
     ("shape_81", "is 1-D, bank is 2-D"), ("shape_abc", "bad shape 'abc'"),
     ("shape_0x9", "bad shape '0x9'"), ("pcst_3d", "tensor is 3-D, bank is 2-D"),
-    ("pcsc_duplicate", "duplicate record (level=0, index=1)"),
+    ("pcsc_duplicate", "record (level=0, index=1) where (level=0, index=2) belongs"),
     ("pcsc_detail_shape", "shape (3, 4), expected (3, 3)"),
+    ("reference_shape", "shapes (9, 9) and (27, 27) differ"),
+    ("reference_missing", "No such file"),
 ])
 def test_bad_input_exits_2(box_bank_path, tmp_path, capsys, case, message):
     code, out, err = run(capsys, *_bad_input(case, box_bank_path, tmp_path))
@@ -528,6 +538,7 @@ def test_pcst_with_trailing_bytes_exits_2(box_bank_path, tmp_path, capsys, data,
                        "-o", tmp_path / "back.pcst", "--check-against", bad)
     assert code == 2
     assert err.startswith("error:") and message in err
+    assert not (tmp_path / "back.pcst").exists()
 
 
 @pytest.mark.parametrize("command", ["design", "verify"])

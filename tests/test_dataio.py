@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from pcswave.filters import filter_1d
 from pcswave.presets import box_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast, reconstruct_fast
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_tensor_roundtrip(tmp_path):
@@ -115,7 +121,7 @@ def test_coeffs_roundtrip(tmp_path):
     c = decompose_fast(y, bank, 2)
     path = tmp_path / "c.pcsc"
     write_coeffs(path, c)
-    back = read_coeffs(path, bank)
+    back = read_coeffs(path, bank.sys)
     assert [len(level) for level in back.details] == [8, 8]
     assert np.array_equal(back.coarse.data, c.coarse.data)
     for level, want in zip(back.details, c.details, strict=True):
@@ -145,7 +151,7 @@ def test_coeffs_wrong_bank(tmp_path):
     path = tmp_path / "c.pcsc"
     write_coeffs(path, decompose_fast(y, bank, 1))
     with pytest.raises(ShapeMismatch):
-        read_coeffs(path, box_bank(2, 2))
+        read_coeffs(path, box_bank(2, 2).sys)
 
 
 def test_coeffs_trailing_garbage(tmp_path):
@@ -154,27 +160,64 @@ def test_coeffs_trailing_garbage(tmp_path):
     write_coeffs(path, decompose_fast(Tensor.from_numpy(np.zeros((9, 9))), bank, 1))
     path.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(FormatError):
-        read_coeffs(path, bank)
+        read_coeffs(path, bank.sys)
 
 
-@pytest.mark.parametrize("damage, message", [
-    ("extra_detail", "level 1 holds 9 details, not 8"),
-    ("detail_shape", r"detail \(nu=\(0, 1\), level=1\) has shape \(2, 2\), expected \(9, 9\)"),
-], ids=["extra_detail", "detail_shape"])
-def test_write_coeffs_refuses_a_malformed_set(tmp_path, damage, message):
+@pytest.mark.parametrize("damage, error, message", [
+    ("extra_detail", ShapeMismatch, "level 1 holds 9 details, not 8"),
+    ("detail_shape", ShapeMismatch,
+     r"detail \(nu=\(0, 1\), level=1\) has shape \(2, 2\), expected \(9, 9\)"),
+    ("rational_detail", DomainError,
+     r"detail \(nu=\(0, 1\), level=1\) is rational, not float64"),
+], ids=["extra_detail", "detail_shape", "rational_detail"])
+def test_write_coeffs_refuses_a_malformed_set(tmp_path, damage, error, message):
     # the layout check reconstruct_fast runs, before the file is opened
     bank = box_bank(3, 2)
     c = decompose_fast(Tensor.from_numpy(np.zeros((27, 27))), bank, 2)
     if damage == "extra_detail":
         c.details[1].append(c.details[1][0])
-    else:
+    elif damage == "detail_shape":
         c.details[1][0] = Tensor.from_numpy(np.zeros((2, 2)))
+    else:
+        c.details[1][0] = Tensor.zeros((9, 9), "rational")
     path = tmp_path / "c.pcsc"
-    with pytest.raises(ShapeMismatch, match=message):
+    with pytest.raises(error, match=message):
         write_coeffs(path, c)
     assert not path.exists()
-    with pytest.raises(ShapeMismatch, match=message):
+    with pytest.raises(error, match=message):
         reconstruct_fast(c, bank)
+
+
+def test_reconstruct_refuses_a_float64_detail_in_a_rational_set():
+    bank = box_bank(3, 2)
+    c = decompose_fast(Tensor.zeros((9, 9), "rational"), bank, 1)
+    c.details[0][3] = Tensor.from_numpy(np.zeros((3, 3)))
+    with pytest.raises(DomainError, match=r"\(nu=\(1, 1\), level=0\) is float64"):
+        reconstruct_fast(c, bank)
+
+
+def test_coeffs_records_are_read_in_the_written_order(tmp_path):
+    # a 25-byte header, then 9 records of 100 bytes: the coarse one, then
+    # level 0's details by coset index
+    bank = box_bank(3, 2)
+    path = tmp_path / "c.pcsc"
+    write_coeffs(path, decompose_fast(Tensor.from_numpy(np.zeros((9, 9))), bank, 1))
+    raw = path.read_bytes()
+    assert len(raw) == 25 + 9 * 100
+    second, third = raw[225:325], raw[325:425]
+    path.write_bytes(raw[:225] + third + second + raw[425:])
+    with pytest.raises(FormatError,
+                       match=r"record \(level=0, index=3\) where \(level=0, index=2\) belongs"):
+        read_coeffs(path, bank.sys)
+
+
+def test_codecs_load_no_bank_module():
+    # a coefficient set and its file format need the coset system alone
+    probe = "import sys, pcswave.dataio, pcswave.tensor; print('pcswave.filterbank' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_coeffs_refuse_p_beyond_header_byte(tmp_path):

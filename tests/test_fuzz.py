@@ -26,8 +26,9 @@ REPLACEMENTS = [None, [], {}, "x", 0, -1, 2 ** 70, 1.5, True]
 # the sample PCSC: a 25-byte header, then 9 records of 100 bytes each (a
 # u16 level, a u16 index and a 3x3 PCST)
 PCSC_HEADER, PCSC_RECORD = 25, 100
-# mutants that hold bytes no header gives a meaning to, which a reader must refuse
-SURPLUS = ("append", "splice")
+# mutants that hold bytes no header gives a meaning to, or records out of the
+# written order, which a reader must refuse
+REFUSED = ("append", "splice", "swap")
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +47,10 @@ def samples(tmp_path_factory):
 
 @st.composite
 def mutations(draw, raw, fmt):
-    """(kind, mutant) of the valid bytes raw; a PCSC may have a record spliced in twice."""
+    """(kind, mutant) of the valid bytes raw; a PCSC may have a record spliced
+    in twice, or two records exchanged."""
     kind = draw(st.sampled_from(["truncate", "flip", "header_byte", "append"]
-                                + (["splice"] if fmt == "pcsc" else [])))
+                                + (["splice", "swap"] if fmt == "pcsc" else [])))
     buf = bytearray(raw)
     if kind == "truncate":
         del buf[draw(st.integers(0, len(buf) - 1)):]
@@ -61,9 +63,16 @@ def mutations(draw, raw, fmt):
         buf += draw(st.binary(min_size=1, max_size=64))
     else:
         records = (len(raw) - PCSC_HEADER) // PCSC_RECORD
-        start = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records - 1))
-        at = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records))
-        buf[at:at] = raw[start:start + PCSC_RECORD]
+        if kind == "splice":
+            start = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records - 1))
+            at = PCSC_HEADER + PCSC_RECORD * draw(st.integers(0, records))
+            buf[at:at] = raw[start:start + PCSC_RECORD]
+        else:
+            pair = draw(st.lists(st.integers(0, records - 1), min_size=2, max_size=2,
+                                 unique=True))
+            a, b = (slice(PCSC_HEADER + PCSC_RECORD * i, PCSC_HEADER + PCSC_RECORD * (i + 1))
+                    for i in pair)
+            buf[a], buf[b] = raw[b], raw[a]
     return kind, bytes(buf)
 
 
@@ -80,8 +89,8 @@ def test_damaged_binary_files(samples, data, fmt):
     path = samples["scratch"]
     kind, mutant = data.draw(mutations(samples[fmt], fmt))
     path.write_bytes(mutant)
-    load = (lambda: read_tensor(path)) if fmt == "pcst" else (lambda: read_coeffs(path, BANK))
-    if kind in SURPLUS:
+    load = (lambda: read_tensor(path)) if fmt == "pcst" else (lambda: read_coeffs(path, BANK.sys))
+    if kind in REFUSED:
         with pytest.raises(PcswaveError):
             load()
     else:

@@ -395,7 +395,7 @@ def test_float64_oracle_bits_pinned(bank_fn, shape, levels, digest):
     h = hashlib.sha256(c.coarse.data.tobytes())
     # the details in sorted (nu, level) order, the order these digests were taken in
     keyed = {(nu, j): t for j, level in enumerate(c.details)
-             for nu, t in zip(c.gamma[1:], level, strict=True)}
+             for nu, t in zip(c.sys.gamma_prime, level, strict=True)}
     for key in sorted(keyed):
         h.update(keyed[key].data.tobytes())
     assert h.hexdigest() == digest
@@ -447,7 +447,7 @@ def _synthesis_digest(path, bank_fn, shape, kind):
     coarse = Tensor.from_numpy(draw(tuple(s // p ** levels for s in shape)))
     details = [[Tensor.from_numpy(draw(tuple(s // p ** (levels - j) for s in shape)))
                 for nu in bank.sys.gamma_prime] for j in range(levels)]
-    coeffs = MultiresCoeffs(p=p, n=bank.n, gamma=bank.sys.gamma, coarse=coarse, details=details)
+    coeffs = MultiresCoeffs(bank.sys, coarse, details)
     write_tensor(path, reconstruct_fast(coeffs, bank))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
