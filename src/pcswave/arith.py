@@ -4,9 +4,10 @@ The text form of a rational is ``"num/den"``, the denominator omitted when
 it is 1, which is exactly ``str(Fraction)``; :func:`split_rational` reads it
 into integers and :func:`format_rational` writes it from integers.
 
-A :class:`LaurentPoly` holds integer numerators over one positive
-denominator, in lowest terms, so equality is a comparison of integers. It is
-the one stored form of a filter (its mask) and of every polyphase component.
+:func:`integer_form` puts rationals over one positive denominator in lowest
+terms. A :class:`LaurentPoly` holds that form, so equality compares integers;
+it is the one stored form of a filter (its mask) and of each polyphase
+component. Floats come from it by ``int / int``, which rounds correctly.
 """
 
 from __future__ import annotations
@@ -64,6 +65,25 @@ def format_rational(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+def integer_form(pairs: Iterable[Tuple[int, int]], max_bits=None) -> Tuple[List[int], int]:
+    """The rationals n/d (d > 0) of pairs as (numerators, den), over one positive
+    denominator in lowest terms; ([], 1) for none. With max_bits, a denominator
+    or numerator of more bits over the lcm raises DomainError, before any gcd."""
+    pairs = list(pairs)
+    dens = {d for _, d in pairs}
+    den = 1
+    for d in dens:
+        den = lcm(den, d)
+        if max_bits and den.bit_length() > max_bits:
+            raise DomainError(f"more than {max_bits} bits over one denominator")
+    scale = {d: den // d for d in dens}
+    nums = [n * scale[d] for n, d in pairs]
+    if max_bits and max(map(abs, nums), default=0).bit_length() > max_bits:
+        raise DomainError(f"more than {max_bits} bits over one denominator")
+    g = gcd(den, *nums)
+    return (nums, den) if g == 1 else ([v // g for v in nums], den // g)
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial over Q in n variables; exponent k <-> e^{-i k.w}.
 
@@ -78,20 +98,17 @@ class LaurentPoly:
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms=None):
-        values: Dict[MultiIndex, Fraction] = {}
-        if terms:
-            for k, v in dict(terms).items():
-                k = tuple(int(x) for x in k)
-                if len(k) != n:
-                    raise DimensionMismatch(f"exponent {k} has length {len(k)}, expected {n}")
-                v = Fraction(v)
-                if v:
-                    values[k] = v
-        den = lcm(*(v.denominator for v in values.values()))
-        # reduced fractions over their least common denominator are in lowest terms
+        values: Dict[MultiIndex, Tuple[int, int]] = {}
+        for k, v in dict(terms or ()).items():
+            k = tuple(int(x) for x in k)
+            if len(k) != n:
+                raise DimensionMismatch(f"exponent {k} has length {len(k)}, expected {n}")
+            v = Fraction(v)
+            if v:
+                values[k] = v.as_integer_ratio()
+        nums, self.den = integer_form(values.values())
         self.n = n
-        self.num = {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-        self.den = den
+        self.num = dict(zip(values, nums))
 
     @classmethod
     def from_integers(cls, n: int, num: Dict[MultiIndex, int], den: int) -> "LaurentPoly":

@@ -236,6 +236,8 @@ def cmd_synthesize(args) -> int:
         raise PcswaveError(f"--levels {args.levels} does not match file ({levels})")
     if args.check_against:
         dataio.check_reference(args.check_against, coeffs.input_shape())
+        if os.path.exists(args.output) and os.path.samefile(args.output, args.check_against):
+            raise PcswaveError(f"-o {args.output} is the --check-against reference")
     y = reconstruct_fast(coeffs, bank)
     del coeffs  # before the reference is read
     dataio.write_tensor(args.output, y)

@@ -52,7 +52,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 from .arith import LaurentPoly, accumulate_products, format_rational, poly_sum
 from .cosetsum import prime_coset_sum
 from .errors import DimensionMismatch, FormatError, NotInterpolatory, PcswaveError
-from .filters import (DEFAULT_MAX_ORDER, Filter1D, FilterND, MaskDiagnostics,
+from .filters import (DEFAULT_MAX_ORDER, MAX_FORM_BITS, Filter1D, FilterND, MaskDiagnostics,
                       diagnostics, filter_from_json, filter_to_json,
                       is_interpolatory, require_lowpass, to_1d)
 from .lattice import CosetSystem, make_coset_system
@@ -238,6 +238,10 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     bank = build_general(prime_coset_sum(G, sys), prime_coset_sum(H, sys), sys)
     bank.g1d = G
     bank.h1d = H
+    # no bank that bank_from_json refuses: it forms a mask over at most q den
+    for f in bank.analysis_filters() + bank.synthesis_filters():
+        if (f.q * max(f.mask.den, *map(abs, f.mask.num.values()))).bit_length() > MAX_FORM_BITS:
+            raise PcswaveError(f"a filter of the bank needs more than {MAX_FORM_BITS} bits")
 
     # Construction cross-check: the polyphase route above and the closed
     # forms from G and H must give the same 2(q-1) highpass filters; tau and

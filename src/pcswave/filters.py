@@ -5,8 +5,9 @@ polynomial (1/q) * sum_k h(k) e^{-i k.w} with q = p^n, in the integer form of
 :class:`~pcswave.arith.LaurentPoly`: tap h(k) is q * mask.num[k] / mask.den.
 That form is unique, so two filters are equal exactly when their p and masks
 are, and the polyphase layer, the coset sum, the bank checks, the
-diagnostics and the JSON form all read integers. ``.taps`` is a read-only
-``Fraction`` view for reports and the direct transform.
+diagnostics, the JSON form and the float64 taps (``q * num / den``, by
+``int / int``) all read integers. ``.taps`` is a read-only ``Fraction`` view
+for reports.
 
 All diagnostics are exact. Evaluation points are lattice frequencies
 (2*pi/p) * g, so every value lives in Q(zeta_p); a sum of integer weights
@@ -18,18 +19,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
-from .arith import LaurentPoly, format_rational, split_rational
+from .arith import LaurentPoly, format_rational, integer_form, split_rational
 from .errors import DimensionMismatch, DomainError, FormatError, NotLowpass
 from .lattice import MAX_COSETS, too_many_cosets
 
 MultiIndex = Tuple[int, ...]
 
 DEFAULT_MAX_ORDER = 20
+# bits a filter document may need (see filter_from_json); real banks need about 25
+MAX_FORM_BITS = 4096
 
 
 class FilterND:
@@ -190,12 +192,11 @@ def _zero_order(f: FilterND, frequencies, start: int, max_order: int) -> int:
     order d, times the column of a, the first axis where mu is nonzero.
     """
     p, n = f.p, f.dim
-    if not f.mask.num:
-        return max_order  # the zero mask vanishes to every order
     cols = list(zip(*f.mask.num))
     level = {(0,) * n: list(f.mask.num.values())}   # the weights of one order, by mu
     dots = []
-    for order in range(max_order):
+    # with no tap off the origin (the zero mask too) every weight of order >= 1 is 0
+    for order in range(max_order if any(map(any, f.mask.num)) else 1):
         below, level = level, {}
         for mu in _compositions(n, order):
             if order:
@@ -259,7 +260,8 @@ def filter_to_json(f: FilterND) -> dict:
 
 
 def filter_from_json(data: dict) -> FilterND:
-    """The filter of a JSON document; p, dim and every tap index must be JSON integers."""
+    """The filter of a JSON document; p, dim and every tap index must be JSON integers.
+    q times the lcm of the tap denominators, and each numerator over it, fit MAX_FORM_BITS bits."""
     try:
         p, dim, raw = data["p"], data["dim"], data["taps"]
     except (KeyError, TypeError) as exc:
@@ -288,14 +290,13 @@ def filter_from_json(data: dict) -> FilterND:
         raise _bad_tap(raw, dim) from None
     if not all(n for n, _ in parsed.values()):
         raise _bad_tap(raw, dim)
-    # tap num/den over the common denominator D is a mask coefficient over q D,
-    # put in lowest terms by one gcd over the distinct values
-    den = lcm(*{d for _, d in parsed.values()})
-    scaled = {v: n * (den // d) for v, (n, d) in parsed.items()}
-    den *= p ** dim
-    g = gcd(den, *scaled.values())
-    scaled = {v: s // g for v, s in scaled.items()}
-    return FilterND(p, LaurentPoly.reduced(dim, {k: scaled[v] for k, v in taps.items()}, den // g))
+    # tap num/den is the mask coefficient num/(q den)
+    try:
+        nums, den = integer_form([(n, p ** dim * d) for n, d in parsed.values()], MAX_FORM_BITS)
+    except DomainError as exc:
+        raise FormatError(f"filter taps need {exc}") from None
+    scaled = dict(zip(parsed, nums))
+    return FilterND(p, LaurentPoly.reduced(dim, {k: scaled[v] for k, v in taps.items()}, den))
 
 
 def _bad_tap(raw: list, dim: int) -> FormatError:

@@ -11,13 +11,14 @@ interpolatory (:func:`pcswave.filterbank.require_generators`).
 For each nu in Gamma', the tap lists of H (predict) and G (update) are the
 routes of :func:`pcswave.lattice.eta_routes` divided by p, in increasing m:
 with d = (nu - eta(l,nu) m) / p, predict taps gather y0(k + d) and update
-taps w_nu(k - d). The float64 tables hold the taps rounded, and each output
-sample is normalized once by 1/(p-1) or 1/((p-1) p^n). The exact tables hold
-the integer mask numerators of G and H, and the normalizations become integer
-factors on the sample kept, so an exact step runs on integers alone: its
-output is over its input's denominator times that factor. The exact tables
-sum the taps that share a shift, which the float64 tables cannot do without
-changing how their sums round.
+taps w_nu(k - d). The float64 tables hold the taps rounded, p * num / den by
+``int / int``, and each output sample is normalized once by 1/(p-1) or
+1/((p-1) p^n), made alike. The exact tables hold the integer mask numerators
+of G and H, and the normalizations become integer factors on the sample
+kept, so an exact step runs on integers alone: its output is over its
+input's denominator times that factor. The exact tables sum the taps that
+share a shift, which the float64 tables cannot do without changing how their
+sums round.
 
 A shift is kept as the tap gives it, however far it reaches: the steps read
 it modulo the level's extent, so the plan sizes nothing by a tap offset.
@@ -25,7 +26,6 @@ it modulo the level's extent, so the plan sizes nothing by a tap offset.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, WrongProvenance
@@ -85,9 +85,9 @@ class LevelPlan:
         d_g, d_h = G.mask.den, H.mask.den
 
         def floats(tables, den):
-            return [[(d, float(Fraction(p * v, den))) for d, v in taps] for taps in tables]
+            return [[(d, p * v / den) for d, v in taps] for taps in tables]
 
-        inv_pm1, inv_corr = float(Fraction(1, p - 1)), float(Fraction(1, (p - 1) * p ** n))
+        inv_pm1, inv_corr = 1 / (p - 1), 1 / ((p - 1) * p ** n)
         # With y = Y/D, the detail (i) is ((p-1) d_H Y_nu - sum p h_m Y0) / ((p-1) d_H D)
         # and the coarse (ii) is ((p-1)^2 p^(n-1) d_G d_H Y0 + sum g_m W_nu) over that
         # factor times D. Steps (iii) and (iv) run the same algebra backwards: the

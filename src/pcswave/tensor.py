@@ -17,6 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .arith import integer_form
 from .errors import DomainError, ShapeMismatch
 from .lattice import CosetSystem
 
@@ -31,16 +32,6 @@ def _shape(shape) -> Tuple[int, ...]:
     return shape
 
 
-def _over_lcm(values):
-    """Exact values as (int numerators, their lcm denominator)."""
-    pairs = [(v, 1) if type(v) is int else
-             (v if type(v) is Fraction else Fraction(v)).as_integer_ratio() for v in values]
-    dens = {d for _, d in pairs}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [n * scale[d] for n, d in pairs], den
-
-
 class Tensor:
     """Dense ndarray over float64, or over int numerators of one denominator.
 
@@ -49,10 +40,10 @@ class Tensor:
     numerators, and ``den`` is their positive ``int`` denominator: an element
     is data[k] / den. The constructor takes the values as a flat row-major
     sequence or as an array. In rational mode they may be ``Fraction``,
-    ``int`` or anything ``Fraction`` takes, and they are put over the lcm of
-    their denominators; with ``den`` given, ``data`` is an object array of
-    ``int`` numerators over it, as the kernels return them. ``==`` compares
-    values, whatever the denominators.
+    ``int`` or anything ``Fraction`` takes, put in :func:`pcswave.arith.integer_form`;
+    with ``den`` given, ``data`` is an object array of ``int`` numerators over
+    it, as the kernels return them. ``==`` compares values, whatever the
+    denominators. An element's float64 is ``data[k] / den``, by ``int / int``.
     """
 
     __slots__ = ("data", "den")
@@ -61,8 +52,9 @@ class Tensor:
         shape = _shape(shape)
         if mode == RATIONAL:
             if den is None:
-                data, den = _over_lcm(data.ravel().tolist() if isinstance(data, np.ndarray)
-                                      else data)
+                data, den = integer_form((v, 1) if type(v) is int else (
+                    v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
+                    for v in (data.ravel().tolist() if isinstance(data, np.ndarray) else data))
             elif not (type(den) is int and den > 0 and isinstance(data, np.ndarray)
                       and data.dtype == object
                       and set(map(type, data.ravel().tolist())) <= {int}):

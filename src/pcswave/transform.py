@@ -117,11 +117,11 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     subband_f(k) = (1/q) sum_t f(t) y(pk + t), periodic in every axis, is
     computed on whole arrays: for each tap t in index order, y rolled by -t
     (reduced modulo the extent) and sampled at every p-th point is added
-    times the tap. In float64 the tap is float(f(t)) and the sum is then
-    multiplied by float(1/q). In rational mode the tap is the mask numerator
-    of f, whose mask is f/q, so a subband is an int array over the input's
-    denominator times the mask's. Each level lists its subbands in Gamma'
-    order, as :func:`decompose_fast` does, so the two sets pair entry by entry.
+    times the tap, read from the mask numerators of f (its mask is f/q). In
+    float64 the tap is float(f(t)), q * num / den by ``int / int``, and the sum
+    is then multiplied by 1 / q; in rational mode it is the numerator, and a
+    subband is an int array over the input's denominator times the mask's. Each
+    level lists its subbands in Gamma' order, as :func:`decompose_fast` does.
     """
     import numpy as np
 
@@ -129,16 +129,15 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     _check_shape(y.shape, bank, levels)
     p, n = bank.p, bank.n
     exact = y.den is not None
-    scale = float(Fraction(1, bank.q))
 
     def subband(x, f):
         s = 0
-        for t, v in sorted(f.mask.num.items() if exact else f.taps.items()):
+        for t, v in sorted(f.mask.num.items()):
             rolled = np.roll(x.data, [-(a % e) for a, e in zip(t, x.shape)], axis=tuple(range(n)))
-            s = s + (v if exact else float(v)) * rolled[(slice(None, None, p),) * n]
+            s = s + (v if exact else f.q * v / f.mask.den) * rolled[(slice(None, None, p),) * n]
         if exact:
             return Tensor(s.shape, y.mode, s, x.den * f.mask.den)
-        return Tensor(s.shape, y.mode, scale * s)
+        return Tensor(s.shape, y.mode, 1 / bank.q * s)
 
     details: List[List[Tensor]] = []
     cur = y

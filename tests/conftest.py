@@ -88,6 +88,19 @@ def far_tap_1d(m=FAR_TAPS[0]):
     return filter_1d(3, {0: 1, 2: 1, m: 1})
 
 
+def prime_taps_doc(count=4000, dim=1):
+    """A p = 3 filter document of count taps "1/r", one per prime r from 10007 up,
+    at (0, ..., 0, i) for i = 0, 1, ...: the lcm of its denominators has about
+    14 count bits, which the parser refuses (filters.MAX_FORM_BITS)."""
+    sieve = bytearray([1]) * 60000
+    for d in range(2, 245):
+        sieve[d * d::d] = bytes(len(sieve[d * d::d]))
+    primes = [r for r in range(10007, len(sieve)) if sieve[r]][:count]
+    assert len(primes) == count
+    return {"p": 3, "dim": dim,
+            "taps": [{"k": [0] * (dim - 1) + [i], "v": f"1/{r}"} for i, r in enumerate(primes)]}
+
+
 def reconstruct_direct(c, bank):
     """The inverse of transform.decompose_direct: upsample each subband, filter, and sum.
 

@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from pcswave.arith import format_rational, is_prime, split_rational
+from pcswave.arith import format_rational, integer_form, is_prime, split_rational
 from pcswave.errors import DomainError
 
 from conftest import zeta_sum
@@ -48,3 +50,37 @@ def test_rational_text_form():
         split_rational("x/y")
     with pytest.raises(DomainError):
         split_rational("1/0")
+
+
+def test_integer_form_cases():
+    # unreduced pairs, as a file may write them, come out in lowest terms
+    assert integer_form([(2, 4), (6, 8)]) == ([2, 3], 4)
+    assert integer_form([(3, 9), (6, 9)]) == ([1, 2], 3)
+    assert integer_form([(-1, 6), (1, 3)]) == ([-1, 2], 6)
+    assert integer_form([(5, 1), (-7, 1)]) == ([5, -7], 1)
+    assert integer_form([(4, 2), (0, 3)]) == ([2, 0], 1)
+    assert integer_form([]) == ([], 1)
+
+
+def test_integer_form_agrees_with_fraction_sums():
+    rng = random.Random(29)
+    for _ in range(200):
+        pairs = [(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+                 for _ in range(rng.randint(1, 8))]
+        nums, den = integer_form(pairs)
+        want = [Fraction(n, d) for n, d in pairs]
+        assert [Fraction(v, den) for v in nums] == want
+        assert den == math.lcm(*(w.denominator for w in want))
+        assert sum(Fraction(v, den) for v in nums) == sum(want)
+
+
+def test_integer_form_bound():
+    # 4096 bits pass, 4097 do not, for the denominator and for a numerator
+    assert integer_form([(1, 2 ** 4095)], 4096) == ([1], 2 ** 4095)
+    assert integer_form([(2 ** 4096 - 1, 1)], 4096) == ([2 ** 4096 - 1], 1)
+    for pairs in ([(1, 2 ** 4096)], [(-2 ** 4096, 1)], [(1, 3), (1, 2 ** 4095)]):
+        with pytest.raises(DomainError, match="more than 4096 bits"):
+            integer_form(pairs, 4096)
+    # the bound holds for the pairs over their lcm, before any gcd
+    with pytest.raises(DomainError):
+        integer_form([(2 ** 4096, 2 ** 4096)], 4096)

@@ -16,6 +16,8 @@ from pcswave.cli import main
 from pcswave.dataio import read_tensor, write_tensor
 from pcswave.tensor import Tensor
 
+from conftest import prime_taps_doc
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -421,10 +423,12 @@ def _hostile_size(case, bank_path, tmp_path):
     if case == "design_dim30":
         return ["design", "--p", 3, "--dim", 30, "--g", box, "--h", box,
                 "-o", tmp_path / "big.json"]
-    if case in ("design_tap_exponent", "design_filter_dim_huge"):
+    if case in ("design_tap_exponent", "design_filter_dim_huge", "design_prime_taps"):
         if case == "design_tap_exponent":
             doc = json.loads(box.read_text())
             doc["taps"][0]["v"] = "1e999999999"
+        elif case == "design_prime_taps":
+            doc = prime_taps_doc()
         else:
             doc = {"p": 3, "dim": 10 ** 9, "taps": []}
         gen = tmp_path / "g.json"
@@ -441,7 +445,7 @@ def _hostile_size(case, bank_path, tmp_path):
 @pytest.mark.parametrize("case", ["dim40", "p_huge", "design_dim30", "analyze_levels",
                                   "bench_levels", "p_infinity", "tap_exponent",
                                   "tap_index_infinity", "design_tap_exponent",
-                                  "design_filter_dim_huge"])
+                                  "design_filter_dim_huge", "design_prime_taps"])
 def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     argv = _hostile_size(case, box_bank_path, tmp_path)
     start = time.perf_counter()
@@ -449,6 +453,65 @@ def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert err.startswith("error:")
+
+
+def _cli(*argv):
+    """pcswave run as a script under a 30 s timeout, so a command that runs away
+    fails its test instead of stalling the suite."""
+    return subprocess.run([sys.executable, "-m", "pcswave.cli", *map(str, argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=30)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_bank_filter_past_the_form_bound_exits_2(tmp_path, capsys, command):
+    # a deg4 bank whose first t filter holds 4000 taps 1/r, r prime: its parse
+    # stops at the bound, so neither command builds the 56000-bit lcm
+    bank = tmp_path / "bank.json"
+    assert run(capsys, "design", "--p", 3, "--dim", 2,
+               "--g", FIXTURES / "box_p3_centered.json",
+               "--h", FIXTURES / "interp_p3_deg4.json", "--gamma", "centered",
+               "-o", bank)[0] == 0
+    doc = json.loads(bank.read_text())
+    next(iter(doc["filters"]["t"].values()))["taps"] = prime_taps_doc(dim=2)["taps"]
+    bank.write_text(json.dumps(doc))
+    write_tensor(tmp_path / "y.pcst", Tensor.from_numpy(np.zeros((9, 9))))
+    argv = ([bank] if command == "verify" else
+            ["--bank", bank, "--levels", 1, tmp_path / "y.pcst", "-o", tmp_path / "y.pcsc"])
+    proc = _cli(command, *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: filter taps need more than 4096 bits over one denominator\n"
+
+
+def test_verify_origin_generator_bank_at_a_huge_max_order(tmp_path, capsys):
+    # G = {0: 3} makes tau a delta at the origin: its flatness search saturates
+    # at once, where a walk over every order would take time growing as max_order^3
+    g, bank = tmp_path / "g.json", tmp_path / "bank.json"
+    g.write_text(json.dumps({"p": 3, "dim": 1, "taps": [{"k": [0], "v": 3}]}))
+    assert run(capsys, "design", "--p", 3, "--dim", 3, "--g", g,
+               "--h", FIXTURES / "box_p3_centered.json", "-o", bank)[0] == 0
+    proc = _cli("verify", bank, "--max-order", 1000000)
+    assert proc.returncode == 0
+    tau = next(l for l in proc.stdout.splitlines() if l.strip().startswith("tau "))
+    assert "flatness=1000000 " in tau
+
+
+@pytest.mark.parametrize("via", ["same_path", "symlink"])
+def test_synthesize_refuses_its_reference_as_output(box_bank_path, tmp_path, capsys, via):
+    ref, coeffs = tmp_path / "y.pcst", tmp_path / "y.pcsc"
+    write_tensor(ref, Tensor.from_numpy(np.arange(81.0).reshape(9, 9)))
+    assert run(capsys, "analyze", "--bank", box_bank_path, "--levels", 1, ref,
+               "-o", coeffs)[0] == 0
+    before = ref.read_bytes()
+    out = ref
+    if via == "symlink":
+        out = tmp_path / "link.pcst"
+        out.symlink_to(ref)
+    code, _, err = run(capsys, "synthesize", "--bank", box_bank_path, coeffs,
+                       "-o", out, "--check-against", ref)
+    assert code == 2
+    assert err == f"error: -o {out} is the --check-against reference\n"
+    assert ref.read_bytes() == before
 
 
 def _pcst(shape):
@@ -480,6 +543,16 @@ def _bad_input(case, bank_path, tmp_path):
         g2d.write_text(json.dumps({"p": 3, "dim": 2, "taps": [{"k": [0, 0], "v": "9"}]}))
         return ["design", "--p", 3, "--dim", 2, "--g", g2d,
                 "--h", FIXTURES / "box_p3_centered.json", "-o", out]
+    if case == "design_bank_bits":
+        # generators of about 2100 bits, under the bound, whose bank multiplies
+        # their coprime denominators past it
+        gens = []
+        for name, r in (("g", 2 ** 2100 - 1), ("h", 2 ** 2100 + 1)):
+            gens.append(tmp_path / f"{name}.json")
+            gens[-1].write_text(json.dumps({"p": 3, "dim": 1, "taps": [
+                {"k": [-1], "v": f"{r - 1}/{r}"}, {"k": [0], "v": "1"},
+                {"k": [1], "v": f"{r + 1}/{r}"}]}))
+        return ["design", "--p", 3, "--dim", 2, "--g", gens[0], "--h", gens[1], "-o", out]
     if case.startswith("shape_"):
         return ["bench", "--bank", bank_path, "--shape", case[6:], "--json", out]
     if case == "pcst_3d":
@@ -503,6 +576,7 @@ def _bad_input(case, bank_path, tmp_path):
 @pytest.mark.parametrize("case, message", [
     ("missing_input", "No such file"), ("missing_bank", "No such file"),
     ("design_g_2d", "g2d.json: expected a 1-D filter, got dim=2"),
+    ("design_bank_bits", "a filter of the bank needs more than 4096 bits"),
     ("shape_81", "is 1-D, bank is 2-D"), ("shape_abc", "bad shape 'abc'"),
     ("shape_0x9", "bad shape '0x9'"), ("pcst_3d", "tensor is 3-D, bank is 2-D"),
     ("pcsc_duplicate", "record (level=0, index=1) where (level=0, index=2) belongs"),

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import re
 import signal
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from pcswave.arith import LaurentPoly
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DimensionMismatch, FormatError
-from pcswave.filters import (FilterND, diagnostics, filter_1d, filter_from_json,
+from pcswave.filters import (MAX_FORM_BITS, FilterND, diagnostics, filter_1d, filter_from_json,
                              filter_nd, filter_to_json, is_biorthogonal,
                              is_interpolatory, to_1d)
 from pcswave.lattice import make_coset_system
 from pcswave.presets import box_filter_1d, interp_deg4_filter_1d
 
-from conftest import mask_eval, random_interpolatory_1d, random_lowpass_1d, zeta_sum
+from conftest import (mask_eval, prime_taps_doc, random_interpolatory_1d, random_lowpass_1d,
+                      zeta_sum)
 
 
 def box2d_centered():
@@ -240,17 +242,59 @@ def test_diagnostics_of_the_zero_mask_return_at_once():
     d = diagnostics(zero, 4)
     assert (d.accuracy, d.vanishing_moments, d.flatness) == want == (4, 4, 0)
 
+    with _alarm(1.0):
+        d = diagnostics(zero, 10 ** 6)
+    assert d == (False, False, 10 ** 6, 10 ** 6, 0, 0, 10 ** 6)
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
     def stop(signum, frame):
-        raise TimeoutError("diagnostics of the zero mask ran for 1 s")
+        raise TimeoutError(f"ran for {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        d = diagnostics(zero, 10 ** 6)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert d == (False, False, 10 ** 6, 10 ** 6, 0, 0, 10 ** 6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("value", [1, 3, -2])
+def test_diagnostics_of_a_delta_mask_return_at_once(n, value):
+    # every weight of order >= 1 is 0 when all taps sit at the origin, so a
+    # huge max_order costs what max_order = 20 does; flatness saturates
+    f = filter_nd(3, n, {(0,) * n: value * 3 ** (n - 1)})
+    d = diagnostics(f, 4)
+    assert (d.accuracy, d.vanishing_moments, d.flatness) == _brute_force_orders(f, 4)
+    small = diagnostics(f, 20)
+    with _alarm(1.0):
+        big = diagnostics(f, 10 ** 7)
+    assert (big.accuracy, big.vanishing_moments) == (small.accuracy, small.vanishing_moments)
+    assert (big.flatness, small.flatness) == ((10 ** 7, 20) if value == 3 else (0, 0))
+
+
+def test_filter_json_refuses_a_form_past_the_bound():
+    # 4000 taps 1/r, r prime: the lcm grows past MAX_FORM_BITS after ~300 of
+    # them, and the parse stops there instead of running for seconds
+    doc = prime_taps_doc()
+    with _alarm(1.0), pytest.raises(FormatError, match=f"more than {MAX_FORM_BITS} bits"):
+        filter_from_json(doc)
+    # the bound is on q times the lcm of the denominators as written, and on
+    # each numerator over it: 2e/2e is refused though it is 1
+    edge = 2 ** (MAX_FORM_BITS - 2)               # 3 * edge has MAX_FORM_BITS bits
+    for v, ok in [(f"1/{edge}", True), (f"1/{2 * edge}", False),
+                  (str(2 ** MAX_FORM_BITS - 1), True), (str(2 ** MAX_FORM_BITS), False),
+                  (f"{2 * edge}/{2 * edge}", False)]:
+        doc = {"p": 3, "dim": 1, "taps": [{"k": [0], "v": v}]}
+        if ok:
+            assert filter_to_json(filter_from_json(doc))["taps"][0]["v"] == v
+        else:
+            with pytest.raises(FormatError, match=f"more than {MAX_FORM_BITS} bits"):
+                filter_from_json(doc)
 
 
 def test_filter_json_roundtrip():
