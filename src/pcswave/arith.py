@@ -38,15 +38,19 @@ def is_prime(p: int) -> bool:
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def split_rational(text: str) -> Tuple[int, int]:
+def split_rational(text: str, max_digits=None) -> Tuple[int, int]:
     """Read the "num/den" text form as (num, den), den > 0, not reduced.
 
     Only that grammar is read: an optional sign, decimal digits, and
     optionally "/" and more digits, with surrounding whitespace ignored.
     Exponents and decimal points are refused, so no text can make the parser
     build a power of ten; neither part may exceed Python's int-string limit.
+    With max_digits, a part of more digits past its sign and leading zeros
+    raises OverflowError unread: int() is quadratic in the digits.
     """
     m = _RATIONAL_TEXT.fullmatch(str(text).strip())
+    if m and max_digits and max(len(part.lstrip("+-0")) for part in m.groups("")) > max_digits:
+        raise OverflowError(f"a part of {text!r:.40} has more than {max_digits} digits")
     try:
         num, den = int(m[1]), int(m[2] or 1)
     except (TypeError, ValueError) as exc:  # TypeError: no match

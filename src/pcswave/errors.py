@@ -13,10 +13,6 @@ class InvalidConvention(PcswaveError):
     """Unknown coset convention, or one that does not exist for this p."""
 
 
-class ZeroResidue(PcswaveError):
-    """A multiplicative inverse was requested for a multiple of p."""
-
-
 class DomainError(PcswaveError):
     """An argument lies outside the domain the operation is defined on."""
 

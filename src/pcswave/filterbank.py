@@ -51,10 +51,10 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .arith import LaurentPoly, accumulate_products, format_rational, poly_sum
 from .cosetsum import prime_coset_sum
-from .errors import DimensionMismatch, FormatError, NotInterpolatory, PcswaveError
+from .errors import DimensionMismatch, FormatError, PcswaveError
 from .filters import (DEFAULT_MAX_ORDER, MAX_FORM_BITS, Filter1D, FilterND, MaskDiagnostics,
-                      diagnostics, filter_from_json, filter_to_json,
-                      is_interpolatory, require_lowpass, to_1d)
+                      diagnostics, filter_from_json, filter_to_json, require_interpolatory,
+                      require_lowpass, to_1d)
 from .lattice import CosetSystem, make_coset_system
 from .polyphase import PolyphaseMatrix, eta_sum, polyphase_decompose
 
@@ -102,17 +102,12 @@ class WaveletFilterBank:
 
 
 def require_generators(G: Filter1D, H: Filter1D) -> None:
-    """G and H share p, both are lowpass, and H is interpolatory."""
+    """G and H share p, both are lowpass and H is interpolatory (rules of :mod:`.filters`)."""
     if G.p != H.p:
         raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
     require_lowpass(G, "G")
     require_lowpass(H, "H")
-    num = H.mask.num
-    if H.p * num.get((0,), 0) != H.mask.den:
-        raise NotInterpolatory(f"H is not interpolatory: H(0) = {H.taps.get(0, 0)} != 1")
-    for (k,) in sorted(num):
-        if k != 0 and k % H.p == 0:
-            raise NotInterpolatory(f"H is not interpolatory: H({k}) = {H.taps[k]} != 0")
+    require_interpolatory(H, "H")
 
 
 def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
@@ -129,13 +124,10 @@ def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
 
 
 def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBank:
-    """Complete (g, h) into a bank; h must be interpolatory, both lowpass."""
-    if g.p != sys.p or h.p != sys.p or g.dim != sys.n or h.dim != sys.n:
-        raise DimensionMismatch("g, h, and the coset system must agree on p and dimension")
+    """Complete (g, h) into a bank; both lowpass, h interpolatory (rules of :mod:`.filters`)."""
     require_lowpass(g, "g")
     require_lowpass(h, "h")
-    if not is_interpolatory(h):
-        raise NotInterpolatory("h is not interpolatory")
+    require_interpolatory(h, "h")
 
     p, q = sys.p, sys.q
     sg = polyphase_decompose(g, sys)

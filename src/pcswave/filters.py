@@ -7,7 +7,8 @@ That form is unique, so two filters are equal exactly when their p and masks
 are, and the polyphase layer, the coset sum, the bank checks, the
 diagnostics, the JSON form and the float64 taps (``q * num / den``, by
 ``int / int``) all read integers. ``.taps`` is a read-only ``Fraction`` view
-for reports.
+for reports. The rules on a bank's lowpass filters live here alone:
+``require_lowpass`` and ``require_interpolatory``, whose scan ``is_interpolatory`` shares.
 
 All diagnostics are exact. Evaluation points are lattice frequencies
 (2*pi/p) * g, so every value lives in Q(zeta_p); a sum of integer weights
@@ -24,7 +25,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .arith import LaurentPoly, format_rational, integer_form, split_rational
-from .errors import DimensionMismatch, DomainError, FormatError, NotLowpass
+from .errors import DimensionMismatch, DomainError, FormatError, NotInterpolatory, NotLowpass
 from .lattice import MAX_COSETS, too_many_cosets
 
 MultiIndex = Tuple[int, ...]
@@ -32,6 +33,8 @@ MultiIndex = Tuple[int, ...]
 DEFAULT_MAX_ORDER = 20
 # bits a filter document may need (see filter_from_json); real banks need about 25
 MAX_FORM_BITS = 4096
+MAX_FORM_DIGITS = len(str(1 << MAX_FORM_BITS))  # 1234, the digits of a 4096-bit integer
+_TOO_BIG = f"filter taps need more than {MAX_FORM_BITS} bits over one denominator"
 
 
 class FilterND:
@@ -125,13 +128,26 @@ def require_lowpass(f: FilterND, name: str) -> None:
         raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
 
 
+def _interpolatory_break(f: FilterND):
+    """The origin if h(0) != 1, else the least other index of p Z^n where h != 0, else None."""
+    zero = (0,) * f.dim
+    return zero if f.q * f.mask.num.get(zero, 0) != f.mask.den else min(
+        (k for k in f.mask.num if k != zero and not any(x % f.p for x in k)), default=None)
+
+
 def is_interpolatory(f: FilterND) -> bool:
     """h(0) = 1 and h vanishes on p Z^n away from the origin."""
-    zero = (0,) * f.dim
-    num = f.mask.num
-    if f.q * num.get(zero, 0) != f.mask.den:
-        return False
-    return not any(k != zero and all(x % f.p == 0 for x in k) for k in num)
+    return _interpolatory_break(f) is None
+
+
+def require_interpolatory(f: FilterND, name: str) -> None:
+    """Refuse f, called name, unless interpolatory, naming the tap that breaks the rule."""
+    k = _interpolatory_break(f)
+    if k is not None:
+        tap = Fraction(f.q * f.mask.num.get(k, 0), f.mask.den)
+        raise NotInterpolatory(f"{name} is not interpolatory: "
+                               f"{name}({k[0] if isinstance(f, Filter1D) else k}) = {tap} "
+                               f"!= {int(not any(k))}")
 
 
 def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
@@ -276,7 +292,7 @@ def filter_from_json(data: dict) -> FilterND:
     # the document is checked as a whole, by a few set tests over all taps
     try:
         taps = {tuple(e["k"]): e["v"] for e in raw}
-        values = set(taps.values())
+        values = dict.fromkeys(taps.values())
     except (KeyError, TypeError):  # an entry no object, a key missing, an unhashable part
         raise _bad_tap(raw, dim) from None
     if (len(taps) != len(raw) or {len(k) for k in taps} - {dim}
@@ -284,8 +300,11 @@ def filter_from_json(data: dict) -> FilterND:
             or set(map(type, taps.values())) - {int, str}):
         raise _bad_tap(raw, dim)
     try:
-        # a bank repeats a few values, so each distinct one is read once
-        parsed = {v: (v, 1) if type(v) is int else split_rational(v) for v in values}
+        # each distinct value is read once, in document order, so _bad_tap meets no long text
+        parsed = {v: (v, 1) if type(v) is int else split_rational(v, MAX_FORM_DIGITS)
+                  for v in values}
+    except OverflowError:
+        raise FormatError(_TOO_BIG) from None
     except DomainError:
         raise _bad_tap(raw, dim) from None
     if not all(n for n, _ in parsed.values()):
@@ -293,8 +312,8 @@ def filter_from_json(data: dict) -> FilterND:
     # tap num/den is the mask coefficient num/(q den)
     try:
         nums, den = integer_form([(n, p ** dim * d) for n, d in parsed.values()], MAX_FORM_BITS)
-    except DomainError as exc:
-        raise FormatError(f"filter taps need {exc}") from None
+    except DomainError:
+        raise FormatError(_TOO_BIG) from None
     scaled = dict(zip(parsed, nums))
     return FilterND(p, LaurentPoly.reduced(dim, {k: scaled[v] for k, v in taps.items()}, den))
 

@@ -32,13 +32,13 @@ a phase of at most 256 KiB is one tile. Over a tile, a tap's roll of the
 array it reads splits into at most 2^n blocks, each shift taken modulo the
 extent, so no array is sized by a tap offset. The blocks are copied into the
 accumulator for the first tap of a sum, or else into one scratch tile,
-multiplied there in place and added into the accumulator. A unit tap (1.0 in
-float64, 1 in the exact tables) is not multiplied, and when it moves whole
-rows its blocks are added straight into the accumulator: x * 1.0 is x bit
-for bit, and a signalling NaN it would have quieted is quieted by the add
-or scale that follows. Each sample keeps
-its tap order whatever the tiles, so float64 output does not depend on them.
-A tiled level splits each (shift, tile) once.
+multiplied there in place and added into the accumulator. A unit tap (1.0 or
+1) is never multiplied (box p=5 n=3 on 25^3 and p=7 n=2 on 49^2 once made
+480 and 392 such multiplies a round trip); if it moves whole rows, its blocks
+are added straight into the accumulator. x * 1.0 is x bit for bit, and the
+add or scale that follows quiets a signalling NaN it would have quieted.
+Each sample keeps its tap order whatever the tiles, so float64 output does
+not depend on them. A tiled level splits each (shift, tile) once.
 
 Step (i) reads one contiguous copy of the zero phase, made once per level
 and released before step (ii); step (iv) reads the finished zero phase
@@ -126,18 +126,13 @@ class _Tiles:
             pairs = self._splits[key] = list(_blocks(self.shape, shift, rows))
         return pairs
 
-    def in_rows(self, shift):
-        """Whether a roll by shift moves whole leading-axis rows, so that each of
-        its blocks is contiguous in a contiguous array."""
-        return all(s % m == 0 for s, m in zip(shift[1:], self.shape[1:]))
-
     def tap_sum(self, acc, tmp, a, taps, rows, start=True):
         """acc = the tap sum of a over one tile, or acc += it when not ``start``.
 
         The sum is of v * (a rolled by shift) over (shift, v) in taps, in table
-        order; acc and tmp hold the tile's rows. The first term of a sum that
-        starts is copied into acc; a unit tap adds its blocks of a into acc in
-        place; any other tap is copied into tmp, multiplied there and added.
+        order; acc and tmp hold the tile's rows. A first term is copied into acc;
+        a unit tap whose roll moves whole rows (contiguous blocks) adds a's blocks
+        into acc in place; any other is copied into tmp, multiplied there unless 1, and added.
         """
         for shift, v in taps:
             pairs = self.split(shift, rows)
@@ -147,14 +142,14 @@ class _Tiles:
                 if v != 1:
                     np.multiply(acc, v, out=acc)
                 start = False
-            elif v == 1 and self.in_rows(shift):
+            elif v == 1 and all(s % m == 0 for s, m in zip(shift[1:], self.shape[1:])):
                 for dst, src in pairs:
                     part = acc[dst]
                     np.add(part, a[src], out=part)
             else:
                 for dst, src in pairs:
                     tmp[dst] = a[src]
-                acc += np.multiply(tmp, v, out=tmp)
+                acc += tmp if v == 1 else np.multiply(tmp, v, out=tmp)
 
 
 def _scale(s, a):
@@ -230,12 +225,12 @@ class LevelKernels:
             return coarse, details, [None] * (1 + len(details))
         return coarse, details, [den * keep_c] + [den * keep_w] * len(details)
 
-    def reconstruct_level(self, coarse: np.ndarray, details, dens=None):
+    def reconstruct_level(self, coarse: np.ndarray, details, dens):
         """One level up, the inverse of decompose_level: (fine, its denominator).
 
-        ``dens`` are the denominators of coarse and then of each detail.
+        ``dens`` are the denominators decompose_level returned (None in float64).
         """
-        den = None if dens is None or dens[0] is None else math.lcm(*dens)
+        den = None if dens[0] is None else math.lcm(*dens)
         if den is not None:
             coarse, *details = [a if d == den else a * (den // d)
                                 for a, d in zip((coarse, *details), dens)]

@@ -12,8 +12,7 @@ import itertools
 from typing import Tuple
 
 from .arith import is_prime
-from .errors import (CompositeDilation, DomainError, InvalidConvention,
-                     PcswaveError, ZeroResidue)
+from .errors import CompositeDilation, DomainError, InvalidConvention, PcswaveError
 
 MultiIndex = Tuple[int, ...]
 
@@ -114,22 +113,16 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD) -> CosetSystem
     return CosetSystem(p=p, n=n, convention=convention, gamma=gamma, _index=index)
 
 
-def mult_inverse(l: int, p: int) -> int:
-    """rho(l): the inverse of l modulo p, returned in {1, ..., p-1}."""
-    if l % p == 0:
-        raise ZeroResidue(f"{l} has no inverse modulo {p}")
-    return pow(l, -1, p)
-
-
 def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
-    """The element of Gamma' congruent to rho(l) * nu modulo p, componentwise."""
+    """The element of Gamma' congruent to rho(l) * nu modulo p, componentwise,
+    where rho(l) in F_p' = {1, ..., p-1} is the inverse of l modulo p."""
     if not 0 < l < sys.p:
         raise DomainError(f"l={l} is not in F_p' for p={sys.p}")
     nu = tuple(nu)
     i = sys._index.get(tuple(x % sys.p for x in nu))
     if not i or sys.gamma[i] != nu:
         raise DomainError(f"nu={nu} is not in Gamma'")
-    r = mult_inverse(l, sys.p)
+    r = pow(l, -1, sys.p)
     return sys.rep(r * x for x in nu)
 
 

@@ -423,12 +423,17 @@ def _hostile_size(case, bank_path, tmp_path):
     if case == "design_dim30":
         return ["design", "--p", 3, "--dim", 30, "--g", box, "--h", box,
                 "-o", tmp_path / "big.json"]
-    if case in ("design_tap_exponent", "design_filter_dim_huge", "design_prime_taps"):
+    if case in ("design_tap_exponent", "design_filter_dim_huge", "design_prime_taps",
+                "design_long_digits"):
         if case == "design_tap_exponent":
             doc = json.loads(box.read_text())
             doc["taps"][0]["v"] = "1e999999999"
         elif case == "design_prime_taps":
             doc = prime_taps_doc()
+        elif case == "design_long_digits":
+            # 4000 distinct 4000-digit numerators, each past the 1234 digits of
+            # a 4096-bit integer: refused unread, not after 4000 slow int() calls
+            doc = {"p": 3, "dim": 1, "taps": [{"k": [i], "v": f"1{i:03999d}"} for i in range(4000)]}
         else:
             doc = {"p": 3, "dim": 10 ** 9, "taps": []}
         gen = tmp_path / "g.json"
@@ -445,7 +450,8 @@ def _hostile_size(case, bank_path, tmp_path):
 @pytest.mark.parametrize("case", ["dim40", "p_huge", "design_dim30", "analyze_levels",
                                   "bench_levels", "p_infinity", "tap_exponent",
                                   "tap_index_infinity", "design_tap_exponent",
-                                  "design_filter_dim_huge", "design_prime_taps"])
+                                  "design_filter_dim_huge", "design_prime_taps",
+                                  "design_long_digits"])
 def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     argv = _hostile_size(case, box_bank_path, tmp_path)
     start = time.perf_counter()

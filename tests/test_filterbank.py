@@ -62,8 +62,14 @@ def test_tau_d_is_always_h(rng):
 def test_build_general_preconditions():
     sys = make_coset_system(3, 2, "centered")
     g = prime_coset_sum(box_filter_1d(3), sys)
-    with pytest.raises(NotInterpolatory):
+    # the message names the tap that breaks the rule: the origin first, then
+    # the least index of 3Z^2
+    with pytest.raises(NotInterpolatory, match=r"^h is not interpolatory: h\(\(0, 0\)\) = 5 != 1$"):
         build_general(g, filter_nd(3, 2, {(0, 0): 5, (1, 1): 4}), sys)
+    with pytest.raises(NotInterpolatory,
+                       match=r"^h is not interpolatory: h\(\(0, -3\)\) = 1/2 != 0$"):
+        build_general(g, filter_nd(3, 2, {(0, 0): 1, (3, 0): 2, (0, -3): Fraction(1, 2),
+                                          (1, 1): Fraction(11, 2)}), sys)
     with pytest.raises(NotLowpass):
         build_general(filter_nd(3, 2, {(0, 0): 1}), g, sys)
     with pytest.raises(DimensionMismatch):

@@ -3,11 +3,13 @@ import itertools
 import re
 import signal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcswave import arith
 from pcswave.arith import LaurentPoly
 from pcswave.cosetsum import prime_coset_sum
 from pcswave.errors import DimensionMismatch, FormatError
@@ -295,6 +297,26 @@ def test_filter_json_refuses_a_form_past_the_bound():
         else:
             with pytest.raises(FormatError, match=f"more than {MAX_FORM_BITS} bits"):
                 filter_from_json(doc)
+
+
+def test_filter_json_refuses_an_oversize_text_unread():
+    # a MAX_FORM_BITS integer has at most 1234 digits; a part of a tap text with
+    # more is refused before the text-to-int step, whose time is quadratic in
+    # the digits. A sign and leading zeros do not count.
+    def doc(v):
+        return {"p": 3, "dim": 1, "taps": [{"k": [0], "v": v}, {"k": [1], "v": 2}]}
+    for v in ["1" * 1235, "-0000" + "1" * 1235, "1/" + "7" * 1235, " +" + "9" * 4000 + "/2 "]:
+        with mock.patch.object(arith, "int", wraps=int, create=True) as read, \
+                pytest.raises(FormatError, match=re.escape(
+                    f"filter taps need more than {MAX_FORM_BITS} bits over one denominator")):
+            filter_from_json(doc(v))
+        assert not read.called
+    # what the bound lets through is read as before: 10^1233 has 4096 bits
+    for v, tap in [("0" * 3000 + "1", 1), ("-" + "0" * 3000 + "1", -1),
+                   ("1" + "0" * 1233, 10 ** 1233)]:
+        with mock.patch.object(arith, "int", wraps=int, create=True) as read:
+            assert filter_from_json(doc(v)).taps[(0,)] == tap
+        assert read.called
 
 
 def test_filter_json_roundtrip():

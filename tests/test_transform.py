@@ -402,15 +402,26 @@ def test_float64_oracle_bits_pinned(bank_fn, shape, levels, digest):
 
 
 def _drawer(kind):
-    """A seeded source of float64 arrays by shape: normal values, or zeros of either sign."""
+    """A seeded source of float64 arrays by shape: normal values, zeros of either
+    sign, or normal values whose first samples are -0.0, NaN, inf and -inf."""
     rng = np.random.default_rng(0)
     if kind == "normal":
         return rng.standard_normal
+    if kind == "specials":
+        def draw(shape):
+            a = rng.standard_normal(shape)
+            a.flat[:4] = [-0.0, np.nan, np.inf, -np.inf][:a.size]
+            return a
+        return draw
     return lambda shape: rng.choice([-0.0, 0.0], size=shape)
 
 
-# deg4 on 9x9 over 2 levels has a 1x1 coarse array, narrower than its tap reach
-PIN_IDS = ["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros"]
+# deg4 on 9x9 over 2 levels has a 1x1 coarse array, narrower than its tap reach.
+# Box p=5 n=3 and p=7 n=2 have unit taps whose rolls split rows, which are
+# added from a scratch copy. Their analysis inputs hold -0.0, NaN and +-inf;
+# their synthesis inputs do not, since box taps span a 5^3 or 7^2 coarse grid
+# and one NaN among the coefficients would reach every output sample.
+PIN_IDS = ["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros", "box_p5_n3", "box_p7_n2"]
 OUTPUT_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
      "ed2c71ac1b2c33dde65b008a75455feffbe5b3a46ced5c4d87ebd3ebfeab7c3b"),
@@ -420,6 +431,10 @@ OUTPUT_PINS = [
      "59b00f7364dd5fbd69f56862b40210a2913ca36d1163678194bc8a789d038cdc"),
     (lambda: deg4_bank(2), (27, 27), "signed_zeros",
      "dc9e7623218b17c783c3f3f8ba23838055803dcbb7655ff2ff375f72b2089152"),
+    (lambda: box_bank(5, 3), (25, 25, 25), "specials",
+     "083ec2b0772b3cffedb55102aabb06f7288edfdde72796f3182edf7464c34b27"),
+    (lambda: box_bank(7, 2), (49, 49), "specials",
+     "f9e8850521bce17963d3e57ad802a4f3bd03883f5cbdc6ae2810b13167b1469e"),
 ]
 SYNTHESIS_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
@@ -430,12 +445,17 @@ SYNTHESIS_PINS = [
      "23b59c394cd281f9b4c575ba16cd6501bb0d26395e1c0df7c8a6667fe1f33973"),
     (lambda: deg4_bank(2), (27, 27), "signed_zeros",
      "06175630b2a14297daadf457f8f80b4947a395460d351e1fc4cd842526e72911"),
+    (lambda: box_bank(5, 3), (25, 25, 25), "normal",
+     "bc2295019adeb22b8ba2ae52e8eb0f21bbad45b5d8110ddc2d9ccb248b27b2a7"),
+    (lambda: box_bank(7, 2), (49, 49), "normal",
+     "971638cc90990fd3da011417fa694b13b6ed33a5368a3d1150cb979b7f23b2df"),
 ]
 
 
 def _analysis_digest(path, bank_fn, shape, kind):
     """SHA-256 of the PCSC written to path from a fixed input, decomposed over 2 levels."""
-    write_coeffs(path, decompose_fast(Tensor.from_numpy(_drawer(kind)(shape)), bank_fn(), 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in the "specials" inputs
+        write_coeffs(path, decompose_fast(Tensor.from_numpy(_drawer(kind)(shape)), bank_fn(), 2))
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -475,6 +495,38 @@ def test_float64_bits_pinned_under_forced_tiles(rows, tmp_path):
                                       (SYNTHESIS_PINS, _synthesis_digest, tmp_path / "probe.pcst")):
             for (bank_fn, shape, kind, digest), pin in zip(pins, PIN_IDS):
                 assert digest_fn(path, bank_fn, shape, kind) == digest, (pin, rows)
+
+
+class _MultiplySpy:
+    """numpy as the kernels see it, counting their multiplies by a scalar and
+    those of them by a unit scalar."""
+
+    def __init__(self):
+        self.scalars = self.units = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, a, b, *args, **kwargs):
+        if np.ndim(b) == 0:
+            self.scalars += 1
+            self.units += b == 1
+        return np.multiply(a, b, *args, **kwargs)
+
+
+@pytest.mark.parametrize("bank_fn,shape", [(lambda: box_bank(5, 3), (25, 25, 25)),
+                                           (lambda: box_bank(7, 2), (49, 49))],
+                         ids=["box_p5_n3", "box_p7_n2"])
+def test_float64_round_trip_multiplies_no_unit_tap(bank_fn, shape):
+    # every tap of a box bank is 1, and some of these banks' rolls split rows;
+    # such unit taps were once multiplied by 1.0 in their scratch copy, 480
+    # and 392 times in these round trips
+    bank, spy = bank_fn(), _MultiplySpy()
+    data = np.random.default_rng(0).standard_normal(shape)
+    with mock.patch.object(kernels, "np", spy):
+        back = reconstruct_fast(decompose_fast(Tensor.from_numpy(data), bank, 2), bank)
+    assert spy.scalars and not spy.units
+    assert np.max(np.abs(back.data - data)) <= 1e-12 * np.max(np.abs(data))
 
 
 @st.composite
