@@ -1,8 +1,9 @@
 """Command-line front end: bank design, verification, transforms, benchmarks.
 
 Exit codes: 0 success, 1 a mathematical verification failed, 2 bad input
-(parse errors, violated preconditions, I/O). Reports go to stdout as plain
-text; ``--json PATH`` writes a machine-readable duplicate alongside, through
+(parse errors, violated preconditions, I/O, running out of memory). A command
+prints its report to stdout as text and returns it with its exit code;
+:func:`main` writes it to ``--json PATH``, on exit 0 and 1 alike, through
 :func:`pcswave.filterbank.write_json` like the bank and the polyphase dump.
 The reports of ``design`` and ``verify`` carry ``timings``, the wall seconds
 of each stage of that run.
@@ -57,14 +58,13 @@ import os
 import sys
 import time
 
-from .errors import PcswaveError
+from .errors import DimensionMismatch, FormatError, PcswaveError
 
 # read by OpenBLAS, which numpy loads, once when numpy is imported
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
 def _load_json(path):
-    from .errors import FormatError
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -81,12 +81,13 @@ def _dump_json(path, doc) -> None:
 
 def _load_filter_1d(path, p: int):
     from .filters import filter_from_json, to_1d
-    f = filter_from_json(_load_json(path))
-    if f.dim != 1:
-        raise PcswaveError(f"{path}: expected a 1-D filter, got dim={f.dim}")
+    try:
+        f = to_1d(filter_from_json(_load_json(path)))
+    except DimensionMismatch as exc:  # the refusal of to_1d, which does not name the file
+        raise DimensionMismatch(f"{path}: {exc}") from exc
     if f.p != p:
         raise PcswaveError(f"{path}: filter dilation {f.p} does not match --p {p}")
-    return to_1d(f)
+    return f
 
 
 def _require_max_order(max_order: int) -> None:
@@ -100,11 +101,7 @@ def _stages(clock, *names) -> dict:
     return {name: b - a for name, a, b in zip(names, clock, clock[1:])}
 
 
-def _nu_label(nu) -> str:
-    return "(" + ",".join(str(x) for x in nu) + ")"
-
-
-def cmd_design(args) -> int:
+def cmd_design(args) -> tuple[int, dict]:
     from .filterbank import build_pcs_bank, guarantee_floor, write_bank_json
     _require_max_order(args.max_order)
     clock = [time.perf_counter()]
@@ -126,24 +123,21 @@ def cmd_design(args) -> int:
     print(f"support sizes: tau={sizes['tau']} tau_d={sizes['tau_d']} "
           f"t={sizes['t']} t_d={sizes['t_d']}")
     print(f"vanishing-moment guarantee floor: {floor}")
-    if args.json:
-        _dump_json(args.json, {"output": args.output, "p": bank.p, "dim": bank.n,
-                               "convention": bank.sys.convention,
-                               "support_sizes": sizes,
-                               "guarantee_floor": floor,
-                               "timings": _stages(clock, "build_s", "write_s", "report_s")})
-    return 0
+    return 0, {"output": args.output, "p": bank.p, "dim": bank.n,
+               "convention": bank.sys.convention, "support_sizes": sizes,
+               "guarantee_floor": floor,
+               "timings": _stages(clock, "build_s", "write_s", "report_s")}
 
 
 def _diag_row(name, nu, d) -> str:
-    label = name if nu is None else f"{name}{_nu_label(nu)}"
+    label = name if nu is None else f"{name}({','.join(map(str, nu))})"
     return (f"  {label:<16} support={d.support_size:<4} accuracy={d.accuracy:<3} "
             f"vmoments={d.vanishing_moments:<3} flatness={d.flatness:<3} "
             f"lowpass={'y' if d.is_lowpass else 'n'} "
             f"interpolatory={'y' if d.is_interpolatory else 'n'}")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
                              verify_combined_biorthogonality)
     from .filters import is_biorthogonal, is_interpolatory
@@ -169,9 +163,8 @@ def cmd_verify(args) -> int:
         ("vanishing-moment floor respected", not rep.floor_violations,
          "; ".join(rep.floor_violations)),
     ]
-    ok = True
+    ok = all(passed for _, passed, _ in checks)
     for label, passed, detail in checks:
-        ok = ok and passed
         line = f"{'PASS' if passed else 'FAIL'}  {label}"
         if detail and not passed:
             line += f"  [{detail}]"
@@ -180,28 +173,26 @@ def cmd_verify(args) -> int:
     print("diagnostics:")
     for fr in rep.filters:
         print(_diag_row(fr.name, fr.nu, fr.diag))
-    if args.json:
-        _dump_json(args.json, {
-            "checks": {label: passed for label, passed, _ in checks},
-            "guarantee_floor": rep.guarantee_floor,
-            "floor_violations": rep.floor_violations,
-            "diagnostics": [{
-                "name": fr.name,
-                "nu": None if fr.nu is None else list(fr.nu),
-                "support": fr.diag.support_size,
-                "accuracy": fr.diag.accuracy,
-                "vanishing_moments": fr.diag.vanishing_moments,
-                "flatness": fr.diag.flatness,
-                "lowpass": fr.diag.is_lowpass,
-                "interpolatory": fr.diag.is_interpolatory,
-            } for fr in rep.filters],
-            "passed": ok,
-            "timings": _stages(clock, "load_s", "sa_check_s", "report_s"),
-        })
-    return 0 if ok else 1
+    return 0 if ok else 1, {
+        "checks": {label: passed for label, passed, _ in checks},
+        "guarantee_floor": rep.guarantee_floor,
+        "floor_violations": rep.floor_violations,
+        "diagnostics": [{
+            "name": fr.name,
+            "nu": None if fr.nu is None else list(fr.nu),
+            "support": fr.diag.support_size,
+            "accuracy": fr.diag.accuracy,
+            "vanishing_moments": fr.diag.vanishing_moments,
+            "flatness": fr.diag.flatness,
+            "lowpass": fr.diag.is_lowpass,
+            "interpolatory": fr.diag.is_interpolatory,
+        } for fr in rep.filters],
+        "passed": ok,
+        "timings": _stages(clock, "load_s", "sa_check_s", "report_s"),
+    }
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, dict]:
     from . import dataio
     from .filterbank import bank_from_json
     from .transform import decompose_direct, decompose_fast
@@ -220,12 +211,10 @@ def cmd_analyze(args) -> int:
             dev = max(dev, *(t.max_abs_diff(r) for t, r in zip(fast, direct)))
         print(f"oracle cross-check: max abs deviation from direct transform = {dev:.3e}")
         report["oracle_max_abs_deviation"] = dev
-    if args.json:
-        _dump_json(args.json, report)
-    return 0
+    return 0, report
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> tuple[int, dict]:
     from . import dataio
     from .filterbank import bank_from_json
     from .transform import reconstruct_fast
@@ -251,9 +240,7 @@ def cmd_synthesize(args) -> int:
         print(f"round-trip check vs {args.check_against}: max abs error = {err:.3e} "
               f"({err / scale:.3e} of peak)")
         report["max_abs_error"] = err
-    if args.json:
-        _dump_json(args.json, report)
-    return 0
+    return 0, report
 
 
 def _parse_shape(text: str):
@@ -266,7 +253,7 @@ def _parse_shape(text: str):
     return shape
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[int, dict]:
     from fractions import Fraction
 
     from .filterbank import bank_from_json
@@ -297,11 +284,8 @@ def cmd_bench(args) -> int:
             rel = "<=" if c_pcs <= c_tp else ">"
             print(f"dyadic bound: C_PCS = alpha+2*beta+2 = {c_pcs} {rel} "
                   f"C_TP = (alpha+beta)*n = {c_tp}")
-            report["c_pcs"] = c_pcs
-            report["c_tp"] = c_tp
-    if args.json:
-        _dump_json(args.json, report)
-    return 0 if match else 1
+            report.update(c_pcs=c_pcs, c_tp=c_tp)
+    return 0 if match else 1, report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--gamma", choices=["standard", "centered"], default="standard")
     d.add_argument("-o", "--output", required=True, help="bank JSON output path")
     d.add_argument("--max-order", type=int, default=20, dest="max_order")
-    d.add_argument("--json", help="write a JSON summary to this path")
     d.set_defaults(func=cmd_design)
 
     v = sub.add_parser("verify", help="verify a bank's exact identities")
     v.add_argument("bank", help="bank JSON path")
     v.add_argument("--max-order", type=int, default=20, dest="max_order")
-    v.add_argument("--json", help="write a JSON report to this path")
     v.add_argument("--dump-polyphase", dest="dump_polyphase",
                    help="write the bank's A and S term maps to this path")
     v.set_defaults(func=cmd_verify)
@@ -338,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-o", "--output", required=True, help="PCSC output path")
     a.add_argument("--oracle", action="store_true",
                    help="cross-check against the direct filter-and-resample transform")
-    a.add_argument("--json", help="write a JSON summary to this path")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("synthesize", help="reconstruct a PCST tensor from PCSC subbands")
@@ -349,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-o", "--output", required=True, help="PCST output path")
     s.add_argument("--check-against", dest="check_against",
                    help="PCST reference to compare the reconstruction with")
-    s.add_argument("--json", help="write a JSON summary to this path")
     s.set_defaults(func=cmd_synthesize)
 
     b = sub.add_parser("bench", help="count multiplicative ops against the closed form")
@@ -357,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--shape", required=True, help="e.g. 81x81")
     b.add_argument("--levels", type=int, default=1)
     b.add_argument("--compare-tensor-model", action="store_true")
-    b.add_argument("--json", help="write a JSON report to this path")
     b.set_defaults(func=cmd_bench)
+    for command in sub.choices.values():
+        command.add_argument("--json", help="write the JSON report to this path")
     return ap
 
 
@@ -368,9 +349,12 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (PcswaveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code, report = args.func(args)
+        if args.json:
+            _dump_json(args.json, report)
+        return code
+    except (PcswaveError, OSError, MemoryError) as exc:
+        print("error:", str(exc) or "out of memory", file=sys.stderr)
         return 2
     finally:
         if was_enabled:

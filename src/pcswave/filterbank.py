@@ -22,12 +22,14 @@ tau and tau_d by the same functions, so ``build_pcs_bank`` derives them once
 and refuses a bank where the routes disagree on any of the 2(q-1) highpass
 filters.
 
-Loading runs only the second route: ``bank_from_json`` compares each of the
-2q stored filters with ``pcs_bank_masks`` of the stored generators as that
-mask is derived, so the check holds one re-derived mask at a time. A filter
-is held as its mask (see :mod:`pcswave.filters`), so all of this algebra runs
-on integer numerators over common denominators, and a stored filter matches
-a derived mask when the two integer forms are equal.
+``WaveletFilterBank`` refuses any of its 2q filters of another p or dim than
+its coset system, so every load does. The checked load then runs only the
+second route: ``bank_from_json`` compares each stored filter with
+``pcs_bank_masks`` of the stored generators as that mask is derived, holding
+one re-derived mask at a time. A filter is held as its mask (see
+:mod:`pcswave.filters`, where the rules on generators and taps live), so all
+of this algebra runs on integer numerators over common denominators, and a
+stored filter matches a derived mask when the two integer forms are equal.
 
 ``verify_combined_biorthogonality`` decides S(w) A(w) = (1/q) I in the filter
 domain, building neither polyphase matrix; ``bank_polyphase_matrices`` builds
@@ -65,13 +67,19 @@ PRIME_COSET_SUM = "prime_coset_sum"
 
 
 class WaveletFilterBank:
-    """The 2q filters of a perfect-reconstruction bank, plus its 1-D generators if any."""
+    """The 2q filters of a perfect-reconstruction bank, each of the p and dim of ``sys``,
+    plus its 1-D generators if any; a filter of another raises :class:`DimensionMismatch`."""
 
     __slots__ = ("sys", "tau", "tau_d", "t", "t_d", "g1d", "h1d")
 
     def __init__(self, sys: CosetSystem, tau: FilterND, tau_d: FilterND,
                  t: Dict[MultiIndex, FilterND], t_d: Dict[MultiIndex, FilterND],
                  g1d: Optional[Filter1D] = None, h1d: Optional[Filter1D] = None):
+        for name, fs in (("tau", {None: tau}), ("tau_d", {None: tau_d}), ("t", t), ("t_d", t_d)):
+            for nu, f in fs.items():
+                if (f.p, f.dim) != (sys.p, sys.n):
+                    raise DimensionMismatch(f"{_label(name, nu)} has p={f.p}, dim={f.dim}; "
+                                            f"the coset system has p={sys.p}, dim={sys.n}")
         self.sys, self.tau, self.tau_d, self.t, self.t_d = sys, tau, tau_d, t, t_d
         self.g1d, self.h1d = g1d, h1d
 
@@ -135,9 +143,7 @@ def build_general(g: FilterND, h: FilterND, sys: CosetSystem) -> WaveletFilterBa
 
     t: Dict[MultiIndex, FilterND] = {}
     t_d: Dict[MultiIndex, FilterND] = {}
-    for idx, nu in enumerate(sys.gamma):
-        if idx == 0:
-            continue
+    for idx, nu in enumerate(sys.gamma_prime, 1):
         e_nu = LaurentPoly.monomial(nu, 1)
         t[nu] = FilterND(p, e_nu - q * sh[idx].conj().stretch(p))
         t_d[nu] = FilterND(p, Fraction(1, q) * e_nu - sg[idx].conj().stretch(p) * h.mask)
@@ -217,8 +223,8 @@ def _first_mismatch(bank: WaveletFilterBank,
     :func:`pcs_bank_masks` for a load, t and then t_d for a design."""
     for name, nu, mask in masks:
         f = getattr(bank, name) if nu is None else getattr(bank, name)[nu]
-        if not (f.p == bank.p and f.mask == mask):
-            return name if nu is None else f"{name}[{_nu_key(nu)}]"
+        if f.mask != mask:
+            return _label(name, nu)
     return None
 
 
@@ -228,8 +234,7 @@ def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
     require_generators(G, H)
     sys = make_coset_system(G.p, n, convention)
     bank = build_general(prime_coset_sum(G, sys), prime_coset_sum(H, sys), sys)
-    bank.g1d = G
-    bank.h1d = H
+    bank.g1d, bank.h1d = G, H
     # no bank that bank_from_json refuses: it forms a mask over at most q den
     for f in bank.analysis_filters() + bank.synthesis_filters():
         if (f.q * max(f.mask.den, *map(abs, f.mask.num.values()))).bit_length() > MAX_FORM_BITS:
@@ -307,8 +312,6 @@ def verify_combined_biorthogonality(bank: WaveletFilterBank) -> VerificationRepo
     sys = bank.sys
     p, n, q, gamma = sys.p, sys.n, sys.q, sys.gamma
     ana, syn = bank.analysis_filters(), bank.synthesis_filters()
-    if any(f.dim != n or f.p != p for f in ana + syn):
-        raise DimensionMismatch("filter and coset system disagree on p or dimension")
     far = max((max(max(c), -min(c)) for f in ana + syn for c in zip(*f.mask.num)), default=0)
     base = 4 * far + 4 * p + 1
     d_syn, d_ana = lcm(*(f.mask.den for f in syn)), lcm(*(f.mask.den for f in ana))
@@ -406,6 +409,10 @@ def _nu_key(nu: MultiIndex) -> str:
     return ",".join(str(x) for x in nu)
 
 
+def _label(name: str, nu: Optional[MultiIndex]) -> str:
+    return name if nu is None else f"{name}[{_nu_key(nu)}]"
+
+
 def _parse_nu(key: str, n: int) -> MultiIndex:
     try:
         nu = tuple(int(x) for x in key.split(","))
@@ -487,11 +494,12 @@ def write_bank_json(fh, bank: WaveletFilterBank) -> None:
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     """Rebuild a bank from its JSON form.
 
-    Generators of another dilation than the bank's raise :class:`FormatError`.
-    When the document carries 1-D generators and ``cross_check`` is true,
-    every one of the 2q materialized filters is also compared tap-for-tap
-    with one exact re-derivation from the generators (:func:`pcs_bank_masks`),
-    and a mismatch raises :class:`FormatError`. Verification tools pass
+    Generators of another dilation than the bank's raise :class:`FormatError`,
+    and a filter of another p or dim :class:`DimensionMismatch`. When the
+    document carries 1-D generators and ``cross_check`` is true, every one of
+    the 2q materialized filters is also compared tap-for-tap with one exact
+    re-derivation from the generators (:func:`pcs_bank_masks`), and a
+    mismatch raises :class:`FormatError`. Verification tools pass
     ``cross_check=False`` so they can report exactly which identity a
     corrupted bank violates instead of refusing to load it.
 

@@ -7,8 +7,9 @@ That form is unique, so two filters are equal exactly when their p and masks
 are, and the polyphase layer, the coset sum, the bank checks, the
 diagnostics, the JSON form and the float64 taps (``q * num / den``, by
 ``int / int``) all read integers. ``.taps`` is a read-only ``Fraction`` view
-for reports. The rules on a bank's lowpass filters live here alone:
-``require_lowpass`` and ``require_interpolatory``, whose scan ``is_interpolatory`` shares.
+for reports. The rules on a bank's lowpass filters and 1-D generators live here
+alone: ``is_lowpass`` (read by ``require_lowpass`` and ``diagnostics``),
+``require_interpolatory`` (whose scan ``is_interpolatory`` shares) and ``to_1d``.
 
 All diagnostics are exact. Evaluation points are lattice frequencies
 (2*pi/p) * g, so every value lives in Q(zeta_p); a sum of integer weights
@@ -122,9 +123,14 @@ def to_1d(f: FilterND) -> Filter1D:
     return Filter1D(f.p, f.mask)
 
 
+def is_lowpass(f: FilterND) -> bool:
+    """The taps sum to q, that is the mask is 1 at the origin."""
+    return sum(f.mask.num.values()) == f.mask.den
+
+
 def require_lowpass(f: FilterND, name: str) -> None:
-    """Refuse f, called name in the message, unless its taps sum to q."""
-    if f.tap_sum != f.q:
+    """Refuse f, called name in the message, unless :func:`is_lowpass`."""
+    if not is_lowpass(f):
         raise NotLowpass(f"{name} tap sum is {f.tap_sum}, lowpass needs {f.q}")
 
 
@@ -249,16 +255,17 @@ def diagnostics(f: FilterND, max_order: int = DEFAULT_MAX_ORDER) -> MaskDiagnost
     """
     if max_order < 1:
         raise DomainError("max_order must be >= 1")
-    total, den = sum(f.mask.num.values()), f.mask.den  # the tap sum is q * total / den
-    # the moments are the derivative sums at g = 0; accuracy looks at g != 0
-    moment_order = _zero_order(f, [(0,) * f.dim], 1, max_order)
+    lowpass = is_lowpass(f)
+    # the derivative sums at g = 0 give the vanishing moments from order 0 and a
+    # lowpass mask's flatness from order 1; accuracy looks at g != 0
+    moments = _zero_order(f, [(0,) * f.dim], 1 if lowpass else 0, max_order)
     nonzero = [g for g in itertools.product(range(f.p), repeat=f.dim) if any(g)]
     return MaskDiagnostics(
-        is_lowpass=(total == den),
+        is_lowpass=lowpass,
         is_interpolatory=is_interpolatory(f),
         accuracy=_zero_order(f, nonzero, 0, max_order),
-        vanishing_moments=0 if total else moment_order,
-        flatness=moment_order if total == den else 0,
+        vanishing_moments=0 if lowpass else moments,
+        flatness=moments if lowpass else 0,
         support_size=f.support_size,
         max_order_searched=max_order,
     )

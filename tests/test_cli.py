@@ -117,10 +117,12 @@ def test_verify_corrupted_bank(box_bank_path, tmp_path, capsys):
     doc["filters"]["t"]["0,1"]["taps"][0]["v"] = "17/2"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", bad)
+    code, out, _ = run(capsys, "verify", bad, "--json", tmp_path / "verify.json")
     assert code == 1
     assert "FAIL  combined biorthogonality" in out
     assert "row" in out and "col" in out
+    # the report is written on exit 1 too
+    assert json.loads((tmp_path / "verify.json").read_text())["passed"] is False
 
 
 def test_verify_general_bank(tmp_path, capsys):
@@ -356,7 +358,7 @@ def test_synthesize_rejects_oversized_pcsc_record(box_bank_path, tmp_path, capsy
                                     "provenance_general",
                                     "provenance_pcs_no_generators",
                                     "provenance_unknown", "G_without_H", "G_p5",
-                                    "G_2d"])
+                                    "G_2d", "t_dim3", "t_p5"])
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, command):
     doc = json.loads(box_bank_path.read_text())
@@ -391,6 +393,18 @@ def test_malformed_bank_filters_exit_2(box_bank_path, tmp_path, capsys, damage, 
     elif damage == "G_2d":
         doc["G"] = doc["filters"]["tau"]
         prefix = "error: expected a 1-D filter, got dim=2"
+    elif damage.startswith("t_"):
+        # a stored filter of another dim or p than the coset system, refused at
+        # load whether or not the load re-derives the bank
+        f = doc["filters"]["t"]["1,0"]
+        if damage == "t_dim3":
+            f["dim"] = 3
+            for tap in f["taps"]:
+                tap["k"].append(0)
+        else:
+            f["p"] = 5
+        prefix = (f"error: t[1,0] has p={f['p']}, dim={f['dim']}; "
+                  "the coset system has p=3, dim=2\n")
     if damage == "not_utf8":
         bad.write_bytes(b"\xff\xfe" + json.dumps(doc).encode())
         prefix = f"error: {bad}: not valid JSON"
@@ -459,6 +473,23 @@ def test_hostile_sizes_exit_2_quickly(box_bank_path, tmp_path, capsys, case):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    # the box p=2 n=12 bank outgrows a 300 MB address space while it is built,
+    # before its file is opened: one error line and exit 2, not a traceback
+    import resource
+    limit = 300 * 2 ** 20
+    box, out = FIXTURES / "box_p2.json", tmp_path / "big.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcswave.cli", "design", "--p", "2", "--dim", "12",
+         "--g", str(box), "--h", str(box), "-o", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def _cli(*argv):
