@@ -36,6 +36,21 @@ loaded, and would find nothing to free. ``os._exit`` would skip flushing the
 streams and the atexit handlers, so it is not used. :func:`main` itself
 freezes nothing.
 
+``analyze``, ``synthesize`` and ``bench`` check a bank once per content
+(:func:`_load_bank`). Each reads the bank file once, then hashes and parses
+those bytes. The SHA-256 of a fixed tag, the package's module files and the
+bank's bytes names an empty marker file in
+``$XDG_CACHE_HOME/pcswave/checked-banks/`` (``~/.cache/...`` when the variable
+is unset). A marker is written only after the checked load of a bank with
+generators has compared all 2q filters and found them equal. When the marker
+exists, the command reads only the coset system and G, H
+(:func:`pcswave.filterbank.generators_from_json`), all that the fast
+transform and the multiply count use; ``analyze --oracle`` also reads the
+stored filters, unchecked. Any ``OSError`` of the cache makes a miss, and a
+miss is the checked load, so no output depends on the cache. Their ``--json``
+reports give ``bank_check`` (``ran`` or ``cached``) and ``timings.load_s``.
+``verify`` never reads the cache.
+
 ``synthesize --check-against`` checks the reference before it reconstructs,
 then reads it in chunks (:func:`pcswave.dataio.compare_tensor`), never whole.
 
@@ -53,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
@@ -64,13 +80,87 @@ from .errors import DimensionMismatch, FormatError, PcswaveError
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_json(path, data: bytes | None = None):
+    """The JSON document of the file at path, read from data, its bytes, when given."""
+    with (open(path, "r", encoding="utf-8") if data is None
+          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             # ValueError covers bad syntax, bad UTF-8 and over-long integers
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
+# the hash of CACHE_TAG and _package_sources(), made on first use
+_code_hash = None
+CACHE_TAG = b"pcswave checked bank 1\0"
+
+
+def _package_sources():
+    """(name, bytes) of every module file of the package, sorted by name."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    sources = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                sources.append((name, fh.read()))
+    return sources
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: XDG's default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            raise OSError("no home directory for the checked-bank cache")
+    return os.path.join(base, "pcswave", "checked-banks")
+
+
+def _marker(data: bytes) -> str | None:
+    """The path of the marker that bank bytes data passed the checked load under
+    this package's code, or None when no marker can be named."""
+    global _code_hash
+    import hashlib
+    try:
+        if _code_hash is None:
+            code = hashlib.sha256(CACHE_TAG)
+            for name, text in _package_sources():
+                code.update(b"%s\0%d\0" % (name.encode(), len(text)))
+                code.update(text)
+            _code_hash = code
+        key = _code_hash.copy()
+        key.update(data)
+        return os.path.join(_cache_dir(), key.hexdigest())
+    except OSError:
+        return None
+
+
+def _load_bank(path, filters: bool = False):
+    """The bank of analyze, synthesize and bench: (bank, "ran" or "cached", seconds).
+
+    A file whose bytes have a marker passed the checked load before, so only
+    its coset system and generators are read (its whole bank, unchecked, when
+    filters is true); any other file gets the checked load, and a marker once
+    it passes. A marker that cannot be read or written is a miss.
+    """
+    from .filterbank import bank_from_json, generators_from_json
+    start = time.perf_counter()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc, marker = _load_json(path, data), _marker(data)
+    del data  # before the bank is built
+    if marker is not None and os.path.isfile(marker):
+        bank = bank_from_json(doc, cross_check=False) if filters else generators_from_json(doc)
+        check = "cached"
+    else:
+        bank, check = bank_from_json(doc), "ran"
+        if marker is not None and bank.g1d is not None:
+            try:
+                os.makedirs(os.path.dirname(marker), mode=0o700, exist_ok=True)
+                open(marker, "wb").close()
+            except OSError:
+                pass
+    return bank, check, time.perf_counter() - start
 
 
 def _dump_json(path, doc) -> None:
@@ -140,7 +230,7 @@ def _diag_row(name, nu, d) -> str:
 def cmd_verify(args) -> tuple[int, dict]:
     from .filterbank import (bank_from_json, bank_polyphase_matrices, bank_report,
                              verify_combined_biorthogonality)
-    from .filters import is_biorthogonal, is_interpolatory
+    from .filters import is_biorthogonal
     _require_max_order(args.max_order)
     clock = [time.perf_counter()]
     bank = bank_from_json(_load_json(args.bank), cross_check=False)
@@ -151,14 +241,13 @@ def cmd_verify(args) -> tuple[int, dict]:
             for name, m in zip("AS", bank_polyphase_matrices(bank))})
     ver = verify_combined_biorthogonality(bank)
     clock.append(time.perf_counter())
-    interp = is_interpolatory(bank.tau_d)
     biorth = is_biorthogonal(bank.tau, bank.tau_d)
     rep = bank_report(bank, args.max_order)
     clock.append(time.perf_counter())
 
     checks = [
         ("combined biorthogonality (S.A = (1/q) I)", ver.passed, ver.describe()),
-        ("tau_d interpolatory", interp, ""),
+        ("tau_d interpolatory", rep.filters[1].diag.is_interpolatory, ""),
         ("(tau, tau_d) biorthogonal", biorth, ""),
         ("vanishing-moment floor respected", not rep.floor_violations,
          "; ".join(rep.floor_violations)),
@@ -194,16 +283,16 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 def cmd_analyze(args) -> tuple[int, dict]:
     from . import dataio
-    from .filterbank import bank_from_json
     from .transform import decompose_direct, decompose_fast
-    bank = bank_from_json(_load_json(args.bank))
+    bank, check, load_s = _load_bank(args.bank, filters=args.oracle)
     y = dataio.read_tensor(args.input)
     coeffs = decompose_fast(y, bank, args.levels)
     dataio.write_coeffs(args.output, coeffs)
     print(f"analyzed {args.input} shape={'x'.join(map(str, y.shape))} "
           f"levels={args.levels} -> {args.output}")
     report = {"input": args.input, "output": args.output,
-              "shape": list(y.shape), "levels": args.levels}
+              "shape": list(y.shape), "levels": args.levels,
+              "bank_check": check, "timings": {"load_s": load_s}}
     if args.oracle:
         ref = decompose_direct(y, bank, args.levels)
         dev = coeffs.coarse.max_abs_diff(ref.coarse)
@@ -216,9 +305,8 @@ def cmd_analyze(args) -> tuple[int, dict]:
 
 def cmd_synthesize(args) -> tuple[int, dict]:
     from . import dataio
-    from .filterbank import bank_from_json
     from .transform import reconstruct_fast
-    bank = bank_from_json(_load_json(args.bank))
+    bank, check, load_s = _load_bank(args.bank)
     coeffs = dataio.read_coeffs(args.input, bank.sys)
     levels = len(coeffs.details)
     if args.levels is not None and args.levels != levels:
@@ -233,7 +321,8 @@ def cmd_synthesize(args) -> tuple[int, dict]:
     print(f"synthesized {args.input} levels={levels} -> {args.output} "
           f"shape={'x'.join(map(str, y.shape))}")
     report = {"input": args.input, "output": args.output,
-              "shape": list(y.shape), "levels": levels}
+              "shape": list(y.shape), "levels": levels,
+              "bank_check": check, "timings": {"load_s": load_s}}
     if args.check_against:
         err, peak = dataio.compare_tensor(args.check_against, y)
         scale = peak or 1.0
@@ -256,9 +345,8 @@ def _parse_shape(text: str):
 def cmd_bench(args) -> tuple[int, dict]:
     from fractions import Fraction
 
-    from .filterbank import bank_from_json
     from .transform import count_ops
-    bank = bank_from_json(_load_json(args.bank))
+    bank, check, load_s = _load_bank(args.bank)
     shape = _parse_shape(args.shape)
     oc = count_ops(bank, shape, args.levels)
     per_sample = Fraction(oc.multiplicative_ops, oc.data_points)
@@ -274,13 +362,14 @@ def cmd_bench(args) -> tuple[int, dict]:
               "alpha": oc.alpha, "beta": oc.beta, "alpha_tilde": oc.alpha_tilde,
               "measured": oc.multiplicative_ops, "predicted": str(oc.predicted),
               "per_sample_measured": str(per_sample),
-              "pcs_constant": str(oc.pcs_constant)}
+              "pcs_constant": str(oc.pcs_constant),
+              "bank_check": check, "timings": {"load_s": load_s}}
     if args.compare_tensor_model:
         print(f"tensor-product model per sample: (alpha+beta)*n = {oc.tensor_model}")
         report["tensor_model"] = str(oc.tensor_model)
-        if bank.p == 2:
+        if bank.sys.p == 2:
             c_pcs = oc.alpha + 2 * oc.beta + 2
-            c_tp = (oc.alpha + oc.beta) * bank.n
+            c_tp = (oc.alpha + oc.beta) * bank.sys.n
             rel = "<=" if c_pcs <= c_tp else ">"
             print(f"dyadic bound: C_PCS = alpha+2*beta+2 = {c_pcs} {rel} "
                   f"C_TP = (alpha+beta)*n = {c_tp}")

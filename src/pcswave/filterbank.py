@@ -30,6 +30,9 @@ one re-derived mask at a time. A filter is held as its mask (see
 :mod:`pcswave.filters`, where the rules on generators and taps live), so all
 of this algebra runs on integer numerators over common denominators, and a
 stored filter matches a derived mask when the two integer forms are equal.
+``generators_from_json`` reads only the header of a bank document, its coset
+system and G, H, with the same checks and messages; the command line uses it
+for a file whose bytes have passed the checked load before.
 
 ``verify_combined_biorthogonality`` decides S(w) A(w) = (1/q) I in the filter
 domain, building neither polyphase matrix; ``bank_polyphase_matrices`` builds
@@ -397,7 +400,7 @@ def bank_report(bank: WaveletFilterBank, max_order: int = DEFAULT_MAX_ORDER) -> 
             if r.name == "tau" and r.diag.accuracy < floor:
                 violations.append(f"tau accuracy {r.diag.accuracy} < floor {floor}")
             if r.name in ("t", "t_d") and r.diag.vanishing_moments < floor:
-                violations.append(f"{r.name}[{r.nu}] vanishing moments "
+                violations.append(f"{_label(r.name, r.nu)} vanishing moments "
                                   f"{r.diag.vanishing_moments} < floor {floor}")
     return BankReport(filters=reports, guarantee_floor=floor,
                       floor_violations=violations, max_order=max_order)
@@ -491,6 +494,58 @@ def write_bank_json(fh, bank: WaveletFilterBank) -> None:
     write_json(fh, _bank_doc(bank, lambda f: f))
 
 
+class Generators(NamedTuple):
+    """The coset system and 1-D generators of a bank document: all that the fast
+    transform's plan (:class:`pcswave.plan.LevelPlan`) reads of a bank."""
+
+    sys: CosetSystem
+    g1d: Optional[Filter1D]
+    h1d: Optional[Filter1D]
+
+
+def _bank_header(doc: dict):
+    """(sys, G's document, H's, the filters' documents) of a bank document, after
+    the checks of its keys, p, dim and provenance."""
+    try:
+        p, n = doc["p"], doc["dim"]
+        convention = doc["convention"]
+        g_doc, h_doc = doc.get("G"), doc.get("H")
+        filters = doc["filters"]
+        filter_docs = (filters["tau"], filters["tau_d"], filters["t"].items(),
+                       filters["t_d"].items())
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed bank JSON: {exc}") from exc
+    if type(p) is not int or type(n) is not int:
+        raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
+    # the provenance is read from the generators, so a stored one must agree
+    if (g_doc is None) != (h_doc is None):
+        raise FormatError("malformed bank JSON: it carries only one of the generators G and H")
+    implied = GENERAL if g_doc is None else PRIME_COSET_SUM
+    if doc.get("provenance", implied) != implied:
+        raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
+                          f"match its generators, which imply {implied!r}")
+    return make_coset_system(p, n, convention), g_doc, h_doc, filter_docs
+
+
+def _generators(sys: CosetSystem, g_doc, h_doc) -> Generators:
+    if g_doc is None:
+        return Generators(sys, None, None)
+    g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
+    if g1d.p != sys.p or h1d.p != sys.p:
+        raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
+                          f"the bank has p={sys.p}")
+    return Generators(sys, g1d, h1d)
+
+
+def generators_from_json(doc: dict) -> Generators:
+    """The coset system and generators of a bank document, read with the checks and
+    messages of :func:`bank_from_json`; its 2q filters are neither parsed nor checked.
+
+    For a document whose bytes have already passed the checked load."""
+    sys, g_doc, h_doc, _ = _bank_header(doc)
+    return _generators(sys, g_doc, h_doc)
+
+
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     """Rebuild a bank from its JSON form.
 
@@ -507,41 +562,16 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     names, if any, must be the one they imply (see
     :attr:`WaveletFilterBank.provenance`); otherwise :class:`FormatError`.
     """
-    try:
-        p, n = doc["p"], doc["dim"]
-        convention = doc["convention"]
-        g_doc, h_doc = doc.get("G"), doc.get("H")
-        filters = doc["filters"]
-        tau_doc, tau_d_doc = filters["tau"], filters["tau_d"]
-        t_docs, t_d_docs = filters["t"].items(), filters["t_d"].items()
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise FormatError(f"malformed bank JSON: {exc}") from exc
-    if type(p) is not int or type(n) is not int:
-        raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
-    # the provenance is read from the generators, so a stored one must agree
-    if (g_doc is None) != (h_doc is None):
-        raise FormatError("malformed bank JSON: it carries only one of the generators G and H")
-    implied = GENERAL if g_doc is None else PRIME_COSET_SUM
-    if doc.get("provenance", implied) != implied:
-        raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
-                          f"match its generators, which imply {implied!r}")
-
-    sys = make_coset_system(p, n, convention)
+    sys, g_doc, h_doc, (tau_doc, tau_d_doc, t_docs, t_d_docs) = _bank_header(doc)
     tau = filter_from_json(tau_doc)
     tau_d = filter_from_json(tau_d_doc)
-    t = {_parse_nu(key, n): filter_from_json(fj) for key, fj in t_docs}
-    t_d = {_parse_nu(key, n): filter_from_json(fj) for key, fj in t_d_docs}
+    t = {_parse_nu(key, sys.n): filter_from_json(fj) for key, fj in t_docs}
+    t_d = {_parse_nu(key, sys.n): filter_from_json(fj) for key, fj in t_d_docs}
     expected = set(sys.gamma_prime)
     if set(t) != expected or set(t_d) != expected:
         raise FormatError("bank JSON does not cover Gamma' exactly")
 
-    g1d = h1d = None
-    if g_doc is not None:
-        g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
-        if g1d.p != p or h1d.p != p:
-            raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
-                              f"the bank has p={p}")
-
+    _, g1d, h1d = _generators(sys, g_doc, h_doc)
     bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d, g1d=g1d, h1d=h1d)
 
     if cross_check and g1d is not None:

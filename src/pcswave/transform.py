@@ -53,22 +53,26 @@ no tap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple
+from typing import TYPE_CHECKING, List, NamedTuple, Union
 
 from .errors import DimensionMismatch, DomainError, ShapeMismatch, ShapeNotDivisible
-from .filterbank import WaveletFilterBank
+from .filterbank import Generators, WaveletFilterBank
+from .lattice import CosetSystem
 from .plan import LevelPlan
+
+# the fast routes and the count read only sys, g1d and h1d of a bank
+Bank = Union[WaveletFilterBank, Generators]
 
 if TYPE_CHECKING:
     from .tensor import MultiresCoeffs, Tensor
 
 
-def _check_shape(shape, bank: WaveletFilterBank, levels: int) -> None:
-    if len(shape) != bank.n:
-        raise DimensionMismatch(f"tensor is {len(shape)}-D, bank is {bank.n}-D")
+def _check_shape(shape, sys: CosetSystem, levels: int) -> None:
+    if len(shape) != sys.n:
+        raise DimensionMismatch(f"tensor is {len(shape)}-D, bank is {sys.n}-D")
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
-    p = bank.p
+    p = sys.p
     for axis, s in enumerate(shape):
         # one level at a time: a huge levels never forms p^levels
         for _ in range(levels):
@@ -78,13 +82,13 @@ def _check_shape(shape, bank: WaveletFilterBank, levels: int) -> None:
                                         f"not divisible by p^levels = {p}^{levels}")
 
 
-def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresCoeffs:
+def decompose_fast(y: Tensor, bank: Bank, levels: int) -> MultiresCoeffs:
     """J-level decomposition by the fast per-coset steps; each level's
     details are the Gamma'-ordered list that ``decompose_level`` returns."""
     from .kernels import LevelKernels
     from .tensor import MultiresCoeffs, Tensor
     kern = LevelKernels(bank.sys, bank.g1d, bank.h1d)
-    _check_shape(y.shape, bank, levels)
+    _check_shape(y.shape, bank.sys, levels)
     details: List[List[Tensor]] = []
     cur, den = y.data, y.den
     for _ in range(levels):
@@ -93,7 +97,7 @@ def decompose_fast(y: Tensor, bank: WaveletFilterBank, levels: int) -> MultiresC
     return MultiresCoeffs(bank.sys, Tensor(cur.shape, y.mode, cur, den), details[::-1])
 
 
-def reconstruct_fast(c: MultiresCoeffs, bank: WaveletFilterBank) -> Tensor:
+def reconstruct_fast(c: MultiresCoeffs, bank: Bank) -> Tensor:
     """Inverse of :func:`decompose_fast`; exact in rational mode."""
     from .kernels import LevelKernels
     from .tensor import Tensor
@@ -126,7 +130,7 @@ def decompose_direct(y: Tensor, bank: WaveletFilterBank, levels: int) -> Multire
     import numpy as np
 
     from .tensor import MultiresCoeffs, Tensor
-    _check_shape(y.shape, bank, levels)
+    _check_shape(y.shape, bank.sys, levels)
     p, n = bank.p, bank.n
     exact = y.den is not None
 
@@ -168,7 +172,7 @@ def pcs_complexity_constant(alpha_tilde: int, beta: int, p: int, n: int) -> Frac
     return Fraction(2 * (q - 1) * beta + 2 * (q - 1) * alpha_tilde + 2 * n + 2, q)
 
 
-def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
+def count_ops(bank: Bank, shape, levels: int) -> OpCount:
     """Count the multiplies of a decompose+reconstruct and compare with the model.
 
     The count is structural and runs no transform: level by level, it sums
@@ -180,9 +184,8 @@ def count_ops(bank: WaveletFilterBank, shape, levels: int) -> OpCount:
     """
     plan = LevelPlan(bank.sys, bank.g1d, bank.h1d)
     shape = tuple(int(s) for s in shape)
-    _check_shape(shape, bank, levels)
-    p, n = bank.p, bank.n
-    q = p ** n
+    _check_shape(shape, bank.sys, levels)
+    p, n, q = bank.sys.p, bank.sys.n, bank.sys.q
 
     alpha = bank.g1d.support_size
     beta = bank.h1d.support_size

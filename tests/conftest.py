@@ -195,3 +195,12 @@ def zero_count(reps, p, g):
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """An empty cache directory of the test's own, so that no test reads or writes
+    the user's checked-bank markers; subprocesses inherit it."""
+    path = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(path))
+    return path

@@ -169,6 +169,23 @@ def test_verify_tau_below_floor(box_bank_path, tmp_path, capsys):
             in out.splitlines())
 
 
+def test_verify_highpass_below_floor_is_named_as_in_load_errors(box_bank_path, tmp_path,
+                                                                capsys):
+    # t[1,0] = q delta has no vanishing moment, under the floor of 1; the
+    # violation spells the filter as load and design errors do
+    doc = json.loads(box_bank_path.read_text())
+    doc["filters"]["t"]["1,0"]["taps"] = [{"k": [0, 0], "v": "9"}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", bad, "--json", tmp_path / "verify.json")
+    assert code == 1
+    assert ("FAIL  vanishing-moment floor respected  [t[1,0] vanishing moments 0 < floor 1]"
+            in out.splitlines())
+    assert any(line.startswith("  t(1,0) ") for line in out.splitlines())
+    rep = json.loads((tmp_path / "verify.json").read_text())
+    assert rep["floor_violations"] == ["t[1,0] vanishing moments 0 < floor 1"]
+
+
 def test_verify_dump_builds_polyphase_once(box_bank_path, tmp_path, capsys, monkeypatch):
     # the S.A check builds no (A, S) and the dump builds one; the report does
     # not change
@@ -714,8 +731,8 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize("command", ["help", "design", "verify", "bench",
-                                     "bench_tensor_model", "bench_json"])
-def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
+                                     "bench_tensor_model", "bench_json", "bench_cached"])
+def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, capsys, command):
     box = FIXTURES / "box_p3_centered.json"
     bench = ["bench", "--bank", box_bank_path, "--shape", "81x81", "--levels", 2]
     argv = {"help": ["--help"],
@@ -724,13 +741,18 @@ def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, command):
             "verify": ["verify", box_bank_path],
             "bench": bench,
             "bench_tensor_model": bench + ["--compare-tensor-model"],
-            "bench_json": bench + ["--json", tmp_path / "bench.json"]}[command]
+            "bench_json": bench + ["--json", tmp_path / "bench.json"],
+            "bench_cached": bench + ["--json", tmp_path / "bench.json"]}[command]
+    if command == "bench_cached":
+        assert run(capsys, *bench)[0] == 0  # leaves the bank's marker
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     # the records are no dataclasses, so neither dataclasses nor its inspect loads
     assert proc.stdout.splitlines()[-1] == "False False False"
+    if command == "bench_cached":
+        assert json.loads((tmp_path / "bench.json").read_text())["bank_check"] == "cached"
 
 
 THREADS_PROBE = """
