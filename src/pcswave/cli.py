@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 a mathematical verification failed, 2 bad input
 (parse errors, violated preconditions, I/O, running out of memory). A command
 prints its report to stdout as text and returns it with its exit code;
 :func:`main` writes it to ``--json PATH``, on exit 0 and 1 alike, through
-:func:`pcswave.filterbank.write_json` like the bank and the polyphase dump.
+:func:`pcswave.filters.write_json` like the bank and the polyphase dump.
 The reports of ``design`` and ``verify`` carry ``timings``, the wall seconds
 of each stage of that run.
 
@@ -37,19 +37,27 @@ streams and the atexit handlers, so it is not used. :func:`main` itself
 freezes nothing.
 
 ``analyze``, ``synthesize`` and ``bench`` check a bank once per content
-(:func:`_load_bank`). Each reads the bank file once, then hashes and parses
-those bytes. The SHA-256 of a fixed tag, the package's module files and the
-bank's bytes names an empty marker file in
-``$XDG_CACHE_HOME/pcswave/checked-banks/`` (``~/.cache/...`` when the variable
-is unset). A marker is written only after the checked load of a bank with
-generators has compared all 2q filters and found them equal. When the marker
-exists, the command reads only the coset system and G, H
-(:func:`pcswave.filterbank.generators_from_json`), all that the fast
-transform and the multiply count use; ``analyze --oracle`` also reads the
-stored filters, unchecked. Any ``OSError`` of the cache makes a miss, and a
-miss is the checked load, so no output depends on the cache. Their ``--json``
-reports give ``bank_check`` (``ran`` or ``cached``) and ``timings.load_s``.
-``verify`` never reads the cache.
+(:func:`_load_bank`). Each reads the bank file once and hashes its bytes: the
+SHA-256 of a fixed tag, the package's module files and those bytes names a
+marker file in ``$XDG_CACHE_HOME/pcswave/checked-banks/`` (``~/.cache/...``
+when the variable is unset). A marker is written only after the checked load
+of a bank with generators has compared all 2q filters and found them equal.
+It holds the bank's header, its p, dim, convention, G and H, as one line of
+JSON (:func:`pcswave.plan.header_text`, about 0.4 kB), written to a temporary
+sibling of a name of its own and moved into place whole; on any failure the
+temporary is removed. On a hit the command parses the marker, not the bank,
+and builds the coset system and G, H from it with the checks of a bank load
+(:func:`pcswave.plan.header_generators`): all that the fast transform and the
+multiply count use. So a hit imports none of the bank's algebra
+(:mod:`pcswave.filterbank`, :mod:`pcswave.cosetsum`,
+:mod:`pcswave.polyphase`); ``analyze --oracle`` also parses the bank and
+reads its stored filters, unchecked. A marker that cannot be read, is larger
+than the bank file, or is not such a header is a miss, as is any ``OSError``
+of the cache, and a miss is the checked load, which writes the marker anew.
+So no output depends on the cache. Their ``--json`` reports give
+``bank_check`` (``ran`` or ``cached``) and ``timings.load_s``, the seconds to
+read and hash the bank and then read the marker (a hit) or parse and check
+the bank and write the marker (a miss). ``verify`` never reads the cache.
 
 ``synthesize --check-against`` checks the reference before it reconstructs,
 then reads it in chunks (:func:`pcswave.dataio.compare_tensor`), never whole.
@@ -93,7 +101,7 @@ def _load_json(path, data: bytes | None = None):
 
 # the hash of CACHE_TAG and _package_sources(), made on first use
 _code_hash = None
-CACHE_TAG = b"pcswave checked bank 1\0"
+CACHE_TAG = b"pcswave checked bank 2\0"
 
 
 def _package_sources():
@@ -135,36 +143,64 @@ def _marker(data: bytes) -> str | None:
         return None
 
 
+def _cached(marker: str, size: int):
+    """The Generators that the marker of a bank file of size bytes holds, or None
+    for a miss: a marker that cannot be read, is larger than the bank, or is not
+    a header that :func:`pcswave.plan.header_generators` accepts."""
+    from .plan import header_generators
+    try:
+        with open(marker, "rb") as fh:
+            text = fh.read(size + 1)
+        if len(text) > size:
+            return None
+        return header_generators(json.loads(text.decode("utf-8")))
+    except (OSError, ValueError, RecursionError, PcswaveError):
+        return None
+
+
+def _write_marker(marker: str, text: str) -> None:
+    """Write text to marker through a temporary sibling of a name of its own,
+    moved into place whole; a failure leaves neither file."""
+    tmp = f"{marker}.{os.urandom(8).hex()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(marker), mode=0o700, exist_ok=True)
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, marker)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
 def _load_bank(path, filters: bool = False):
     """The bank of analyze, synthesize and bench: (bank, "ran" or "cached", seconds).
 
     A file whose bytes have a marker passed the checked load before, so only
-    its coset system and generators are read (its whole bank, unchecked, when
+    the header the marker holds is read (the whole file, unchecked, when
     filters is true); any other file gets the checked load, and a marker once
-    it passes. A marker that cannot be read or written is a miss.
+    it passes. A marker that cannot be read, written or accepted is a miss.
     """
-    from .filterbank import bank_from_json, generators_from_json
     start = time.perf_counter()
     with open(path, "rb") as fh:
         data = fh.read()
-    doc, marker = _load_json(path, data), _marker(data)
-    del data  # before the bank is built
-    if marker is not None and os.path.isfile(marker):
-        bank = bank_from_json(doc, cross_check=False) if filters else generators_from_json(doc)
-        check = "cached"
-    else:
-        bank, check = bank_from_json(doc), "ran"
-        if marker is not None and bank.g1d is not None:
-            try:
-                os.makedirs(os.path.dirname(marker), mode=0o700, exist_ok=True)
-                open(marker, "wb").close()
-            except OSError:
-                pass
+    marker = _marker(data)
+    bank = None if marker is None else _cached(marker, len(data))
+    check = "ran" if bank is None else "cached"
+    if bank is None or filters:
+        from .filterbank import bank_from_json
+        doc = _load_json(path, data)
+        del data  # before the bank is built
+        bank = bank_from_json(doc, cross_check=check == "ran")
+        if check == "ran" and marker is not None and bank.g1d is not None:
+            from .plan import header_text
+            _write_marker(marker, header_text(bank))
     return bank, check, time.perf_counter() - start
 
 
 def _dump_json(path, doc) -> None:
-    from .filterbank import write_json
+    from .filters import write_json
     with open(path, "w", encoding="utf-8") as fh:
         write_json(fh, doc)
 

@@ -30,37 +30,39 @@ one re-derived mask at a time. A filter is held as its mask (see
 :mod:`pcswave.filters`, where the rules on generators and taps live), so all
 of this algebra runs on integer numerators over common denominators, and a
 stored filter matches a derived mask when the two integer forms are equal.
-``generators_from_json`` reads only the header of a bank document, its coset
-system and G, H, with the same checks and messages; the command line uses it
-for a file whose bytes have passed the checked load before.
+A document's generators are read, and G and H checked against each other
+(``require_generators``), by :mod:`pcswave.plan`, which holds the fast
+transform's contract on a bank: so a load whose check is cached reads them
+without this module.
 
 ``verify_combined_biorthogonality`` decides S(w) A(w) = (1/q) I in the filter
 domain, building neither polyphase matrix; ``bank_polyphase_matrices`` builds
 (A, S) for the ``--dump-polyphase`` file only. The matrix product that decides
 the identity entry by entry is the tests' oracle, in ``tests/conftest.py``.
 
-``write_json`` writes every JSON file of pcswave (the bank, the polyphase dump
-and the reports) with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
-each filter and polyphase entry formatted from its integer numerators.
-``bank_to_json`` gives the same bank document as plain dicts.
+``write_bank_json`` writes the bank through :func:`pcswave.filters.write_json`,
+the writer of every JSON file of pcswave, with the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``, each filter formatted from its
+integer numerators. ``bank_to_json`` gives the same bank document as plain
+dicts.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .arith import LaurentPoly, accumulate_products, format_rational, poly_sum
+from .arith import LaurentPoly, accumulate_products, poly_sum
 from .cosetsum import prime_coset_sum
 from .errors import DimensionMismatch, FormatError, PcswaveError
 from .filters import (DEFAULT_MAX_ORDER, MAX_FORM_BITS, Filter1D, FilterND, MaskDiagnostics,
                       diagnostics, filter_from_json, filter_to_json, require_interpolatory,
-                      require_lowpass, to_1d)
+                      require_lowpass, write_json)
 from .lattice import CosetSystem, make_coset_system
+from .plan import bank_generators, require_generators
 from .polyphase import PolyphaseMatrix, eta_sum, polyphase_decompose
 
 MultiIndex = Tuple[int, ...]
@@ -110,15 +112,6 @@ class WaveletFilterBank:
 
     def synthesis_filters(self) -> List[FilterND]:
         return [self.tau_d] + [self.t_d[nu] for nu in self.sys.gamma_prime]
-
-
-def require_generators(G: Filter1D, H: Filter1D) -> None:
-    """G and H share p, both are lowpass and H is interpolatory (rules of :mod:`.filters`)."""
-    if G.p != H.p:
-        raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
-    require_lowpass(G, "G")
-    require_lowpass(H, "H")
-    require_interpolatory(H, "H")
 
 
 def _lowpass_mask(g: FilterND, sg: List[LaurentPoly], sh: List[LaurentPoly],
@@ -445,62 +438,9 @@ def bank_to_json(bank: WaveletFilterBank) -> dict:
     return _bank_doc(bank, filter_to_json)
 
 
-def _terms_text(poly: LaurentPoly, scale: int, depth: int) -> str:
-    """The term list [{"k": k, "v": "num/den"}] of scale * poly, sorted by k, as
-    json.dumps(indent=2, sort_keys=True) writes it at depth."""
-    num = poly.num
-    if not num:
-        return "[]"
-    i0, i1, i2, i3 = ("\n" + "  " * (depth + j) for j in range(4))
-    # the filters of a bank repeat a few values, so each is formatted once
-    text = {v: format_rational(scale * v, poly.den) for v in set(num.values())}
-    term = f'{{{i2}"k": [{i3}{("," + i3).join(["%d"] * poly.n)}{i2}],{i2}"v": "%s"{i1}}}'
-    body = ("," + i1).join([term % (*k, text[num[k]]) for k in sorted(num)])
-    return f"[{i1}{body}{i0}]"
-
-
-def _write(fh, value, depth: int) -> None:
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, LaurentPoly):
-        fh.write(_terms_text(value, 1, depth))
-    elif isinstance(value, FilterND):
-        fh.write(f'{{{inner}"dim": {value.dim},{inner}"p": {value.p},{inner}"taps": '
-                 f'{_terms_text(value.mask, value.q, depth + 1)}'
-                 f'\n{"  " * depth}}}')
-    elif isinstance(value, (dict, list)) and value:
-        is_dict = isinstance(value, dict)
-        opening, closing = "{}" if is_dict else "[]"
-        items = ([(json.dumps(k) + ": ", value[k]) for k in sorted(value)] if is_dict
-                 else [("", v) for v in value])
-        for i, (head, item) in enumerate(items):
-            fh.write(("," if i else opening) + inner + head)
-            _write(fh, item, depth + 1)
-        fh.write("\n" + "  " * depth + closing)
-    else:
-        fh.write(json.dumps(value))
-
-
-def write_json(fh, doc) -> None:
-    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to the text file ``fh``,
-    where a FilterND leaf of doc stands for its :func:`filter_to_json` document and a
-    LaurentPoly for its term list; each leaf is formatted from its integer numerators
-    and written before the next. Only str keys occur in pcswave's documents."""
-    _write(fh, doc, 0)
-    fh.write("\n")
-
-
 def write_bank_json(fh, bank: WaveletFilterBank) -> None:
     """Write the bytes of ``json.dumps(bank_to_json(bank), indent=2, sort_keys=True) + "\\n"``."""
     write_json(fh, _bank_doc(bank, lambda f: f))
-
-
-class Generators(NamedTuple):
-    """The coset system and 1-D generators of a bank document: all that the fast
-    transform's plan (:class:`pcswave.plan.LevelPlan`) reads of a bank."""
-
-    sys: CosetSystem
-    g1d: Optional[Filter1D]
-    h1d: Optional[Filter1D]
 
 
 def _bank_header(doc: dict):
@@ -525,25 +465,6 @@ def _bank_header(doc: dict):
         raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
                           f"match its generators, which imply {implied!r}")
     return make_coset_system(p, n, convention), g_doc, h_doc, filter_docs
-
-
-def _generators(sys: CosetSystem, g_doc, h_doc) -> Generators:
-    if g_doc is None:
-        return Generators(sys, None, None)
-    g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
-    if g1d.p != sys.p or h1d.p != sys.p:
-        raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
-                          f"the bank has p={sys.p}")
-    return Generators(sys, g1d, h1d)
-
-
-def generators_from_json(doc: dict) -> Generators:
-    """The coset system and generators of a bank document, read with the checks and
-    messages of :func:`bank_from_json`; its 2q filters are neither parsed nor checked.
-
-    For a document whose bytes have already passed the checked load."""
-    sys, g_doc, h_doc, _ = _bank_header(doc)
-    return _generators(sys, g_doc, h_doc)
 
 
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
@@ -571,7 +492,7 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     if set(t) != expected or set(t_d) != expected:
         raise FormatError("bank JSON does not cover Gamma' exactly")
 
-    _, g1d, h1d = _generators(sys, g_doc, h_doc)
+    _, g1d, h1d = bank_generators(sys, g_doc, h_doc)
     bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d, g1d=g1d, h1d=h1d)
 
     if cross_check and g1d is not None:

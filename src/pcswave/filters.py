@@ -11,6 +11,12 @@ for reports. The rules on a bank's lowpass filters and 1-D generators live here
 alone: ``is_lowpass`` (read by ``require_lowpass`` and ``diagnostics``),
 ``require_interpolatory`` (whose scan ``is_interpolatory`` shares) and ``to_1d``.
 
+``write_json`` writes every JSON file of pcswave (the bank, the polyphase dump
+and the reports) with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
+each filter and polyphase entry formatted from its integer numerators. It
+lives beside the filters it formats, so a report is written without the
+bank's algebra.
+
 All diagnostics are exact. Evaluation points are lattice frequencies
 (2*pi/p) * g, so every value lives in Q(zeta_p); a sum of integer weights
 times powers of zeta_p is decided by its p residue-class sums, with no
@@ -20,6 +26,7 @@ tolerances.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
@@ -349,3 +356,47 @@ def _bad_tap(raw: list, dim: int) -> FormatError:
             return FormatError(f"explicit zero tap at {k} rejected")
         seen.add(k)
     return FormatError("malformed filter taps")
+
+
+def _terms_text(poly: LaurentPoly, scale: int, depth: int) -> str:
+    """The term list [{"k": k, "v": "num/den"}] of scale * poly, sorted by k, as
+    json.dumps(indent=2, sort_keys=True) writes it at depth."""
+    num = poly.num
+    if not num:
+        return "[]"
+    i0, i1, i2, i3 = ("\n" + "  " * (depth + j) for j in range(4))
+    # the filters of a bank repeat a few values, so each is formatted once
+    text = {v: format_rational(scale * v, poly.den) for v in set(num.values())}
+    term = f'{{{i2}"k": [{i3}{("," + i3).join(["%d"] * poly.n)}{i2}],{i2}"v": "%s"{i1}}}'
+    body = ("," + i1).join([term % (*k, text[num[k]]) for k in sorted(num)])
+    return f"[{i1}{body}{i0}]"
+
+
+def _write(fh, value, depth: int) -> None:
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, LaurentPoly):
+        fh.write(_terms_text(value, 1, depth))
+    elif isinstance(value, FilterND):
+        fh.write(f'{{{inner}"dim": {value.dim},{inner}"p": {value.p},{inner}"taps": '
+                 f'{_terms_text(value.mask, value.q, depth + 1)}'
+                 f'\n{"  " * depth}}}')
+    elif isinstance(value, (dict, list)) and value:
+        is_dict = isinstance(value, dict)
+        opening, closing = "{}" if is_dict else "[]"
+        items = ([(json.dumps(k) + ": ", value[k]) for k in sorted(value)] if is_dict
+                 else [("", v) for v in value])
+        for i, (head, item) in enumerate(items):
+            fh.write(("," if i else opening) + inner + head)
+            _write(fh, item, depth + 1)
+        fh.write("\n" + "  " * depth + closing)
+    else:
+        fh.write(json.dumps(value))
+
+
+def write_json(fh, doc) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to the text file ``fh``,
+    where a FilterND leaf of doc stands for its :func:`filter_to_json` document and a
+    LaurentPoly for its term list; each leaf is formatted from its integer numerators
+    and written before the next. Only str keys occur in pcswave's documents."""
+    _write(fh, doc, 0)
+    fh.write("\n")

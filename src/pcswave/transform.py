@@ -56,15 +56,16 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, List, NamedTuple, Union
 
 from .errors import DimensionMismatch, DomainError, ShapeMismatch, ShapeNotDivisible
-from .filterbank import Generators, WaveletFilterBank
 from .lattice import CosetSystem
 from .plan import LevelPlan
 
-# the fast routes and the count read only sys, g1d and h1d of a bank
-Bank = Union[WaveletFilterBank, Generators]
-
 if TYPE_CHECKING:
+    from .filterbank import WaveletFilterBank
+    from .plan import Generators
     from .tensor import MultiresCoeffs, Tensor
+
+    # the fast routes and the count read only sys, g1d and h1d of a bank
+    Bank = Union[WaveletFilterBank, Generators]
 
 
 def _check_shape(shape, sys: CosetSystem, levels: int) -> None:

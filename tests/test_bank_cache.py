@@ -4,6 +4,7 @@ nothing a command prints or writes depends on whether it was."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,13 @@ def run(capsys, *argv):
 def markers(cache_home):
     path = cache_home / "pcswave" / "checked-banks"
     return sorted(os.listdir(path)) if path.is_dir() else []
+
+
+def marker_path(cache_home):
+    """The path of the one marker in cache_home."""
+    names = markers(cache_home)
+    assert len(names) == 1, names
+    return cache_home / "pcswave" / "checked-banks" / names[0]
 
 
 @pytest.fixture
@@ -205,3 +213,138 @@ def test_changed_code_is_a_miss(work, capsys, cache_home, monkeypatch):
     monkeypatch.setattr(cli, "_package_sources", lambda: changed)
     assert [check(), check()] == ["ran", "cached"]
     assert len(markers(cache_home)) == 2
+
+
+def _header(work):
+    """The header that the marker of work's bank holds: its p, dim, convention, G and H."""
+    doc = json.loads((work / "bank.json").read_text())
+    return {key: doc[key] for key in ("p", "dim", "convention", "G", "H")}
+
+
+def _bad_marker(work, header_text, how):
+    """The bytes of a marker that must count as a miss."""
+    text = header_text.encode()
+    size = (work / "bank.json").stat().st_size
+    header = _header(work)
+    if how == "empty":  # as a marker of the first cache format was left
+        return b""
+    if how == "truncated":
+        return text[:len(text) // 2]
+    if how == "not_utf8":
+        return text.replace(b'"G"', b'"\xff"')
+    if how == "deeply_nested":
+        assert 2 * 4000 < size
+        return b"[" * 4000 + b"]" * 4000
+    if how == "larger_than_bank":
+        # the header itself, padded with JSON whitespace past the bank's size
+        return text + b" " * size
+    if how == "not_lowpass":
+        header["G"]["taps"][0]["v"] = "7/2"
+    elif how == "other_dilation":
+        header["G"]["p"] = 5
+    elif how == "no_h":
+        del header["H"]
+    elif how == "no_generators":
+        header.update(G=None, H=None)
+    return json.dumps(header).encode()
+
+
+BAD_MARKERS = ["empty", "truncated", "not_utf8", "deeply_nested", "larger_than_bank",
+               "not_lowpass", "other_dilation", "no_h", "no_generators"]
+
+
+@pytest.mark.parametrize("how", BAD_MARKERS)
+@pytest.mark.parametrize("command", ["analyze", "analyze_oracle", "synthesize", "bench"])
+def test_bad_marker_is_a_miss(work, capsys, cache_home, command, how):
+    report = work / "report.json"
+    argv, written = commands(work, report)[command]
+    cold = outcome(capsys, argv, written)
+    assert cold[0] == 0
+    assert json.loads(report.read_text())["bank_check"] == "ran"
+    marker = marker_path(cache_home)
+    header_text = marker.read_text(encoding="ascii")
+    assert json.loads(header_text) == _header(work)
+    marker.write_bytes(_bad_marker(work, header_text, how))
+    assert outcome(capsys, argv, written) == cold
+    assert json.loads(report.read_text())["bank_check"] == "ran"
+    # the miss wrote the header back, and the next load is a hit
+    assert marker_path(cache_home) == marker
+    assert marker.read_text(encoding="ascii") == header_text
+    assert outcome(capsys, argv, written) == cold
+    assert json.loads(report.read_text())["bank_check"] == "cached"
+
+
+def test_marker_holds_the_header_on_one_line(work, capsys, cache_home):
+    argv, written = commands(work)["bench"]
+    assert outcome(capsys, argv, written)[0] == 0
+    text = marker_path(cache_home).read_text(encoding="ascii")
+    assert text == json.dumps(_header(work), sort_keys=True, separators=(",", ":"))
+    assert len(text) < 1000
+
+
+def _cold_outcomes(work, capsys, tmp_path_factory, monkeypatch, names):
+    """What each command of names gives with a cache of its own, marker written."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cold")))
+    return {name: outcome(capsys, *commands(work)[name]) for name in names}
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "bench"])
+def test_failed_marker_replace_leaves_no_file(work, capsys, cache_home, tmp_path_factory,
+                                              monkeypatch, command):
+    want = _cold_outcomes(work, capsys, tmp_path_factory, monkeypatch, [command])[command]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+
+    def refused(src, dst):
+        raise OSError(28, "No space left on device", dst)
+    monkeypatch.setattr(os, "replace", refused)
+    for _ in range(2):
+        assert outcome(capsys, *commands(work)[command]) == want
+        assert markers(cache_home) == []
+
+
+def test_marker_write_past_file_size_limit_leaves_no_file(work, capsys, cache_home,
+                                                          tmp_path_factory, monkeypatch):
+    # bench writes no file, so only the marker meets the limit; CPython ignores
+    # SIGXFSZ, so the write fails with EFBIG after its first 64 bytes
+    want = _cold_outcomes(work, capsys, tmp_path_factory, monkeypatch, ["bench"])["bench"]
+    argv, _ = commands(work)["bench"]
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(cache_home),
+               PYTHONDONTWRITEBYTECODE="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-m", "pcswave.cli", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want[:3]
+        assert (cache_home / "pcswave" / "checked-banks").is_dir()
+        assert markers(cache_home) == []
+
+
+# runs the CLI in a fresh interpreter, then names the bank-algebra modules it imported
+ALGEBRA_PROBE = """
+import sys
+from pcswave.cli import main
+code = main(sys.argv[1:])
+print(*sorted(name for name in ("pcswave.filterbank", "pcswave.cosetsum", "pcswave.polyphase")
+              if name in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("with_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "bench"])
+def test_cached_command_imports_no_bank_algebra(work, capsys, cache_home, command, with_json):
+    # the report is written by pcswave.filters.write_json, not by the bank's module
+    argv, written = commands(work, work / "report.json" if with_json else None)[command]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    imported = []
+    for _ in range(2):
+        if written is not None and written.exists():
+            written.unlink()
+        proc = subprocess.run([sys.executable, "-c", ALGEBRA_PROBE, *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        imported.append(proc.stdout.splitlines()[-1])
+    assert imported == ["pcswave.cosetsum pcswave.filterbank pcswave.polyphase", ""]

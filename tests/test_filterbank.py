@@ -16,9 +16,9 @@ from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_polyphase_matrices,
                                 bank_report, bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, verify_combined_biorthogonality,
-                                write_bank_json, write_json)
+                                write_bank_json)
 from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
-                             is_biorthogonal, is_interpolatory, to_1d)
+                             is_biorthogonal, is_interpolatory, to_1d, write_json)
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import LaurentPoly, eta_sum
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,

@@ -1,5 +1,6 @@
 """Mutation fuzzing of every input decoder: a damaged PCST, PCSC or bank JSON
-document must load or raise a PcswaveError, never any other exception."""
+document must load or raise a PcswaveError, never any other exception, and a
+damaged checked-bank marker must be read or be a miss."""
 
 import copy
 import json
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcswave import cli
 from pcswave.dataio import read_coeffs, read_tensor, write_coeffs, write_tensor
 from pcswave.errors import PcswaveError
 from pcswave.filterbank import bank_from_json, bank_to_json, build_pcs_bank
+from pcswave.plan import Generators, LevelPlan, header_generators, header_text
 from pcswave.presets import box_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast
@@ -129,3 +132,32 @@ def test_damaged_bank_json(data, value, cross_check):
     y = Tensor.from_numpy(np.random.default_rng(0).standard_normal((9, 9)))
     _load_or_pcswave_error(
         lambda: decompose_fast(y, bank_from_json(doc, cross_check=cross_check), 2))
+
+
+HEADER = header_text(BANK)
+HEADER_PATHS = list(_node_paths(json.loads(HEADER)))
+
+
+@FUZZ
+@given(data=st.data(), value=st.sampled_from(REPLACEMENTS))
+def test_damaged_bank_header(data, value):
+    # a header that loads must also plan the fast transform
+    doc = json.loads(HEADER)
+    path = data.draw(st.sampled_from(HEADER_PATHS))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    doc = json.loads(json.dumps(doc))
+    _load_or_pcswave_error(lambda: LevelPlan(*header_generators(doc)))
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_marker_is_read_or_a_miss(samples, data):
+    _, mutant = data.draw(mutations(HEADER.encode(), "marker"))
+    samples["scratch"].write_bytes(mutant)
+    gens = cli._cached(str(samples["scratch"]), 1 << 20)
+    if gens is not None:
+        assert isinstance(gens, Generators)
+        LevelPlan(*gens)
