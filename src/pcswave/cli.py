@@ -10,12 +10,12 @@ of each stage of that run.
 
 A command imports only what it runs, inside the command: ``--help`` loads
 argparse and no module of the exact algebra. ``design``, ``verify`` and
-``bench`` load the exact modules alone; ``bench`` counts multiplies over the
-transform's numpy-free plan and exits 1 when the count differs from the
-closed form. ``analyze`` and ``synthesize`` add the kernels, the tensors and
-the PCST/PCSC codecs, and with them numpy. The package's records are
-``__slots__`` classes and ``NamedTuple``s, so no command imports
-``dataclasses`` or, before numpy, ``inspect``.
+``bench`` load the exact modules alone, and only ``bench`` the transform's
+numpy-free plan: it counts multiplies over the plan's tables and exits 1
+when the count differs from the closed form. ``analyze`` and ``synthesize``
+add the kernels, the tensors and the PCST/PCSC codecs, and with them numpy.
+The package's records are ``__slots__`` classes and ``NamedTuple``s, so no
+command imports ``dataclasses`` or, before numpy, ``inspect``.
 
 :func:`main` runs the command with CPython's cyclic collector disabled and
 restores its previous state on every exit, so in-process callers keep theirs.
@@ -43,12 +43,13 @@ marker file in ``$XDG_CACHE_HOME/pcswave/checked-banks/`` (``~/.cache/...``
 when the variable is unset). A marker is written only after the checked load
 of a bank with generators has compared all 2q filters and found them equal.
 It holds the bank's header, its p, dim, convention, G and H, as one line of
-JSON (:func:`pcswave.plan.header_text`, about 0.4 kB), written to a temporary
+JSON (:func:`pcswave.filters.header_text`, about 0.4 kB), written to a temporary
 sibling of a name of its own and moved into place whole; on any failure the
 temporary is removed. On a hit the command parses the marker, not the bank,
 and builds the coset system and G, H from it with the checks of a bank load
-(:func:`pcswave.plan.header_generators`): all that the fast transform and the
-multiply count use. So a hit imports none of the bank's algebra
+(:func:`pcswave.filters.read_header`) and the generator rules
+(:func:`pcswave.filters.require_generators`): all that the fast transform and
+the multiply count use. So a hit imports none of the bank's algebra
 (:mod:`pcswave.filterbank`, :mod:`pcswave.cosetsum`,
 :mod:`pcswave.polyphase`); ``analyze --oracle`` also parses the bank and
 reads its stored filters, unchecked. A marker that cannot be read, is larger
@@ -146,14 +147,17 @@ def _marker(data: bytes) -> str | None:
 def _cached(marker: str, size: int):
     """The Generators that the marker of a bank file of size bytes holds, or None
     for a miss: a marker that cannot be read, is larger than the bank, or is not
-    a header that :func:`pcswave.plan.header_generators` accepts."""
-    from .plan import header_generators
+    the header of a bank whose generators :func:`pcswave.filters.require_generators`
+    accepts."""
+    from .filters import read_header, require_generators
     try:
         with open(marker, "rb") as fh:
             text = fh.read(size + 1)
         if len(text) > size:
             return None
-        return header_generators(json.loads(text.decode("utf-8")))
+        gens = read_header(json.loads(text.decode("utf-8")))
+        require_generators(*gens)
+        return gens
     except (OSError, ValueError, RecursionError, PcswaveError):
         return None
 
@@ -194,7 +198,7 @@ def _load_bank(path, filters: bool = False):
         del data  # before the bank is built
         bank = bank_from_json(doc, cross_check=check == "ran")
         if check == "ran" and marker is not None and bank.g1d is not None:
-            from .plan import header_text
+            from .filters import header_text
             _write_marker(marker, header_text(bank))
     return bank, check, time.perf_counter() - start
 

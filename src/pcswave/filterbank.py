@@ -30,10 +30,9 @@ one re-derived mask at a time. A filter is held as its mask (see
 :mod:`pcswave.filters`, where the rules on generators and taps live), so all
 of this algebra runs on integer numerators over common denominators, and a
 stored filter matches a derived mask when the two integer forms are equal.
-A document's generators are read, and G and H checked against each other
-(``require_generators``), by :mod:`pcswave.plan`, which holds the fast
-transform's contract on a bank: so a load whose check is cached reads them
-without this module.
+A document's header and generators are read by
+:func:`pcswave.filters.read_header`, so a load whose check is cached reads
+them without this module.
 
 ``verify_combined_biorthogonality`` decides S(w) A(w) = (1/q) I in the filter
 domain, building neither polyphase matrix; ``bank_polyphase_matrices`` builds
@@ -58,17 +57,14 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 from .arith import LaurentPoly, accumulate_products, poly_sum
 from .cosetsum import prime_coset_sum
 from .errors import DimensionMismatch, FormatError, PcswaveError
-from .filters import (DEFAULT_MAX_ORDER, MAX_FORM_BITS, Filter1D, FilterND, MaskDiagnostics,
-                      diagnostics, filter_from_json, filter_to_json, require_interpolatory,
-                      require_lowpass, write_json)
+from .filters import (DEFAULT_MAX_ORDER, GENERAL, MAX_FORM_BITS, PRIME_COSET_SUM, Filter1D,
+                      FilterND, MaskDiagnostics, diagnostics, filter_from_json, filter_to_json,
+                      read_header, require_generators, require_interpolatory, require_lowpass,
+                      write_json)
 from .lattice import CosetSystem, make_coset_system
-from .plan import bank_generators, require_generators
 from .polyphase import PolyphaseMatrix, eta_sum, polyphase_decompose
 
 MultiIndex = Tuple[int, ...]
-
-GENERAL = "general"
-PRIME_COSET_SUM = "prime_coset_sum"
 
 
 class WaveletFilterBank:
@@ -195,7 +191,7 @@ def pcs_bank_masks(G: Filter1D, H: Filter1D, sys: CosetSystem
     All 2q masks are the check :func:`bank_from_json` runs; the highpass ones
     are the second construction route of :func:`build_pcs_bank`.
     """
-    require_generators(G, H)
+    require_generators(sys, G, H)
     h = prime_coset_sum(H, sys)
     yield "tau", None, _pcs_lowpass_mask(G, h, sys)
     yield "tau_d", None, h.mask
@@ -227,10 +223,10 @@ def _first_mismatch(bank: WaveletFilterBank,
 def build_pcs_bank(G: Filter1D, H: Filter1D, n: int,
                    convention: str = "centered") -> WaveletFilterBank:
     """Bank from two 1-D lowpass filters via the prime coset sum; H interpolatory."""
-    require_generators(G, H)
     sys = make_coset_system(G.p, n, convention)
-    bank = build_general(prime_coset_sum(G, sys), prime_coset_sum(H, sys), sys)
-    bank.g1d, bank.h1d = G, H
+    require_generators(sys, G, H)
+    general = build_general(prime_coset_sum(G, sys), prime_coset_sum(H, sys), sys)
+    bank = WaveletFilterBank(sys, general.tau, general.tau_d, general.t, general.t_d, G, H)
     # no bank that bank_from_json refuses: it forms a mask over at most q den
     for f in bank.analysis_filters() + bank.synthesis_filters():
         if (f.q * max(f.mask.den, *map(abs, f.mask.num.values()))).bit_length() > MAX_FORM_BITS:
@@ -443,47 +439,25 @@ def write_bank_json(fh, bank: WaveletFilterBank) -> None:
     write_json(fh, _bank_doc(bank, lambda f: f))
 
 
-def _bank_header(doc: dict):
-    """(sys, G's document, H's, the filters' documents) of a bank document, after
-    the checks of its keys, p, dim and provenance."""
-    try:
-        p, n = doc["p"], doc["dim"]
-        convention = doc["convention"]
-        g_doc, h_doc = doc.get("G"), doc.get("H")
-        filters = doc["filters"]
-        filter_docs = (filters["tau"], filters["tau_d"], filters["t"].items(),
-                       filters["t_d"].items())
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise FormatError(f"malformed bank JSON: {exc}") from exc
-    if type(p) is not int or type(n) is not int:
-        raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
-    # the provenance is read from the generators, so a stored one must agree
-    if (g_doc is None) != (h_doc is None):
-        raise FormatError("malformed bank JSON: it carries only one of the generators G and H")
-    implied = GENERAL if g_doc is None else PRIME_COSET_SUM
-    if doc.get("provenance", implied) != implied:
-        raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
-                          f"match its generators, which imply {implied!r}")
-    return make_coset_system(p, n, convention), g_doc, h_doc, filter_docs
-
-
 def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     """Rebuild a bank from its JSON form.
 
-    Generators of another dilation than the bank's raise :class:`FormatError`,
-    and a filter of another p or dim :class:`DimensionMismatch`. When the
-    document carries 1-D generators and ``cross_check`` is true, every one of
-    the 2q materialized filters is also compared tap-for-tap with one exact
+    The header is read by :func:`pcswave.filters.read_header`, with its checks,
+    and a filter of another p or dim raises :class:`DimensionMismatch`. When
+    the document carries 1-D generators and ``cross_check`` is true, every one
+    of the 2q materialized filters is also compared tap-for-tap with one exact
     re-derivation from the generators (:func:`pcs_bank_masks`), and a
     mismatch raises :class:`FormatError`. Verification tools pass
     ``cross_check=False`` so they can report exactly which identity a
     corrupted bank violates instead of refusing to load it.
-
-    A document carries both generators or neither, and the provenance it
-    names, if any, must be the one they imply (see
-    :attr:`WaveletFilterBank.provenance`); otherwise :class:`FormatError`.
     """
-    sys, g_doc, h_doc, (tau_doc, tau_d_doc, t_docs, t_d_docs) = _bank_header(doc)
+    sys, g1d, h1d = read_header(doc)
+    try:
+        filters = doc["filters"]
+        tau_doc, tau_d_doc, t_docs, t_d_docs = (filters["tau"], filters["tau_d"],
+                                                filters["t"].items(), filters["t_d"].items())
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed bank JSON: {exc}") from exc
     tau = filter_from_json(tau_doc)
     tau_d = filter_from_json(tau_d_doc)
     t = {_parse_nu(key, sys.n): filter_from_json(fj) for key, fj in t_docs}
@@ -492,7 +466,6 @@ def bank_from_json(doc: dict, *, cross_check: bool = True) -> WaveletFilterBank:
     if set(t) != expected or set(t_d) != expected:
         raise FormatError("bank JSON does not cover Gamma' exactly")
 
-    _, g1d, h1d = bank_generators(sys, g_doc, h_doc)
     bank = WaveletFilterBank(sys=sys, tau=tau, tau_d=tau_d, t=t, t_d=t_d, g1d=g1d, h1d=h1d)
 
     if cross_check and g1d is not None:

@@ -9,7 +9,14 @@ diagnostics, the JSON form and the float64 taps (``q * num / den``, by
 ``int / int``) all read integers. ``.taps`` is a read-only ``Fraction`` view
 for reports. The rules on a bank's lowpass filters and 1-D generators live here
 alone: ``is_lowpass`` (read by ``require_lowpass`` and ``diagnostics``),
-``require_interpolatory`` (whose scan ``is_interpolatory`` shares) and ``to_1d``.
+``require_interpolatory`` (whose scan ``is_interpolatory`` shares), ``to_1d``
+and ``require_generators``, which every construction, load check and plan of
+a bank runs on its :class:`Generators`.
+
+A bank's header, its p, dim, convention, G and H, is read by ``read_header``
+alone, from a bank document or from the one line of JSON that
+``header_text`` writes (the command line's marker of a checked bank), so
+neither needs the bank's algebra.
 
 ``write_json`` writes every JSON file of pcswave (the bank, the polyphase dump
 and the reports) with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
@@ -30,11 +37,12 @@ import json
 from fractions import Fraction
 from operator import add, mul
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .arith import LaurentPoly, format_rational, integer_form, split_rational
-from .errors import DimensionMismatch, DomainError, FormatError, NotInterpolatory, NotLowpass
-from .lattice import MAX_COSETS, too_many_cosets
+from .errors import (DimensionMismatch, DomainError, FormatError, NotInterpolatory, NotLowpass,
+                     WrongProvenance)
+from .lattice import MAX_COSETS, CosetSystem, make_coset_system, too_many_cosets
 
 MultiIndex = Tuple[int, ...]
 
@@ -161,6 +169,30 @@ def require_interpolatory(f: FilterND, name: str) -> None:
         raise NotInterpolatory(f"{name} is not interpolatory: "
                                f"{name}({k[0] if isinstance(f, Filter1D) else k}) = {tap} "
                                f"!= {int(not any(k))}")
+
+
+class Generators(NamedTuple):
+    """The coset system and 1-D generators of a bank: all that the fast transform reads of it."""
+
+    sys: CosetSystem
+    g1d: Optional[Filter1D]
+    h1d: Optional[Filter1D]
+
+
+# a load refuses a misfit as bad data, a caller's generators as DimensionMismatch
+def _require_fit(sys: CosetSystem, G: Filter1D, H: Filter1D, error) -> None:
+    if G.p != sys.p or H.p != sys.p:
+        raise error(f"generators have dilations {G.p} and {H.p}, the bank has p={sys.p}")
+
+
+def require_generators(sys: CosetSystem, G: Optional[Filter1D], H: Optional[Filter1D]) -> None:
+    """G and H are present, of dilation sys.p and lowpass, and H is interpolatory."""
+    if G is None or H is None:
+        raise WrongProvenance("the fast transform needs a bank built from 1-D generators")
+    _require_fit(sys, G, H, DimensionMismatch)
+    require_lowpass(G, "G")
+    require_lowpass(H, "H")
+    require_interpolatory(H, "H")
 
 
 def is_biorthogonal(h: FilterND, g: FilterND) -> bool:
@@ -356,6 +388,48 @@ def _bad_tap(raw: list, dim: int) -> FormatError:
             return FormatError(f"explicit zero tap at {k} rejected")
         seen.add(k)
     return FormatError("malformed filter taps")
+
+
+GENERAL = "general"
+PRIME_COSET_SUM = "prime_coset_sum"
+
+
+def read_header(doc) -> Generators:
+    """The Generators of a bank document or of a :func:`header_text`, after the
+    checks of its keys, p and dim, the generators' dilation, and that it carries
+    both generators or neither, with the provenance they imply if it names one.
+    The rules of :func:`require_generators` are left to the caller, so an
+    unchecked load reads a bank whose generators break them."""
+    try:
+        p, n, convention = doc["p"], doc["dim"], doc["convention"]
+        g_doc, h_doc = doc.get("G"), doc.get("H")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed bank JSON: {exc}") from exc
+    if type(p) is not int or type(n) is not int:
+        raise FormatError(f"malformed bank JSON: p={p!r}, dim={n!r} are not both integers")
+    # the provenance is read from the generators, so a stored one must agree
+    if (g_doc is None) != (h_doc is None):
+        raise FormatError("malformed bank JSON: it carries only one of the generators G and H")
+    implied = GENERAL if g_doc is None else PRIME_COSET_SUM
+    if doc.get("provenance", implied) != implied:
+        raise FormatError(f"malformed bank JSON: provenance {doc['provenance']!r} does not "
+                          f"match its generators, which imply {implied!r}")
+    sys = make_coset_system(p, n, convention)
+    if g_doc is None:
+        return Generators(sys, None, None)
+    gens = Generators(sys, to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc)))
+    _require_fit(*gens, FormatError)
+    return gens
+
+
+def header_text(bank) -> str:
+    """The header of a bank with generators, its p, dim, convention, G and H, as
+    ``json.dumps`` writes it with sorted keys on one line."""
+    sys = bank.sys
+    header = {"p": sys.p, "dim": sys.n, "convention": sys.convention,
+              "G": filter_to_json(bank.g1d), "H": filter_to_json(bank.h1d)}
+    # the C encoder of json.dumps leaves no reference cycle, which json.dump's would
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
 
 
 def _terms_text(poly: LaurentPoly, scale: int, depth: int) -> str:

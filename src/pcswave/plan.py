@@ -1,24 +1,11 @@
-"""The plan of the fast transform: the bank's generators, tap tables, scales and
-multiply counts.
+"""The plan of the fast transform: tap tables, scales and multiply counts.
 
 A plan is built from the coset system and the two 1-D generators alone and
-holds no array, so it needs no numpy. It holds the transform's whole contract
-on the bank, and refuses a bank without G and H, with generators of another
-dilation than the system, or with generators that are not lowpass with H
-interpolatory (:func:`require_generators`, which the bank's constructions
-run too). :class:`pcswave.kernels.LevelKernels` runs its tables on arrays,
-and :func:`pcswave.transform.count_ops` counts the multiplies of the same
-tables.
-
-:class:`Generators` is that part of a bank, all that the plan reads of it.
-:func:`bank_generators` reads it from a bank document's header, with the
-dilation check of every bank load. :func:`header_text` writes a checked
-bank's header (p, dim, convention, G and H) as one line of JSON, and
-:func:`header_generators` reads it back with the same checks plus
-:func:`require_generators`: the command line keeps this text as the marker of
-a bank that passed the checked load, and a later load of the same bytes reads
-it in place of the bank. So neither needs the bank's algebra
-(:mod:`pcswave.filterbank`).
+holds no array, so it needs no numpy. It refuses generators that break
+:func:`pcswave.filters.require_generators`, the rules every construction and
+load check of a bank runs too. :class:`pcswave.kernels.LevelKernels` runs
+its tables on arrays, and :func:`pcswave.transform.count_ops` counts the
+multiplies of the same tables.
 
 For each nu in Gamma', the tap lists of H (predict) and G (update) are the
 routes of :func:`pcswave.lattice.eta_routes` divided by p, in increasing m:
@@ -38,69 +25,10 @@ it modulo the level's extent, so the plan sizes nothing by a tap offset.
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import DimensionMismatch, FormatError, WrongProvenance
-from .filters import (Filter1D, filter_from_json, filter_to_json, require_interpolatory,
-                      require_lowpass, to_1d)
-from .lattice import CosetSystem, eta_routes, make_coset_system
-
-
-class Generators(NamedTuple):
-    """The coset system and 1-D generators of a bank: all that a plan reads of it."""
-
-    sys: CosetSystem
-    g1d: Optional[Filter1D]
-    h1d: Optional[Filter1D]
-
-
-def require_generators(G: Filter1D, H: Filter1D) -> None:
-    """G and H share p, both are lowpass and H is interpolatory (rules of :mod:`.filters`)."""
-    if G.p != H.p:
-        raise DimensionMismatch(f"G has dilation {G.p}, H has dilation {H.p}")
-    require_lowpass(G, "G")
-    require_lowpass(H, "H")
-    require_interpolatory(H, "H")
-
-
-def bank_generators(sys: CosetSystem, g_doc, h_doc) -> Generators:
-    """The generators of a bank document over its coset system sys, from their
-    documents: none when g_doc is None, else G and H of the bank's dilation."""
-    if g_doc is None:
-        return Generators(sys, None, None)
-    g1d, h1d = to_1d(filter_from_json(g_doc)), to_1d(filter_from_json(h_doc))
-    if g1d.p != sys.p or h1d.p != sys.p:
-        raise FormatError(f"generators have dilations {g1d.p} and {h1d.p}, "
-                          f"the bank has p={sys.p}")
-    return Generators(sys, g1d, h1d)
-
-
-_HEADER_KEYS = ("p", "dim", "convention", "G", "H")
-
-
-def header_text(bank) -> str:
-    """The header of a bank with generators, its p, dim, convention, G and H, as
-    ``json.dumps`` writes it with sorted keys on one line."""
-    sys = bank.sys
-    values = (sys.p, sys.n, sys.convention, filter_to_json(bank.g1d), filter_to_json(bank.h1d))
-    # the C encoder of json.dumps leaves no reference cycle, which json.dump's would
-    return json.dumps(dict(zip(_HEADER_KEYS, values)), sort_keys=True, separators=(",", ":"))
-
-
-def header_generators(header) -> Generators:
-    """The Generators of a header that :func:`header_text` wrote, read with the
-    checks of a bank load and :func:`require_generators`; anything else raises
-    a :class:`pcswave.errors.PcswaveError`."""
-    try:
-        p, n, convention, g_doc, h_doc = (header[key] for key in _HEADER_KEYS)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed bank header: {exc!r}") from exc
-    if type(p) is not int or type(n) is not int or g_doc is None or h_doc is None:
-        raise FormatError("malformed bank header")
-    gens = bank_generators(make_coset_system(p, n, convention), g_doc, h_doc)
-    require_generators(gens.g1d, gens.h1d)
-    return gens
+from .filters import require_generators
+from .lattice import eta_routes
 
 
 def _merged(tables, scale):
@@ -140,11 +68,7 @@ class LevelPlan:
     """Steps (i)-(iv) of one bank as tap tables, from its coset system and G, H alone."""
 
     def __init__(self, sys, G, H):
-        if G is None or H is None:
-            raise WrongProvenance("the fast transform needs a bank built from 1-D generators")
-        if G.p != sys.p:
-            raise DimensionMismatch(f"G has dilation {G.p}, the coset system has {sys.p}")
-        require_generators(G, H)
+        require_generators(sys, G, H)
         p, n = sys.p, sys.n
         self.n = n
         # (offset, mask numerator) per route, for tap m = p num[m] / den of G or H;

@@ -13,10 +13,12 @@ the step-(i) correction, reading only the already-final y(pk) values. The
 divisions by p in the tap shifts are exact: nu - eta(l,nu) m is congruent to
 0 mod p componentwise, and :func:`pcswave.lattice.eta_routes` refuses to
 proceed otherwise. :class:`pcswave.plan.LevelPlan` plans the four steps from
-the coset system and G, H alone, and :class:`pcswave.kernels.LevelKernels`
-runs them in both modes: on float64 arrays, and in rational mode on integer
-numerators, each array over one denominator, from the input tensor's to the
-output tensors'. No ``Fraction`` is made on the way.
+the coset system and G, H alone, once they pass
+:func:`pcswave.filters.require_generators`, and
+:class:`pcswave.kernels.LevelKernels` runs them in both modes: on float64
+arrays, and in rational mode on integer numerators, each array over one
+denominator, from the input tensor's to the output tensors'. No
+``Fraction`` is made on the way.
 
 The direct route, the oracle of ``analyze --oracle``, filters and
 resamples with the materialized analysis filters:
@@ -61,7 +63,7 @@ from .plan import LevelPlan
 
 if TYPE_CHECKING:
     from .filterbank import WaveletFilterBank
-    from .plan import Generators
+    from .filters import Generators
     from .tensor import MultiresCoeffs, Tensor
 
     # the fast routes and the count read only sys, g1d and h1d of a bank

@@ -716,8 +716,8 @@ def test_dump_polyphase_bytes_pinned(tmp_path, capsys, h, digest):
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
-# runs the CLI in a fresh interpreter, then reports whether numpy, dataclasses
-# and inspect got imported
+# runs the CLI in a fresh interpreter, then reports whether numpy, dataclasses,
+# inspect and the transform's plan got imported
 NUMPY_PROBE = """
 import sys
 from pcswave.cli import main
@@ -725,7 +725,7 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:  # --help exits from argparse
     code = exc.code
-print(*(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
+print(*(name in sys.modules for name in ("numpy", "dataclasses", "inspect", "pcswave.plan")))
 sys.exit(code)
 """
 
@@ -749,8 +749,10 @@ def test_exact_commands_do_not_import_numpy(box_bank_path, tmp_path, capsys, com
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    # the records are no dataclasses, so neither dataclasses nor its inspect loads
-    assert proc.stdout.splitlines()[-1] == "False False False"
+    # the records are no dataclasses, so neither dataclasses nor its inspect loads;
+    # the generator rules live in filters, so only bench, which counts, plans
+    plans = command.startswith("bench")
+    assert proc.stdout.splitlines()[-1] == f"False False False {plans}"
     if command == "bench_cached":
         assert json.loads((tmp_path / "bench.json").read_text())["bank_check"] == "cached"
 

@@ -17,8 +17,9 @@ from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_polyphas
                                 bank_report, bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, verify_combined_biorthogonality,
                                 write_bank_json)
-from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd,
-                             is_biorthogonal, is_interpolatory, to_1d, write_json)
+from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd, header_text,
+                             is_biorthogonal, is_interpolatory, read_header, to_1d,
+                             write_json)
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import LaurentPoly, eta_sum
 from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
@@ -417,6 +418,13 @@ def test_dyadic_reduction_to_coset_sum_masks():
             assert bank.t[nu].mask == 2 * cs
 
 
+def _assert_one_header(bank):
+    # the bank document and the marker's header are read by one reader, to the bank's own
+    gens = (bank.sys, bank.g1d, bank.h1d)
+    assert read_header(bank_to_json(bank)) == gens
+    assert read_header(json.loads(header_text(bank))) == gens
+
+
 def test_bank_json_roundtrip():
     bank = deg4_bank(2)
     doc = bank_to_json(bank)
@@ -428,6 +436,7 @@ def test_bank_json_roundtrip():
     assert back.g1d == bank.g1d
     assert back.h1d == bank.h1d
     assert back.provenance == bank.provenance
+    _assert_one_header(bank)
 
 
 def test_provenance_follows_generators():
@@ -440,6 +449,7 @@ def test_provenance_follows_generators():
     doc = bank_to_json(general)
     assert (doc["provenance"], doc["G"], doc["H"]) == ("general", None, None)
     assert bank_from_json(doc).provenance == "general"
+    assert read_header(doc) == (general.sys, None, None)
     # a document without the key takes the provenance its generators imply
     for source in (bank, general):
         doc = bank_to_json(source)
@@ -527,6 +537,7 @@ def test_fixture_banks_load_with_cross_check(G, H, n, convention):
     bank = build_pcs_bank(G, H, n, convention)
     back = bank_from_json(bank_to_json(bank))
     assert back.tau == bank.tau and back.t_d == bank.t_d
+    _assert_one_header(bank)
 
 
 def test_bank_json_requires_full_gamma():

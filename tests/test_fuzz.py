@@ -14,7 +14,8 @@ from pcswave import cli
 from pcswave.dataio import read_coeffs, read_tensor, write_coeffs, write_tensor
 from pcswave.errors import PcswaveError
 from pcswave.filterbank import bank_from_json, bank_to_json, build_pcs_bank
-from pcswave.plan import Generators, LevelPlan, header_generators, header_text
+from pcswave.filters import Generators, header_text, read_header, require_generators
+from pcswave.plan import LevelPlan
 from pcswave.presets import box_bank
 from pcswave.tensor import Tensor
 from pcswave.transform import decompose_fast
@@ -149,7 +150,13 @@ def test_damaged_bank_header(data, value):
         parent = parent[key]
     parent[path[-1]] = value
     doc = json.loads(json.dumps(doc))
-    _load_or_pcswave_error(lambda: LevelPlan(*header_generators(doc)))
+
+    def read_and_plan():
+        gens = read_header(doc)
+        require_generators(*gens)
+        LevelPlan(*gens)
+
+    _load_or_pcswave_error(read_and_plan)
 
 
 @FUZZ

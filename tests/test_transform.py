@@ -155,10 +155,12 @@ def test_direct_roundtrip_general_provenance(rng):
 
 # a valid bank whose stored generators break the fast algorithm's contract
 BAD_GENERATORS = {
-    "h_not_interpolatory": ("h1d", filter_1d(3, {-1: 1, 0: 1, 3: 1})),
-    "h_all_taps_on_pZ": ("h1d", filter_1d(3, {0: 2, 3: 1})),
-    "g_other_dilation": ("g1d", box_filter_1d(5)),
-    "g_missing": ("g1d", None),
+    "h_not_interpolatory": {"h1d": filter_1d(3, {-1: 1, 0: 1, 3: 1})},
+    "h_all_taps_on_pZ": {"h1d": filter_1d(3, {0: 2, 3: 1})},
+    "g_other_dilation": {"g1d": box_filter_1d(5)},
+    "g_missing": {"g1d": None},
+    # G and H agree, so only their fit to the bank's p refuses them
+    "both_other_dilation": {"g1d": box_filter_1d(5), "h1d": box_filter_1d(5)},
 }
 
 
@@ -167,7 +169,8 @@ def test_plan_refuses_bad_generators(case):
     # the plan checks the generators, so no transform, count or kernel runs
     # on taps that are not those of the bank's filters
     bank = box_bank(3, 2)
-    setattr(bank, *BAD_GENERATORS[case])
+    for name, value in BAD_GENERATORS[case].items():
+        setattr(bank, name, value)
     y = Tensor.from_numpy(np.ones((9, 9)))
     with pytest.raises(PcswaveError):
         decompose_fast(y, bank, 1)
