@@ -83,7 +83,7 @@ import os
 import sys
 import time
 
-from .errors import DimensionMismatch, FormatError, PcswaveError
+from .errors import FormatError, PcswaveError
 
 # read by OpenBLAS, which numpy loads, once when numpy is imported
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -211,10 +211,11 @@ def _dump_json(path, doc) -> None:
 
 def _load_filter_1d(path, p: int):
     from .filters import filter_from_json, to_1d
+    doc = _load_json(path)
     try:
-        f = to_1d(filter_from_json(_load_json(path)))
-    except DimensionMismatch as exc:  # the refusal of to_1d, which does not name the file
-        raise DimensionMismatch(f"{path}: {exc}") from exc
+        f = to_1d(filter_from_json(doc))
+    except PcswaveError as exc:  # the refusals of the filter, which do not name the file
+        raise type(exc)(f"{path}: {exc}") from exc
     if f.p != p:
         raise PcswaveError(f"{path}: filter dilation {f.p} does not match --p {p}")
     return f

@@ -1,8 +1,9 @@
 """Finitely supported rational-coefficient filters and their exact diagnostics.
 
-A filter h with dilation p on Z^n is stored as its mask, the Laurent
-polynomial (1/q) * sum_k h(k) e^{-i k.w} with q = p^n, in the integer form of
-:class:`~pcswave.arith.LaurentPoly`: tap h(k) is q * mask.num[k] / mask.den.
+A filter h with dilation p on Z^n is the NamedTuple (p, mask) of its mask, the
+Laurent polynomial (1/q) * sum_k h(k) e^{-i k.w} with q = p^n, in the integer
+form of :class:`~pcswave.arith.LaurentPoly`: tap h(k) is
+q * mask.num[k] / mask.den.
 That form is unique, so two filters are equal exactly when their p and masks
 are, and the polyphase layer, the coset sum, the bank checks, the
 diagnostics, the JSON form and the float64 taps (``q * num / den``, by
@@ -53,35 +54,23 @@ MAX_FORM_DIGITS = len(str(1 << MAX_FORM_BITS))  # 1234, the digits of a 4096-bit
 _TOO_BIG = f"filter taps need more than {MAX_FORM_BITS} bits over one denominator"
 
 
-class FilterND:
+class FilterND(NamedTuple):
     """Finitely supported filter on Z^dim with scalar dilation p, held as its mask.
 
-    Frozen: its fields refuse assignment. Two filters of one class are equal,
-    and hash equal, when their p and masks are; a FilterND never equals a
-    Filter1D.
+    Two filters of one class are equal when their p and masks are; a FilterND
+    never equals a Filter1D or a plain tuple.
     """
 
-    __slots__ = ("p", "mask")
-
-    def __init__(self, p: int, mask: LaurentPoly):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change field {name!r} of a frozen {type(self).__name__}")
-
-    __delattr__ = __setattr__
+    p: int
+    mask: LaurentPoly
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.mask == other.mask
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.p, self.mask))
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self):
-        return f"{type(self).__name__}(p={self.p!r}, mask={self.mask!r})"
+    __hash__ = tuple.__hash__
 
     @property
     def dim(self) -> int:

@@ -1,15 +1,17 @@
 """Coset representative systems for Z^n / p Z^n and the index maps they induce.
 
-A :class:`CosetSystem` holds the representative set Gamma of Z^n / p Z^n, with
-0 first. Frequencies gamma in Gamma* are never materialized as angles: a
-frequency is an integer vector g standing for (2*pi/p) * g, which keeps every
-mask evaluation inside Q(zeta_p).
+A :class:`CosetSystem` is a NamedTuple holding the representative set Gamma of
+Z^n / p Z^n, with 0 first. Gamma is listed in the lexicographic order of the
+standard residues, so a class's position is computed from its residues.
+Frequencies gamma in Gamma* are never materialized as angles: a frequency is
+an integer vector g standing for (2*pi/p) * g, which keeps every mask
+evaluation inside Q(zeta_p).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .arith import is_prime
 from .errors import CompositeDilation, DomainError, InvalidConvention, PcswaveError
@@ -23,37 +25,14 @@ CENTERED = "centered"
 MAX_COSETS = 1 << 16
 
 
-class CosetSystem:
-    """Immutable representative system for a scalar dilation p on Z^n.
+class CosetSystem(NamedTuple):
+    """Representative system for a scalar dilation p on Z^n (gamma[0] == 0),
+    built by :func:`make_coset_system`."""
 
-    Two systems are equal, and hash equal, when p, n, the convention and
-    Gamma (gamma[0] == 0) are; ``_index`` maps each standard residue vector to
-    its position in Gamma.
-    """
-
-    __slots__ = ("p", "n", "convention", "gamma", "_index")
-
-    def __init__(self, p: int, n: int, convention: str, gamma: Tuple[MultiIndex, ...],
-                 _index: dict = None):
-        fields = (p, n, convention, gamma, {} if _index is None else _index)
-        for name, value in zip(CosetSystem.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot change field {name!r} of a frozen CosetSystem")
-
-    __delattr__ = __setattr__
-
-    def _key(self):
-        return self.p, self.n, self.convention, self.gamma
-
-    def __eq__(self, other):
-        if other.__class__ is not CosetSystem:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    p: int
+    n: int
+    convention: str
+    gamma: Tuple[MultiIndex, ...]
 
     @property
     def q(self) -> int:
@@ -69,11 +48,15 @@ class CosetSystem:
 
     def rep(self, v) -> MultiIndex:
         """Representative in Gamma of the residue class of v."""
-        return self.gamma[self._index[tuple(x % self.p for x in v)]]
+        return self.gamma[self.index_of(v)]
 
     def index_of(self, v) -> int:
-        """Position in the Gamma ordering of v's residue class."""
-        return self._index[tuple(x % self.p for x in v)]
+        """Position in the Gamma ordering of v's residue class: its standard
+        residues read as the digits of a base-p number."""
+        p, i = self.p, 0
+        for x in v:
+            i = i * p + x % p
+        return i
 
 
 def too_many_cosets(p: int, n: int) -> bool:
@@ -90,8 +73,8 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD) -> CosetSystem
     """Build the coset system for dilation p * I_n.
 
     Gamma is ordered lexicographically by standard residue vector, so the zero
-    class always comes first. Systems of more than MAX_COSETS cosets are
-    refused before p is tested.
+    class always comes first; :meth:`CosetSystem.index_of` assumes that order.
+    Systems of more than MAX_COSETS cosets are refused before p is tested.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
@@ -109,8 +92,7 @@ def make_coset_system(p: int, n: int, convention: str = STANDARD) -> CosetSystem
         gamma = tuple(residues)
     else:
         gamma = tuple(tuple(_center(r, p) for r in res) for res in residues)
-    index = {res: i for i, res in enumerate(residues)}
-    return CosetSystem(p=p, n=n, convention=convention, gamma=gamma, _index=index)
+    return CosetSystem(p, n, convention, gamma)
 
 
 def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
@@ -119,7 +101,7 @@ def eta(sys: CosetSystem, l: int, nu: MultiIndex) -> MultiIndex:
     if not 0 < l < sys.p:
         raise DomainError(f"l={l} is not in F_p' for p={sys.p}")
     nu = tuple(nu)
-    i = sys._index.get(tuple(x % sys.p for x in nu))
+    i = sys.index_of(nu) if len(nu) == sys.n else 0
     if not i or sys.gamma[i] != nu:
         raise DomainError(f"nu={nu} is not in Gamma'")
     r = pow(l, -1, sys.p)

@@ -43,13 +43,10 @@ def polyphase_decompose(f: FilterND, sys: CosetSystem) -> List[LaurentPoly]:
     if f.dim != sys.n or f.p != sys.p:
         raise DimensionMismatch("filter and coset system disagree on p or dimension")
     p, num = sys.p, f.mask.num
-    cols = list(zip(*num))
-    # residues and lattice quotients axis by axis, the Gamma position once per class
-    classes = list(zip(*[[x % p for x in col] for col in cols]))
-    position = {r: sys.index_of(r) for r in set(classes)}
-    index = [position[r] for r in classes]
-    reps = list(zip(*[sys.gamma[i] for i in index]))
-    quotients = [[(x - r) // p for x, r in zip(col, rep)] for col, rep in zip(cols, reps)]
+    index = list(map(sys.index_of, num))
+    # lattice quotients axis by axis
+    reps = zip(*[sys.gamma[i] for i in index])
+    quotients = [[(x - r) // p for x, r in zip(col, rep)] for col, rep in zip(zip(*num), reps)]
     comps: List[Dict[MultiIndex, int]] = [{} for _ in range(sys.q)]
     # x -> (coset, k) is one to one, so no two taps share a slot
     for i, k, v in zip(index, zip(*quotients), num.values()):

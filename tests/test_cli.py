@@ -98,6 +98,23 @@ def test_design_rejects_noninterpolatory_h(tmp_path, capsys):
     assert "H is not interpolatory: H(3) = 1/3 != 0" in err
 
 
+def test_design_names_the_generator_file_it_refuses(tmp_path, capsys):
+    # a duplicated tap in --h and a --g tap past the 4096-bit bound: each
+    # refusal names the file at fault
+    box, dup, big = FIXTURES / "box_p3_centered.json", tmp_path / "dup.json", tmp_path / "big.json"
+    dup.write_text(json.dumps({"p": 3, "dim": 1, "taps": [{"k": [0], "v": "1"},
+                                                           {"k": [0], "v": "1"}]}))
+    big.write_text(json.dumps({"p": 3, "dim": 1, "taps": [{"k": [0], "v": f"1/{2 ** 4097}"}]}))
+    for g, h, message in [(box, dup, f"{dup}: duplicate tap at (0,)"),
+                          (big, box, f"{big}: filter taps need more than 4096 bits "
+                                     "over one denominator")]:
+        code, _, err = run(capsys, "design", "--p", 3, "--dim", 2, "--g", g, "--h", h,
+                           "-o", tmp_path / "bank.json")
+        assert code == 2
+        assert err == f"error: {message}\n"
+    assert not (tmp_path / "bank.json").exists()
+
+
 def test_verify_good_bank(box_bank_path, capsys, tmp_path):
     # the p=3 centered box bank and the p=2 standard-convention one
     p2_bank, box = tmp_path / "p2.json", FIXTURES / "box_p2.json"

@@ -342,17 +342,17 @@ def test_corollary_biorthogonality(rng):
         assert is_interpolatory(bank.tau_d)
 
 
-def test_vanishing_moment_floor(rng):
-    from pcswave.filters import diagnostics
-    for _ in range(4):
-        bank = build_pcs_bank(random_lowpass_1d(rng, 3),
-                              random_interpolatory_1d(rng, 3), 2, "centered")
-        rep = bank_report(bank, max_order=6)
+def test_vanishing_moment_floor():
+    # G = H = the degree-4 interpolatory filter: every t and t_d vanishes to
+    # the guarantee floor, here 4, and the bank passes S.A
+    deg4 = interp_deg4_filter_1d()
+    for n in (2, 3):
+        bank = build_pcs_bank(deg4, deg4, n, "centered")
+        rep = bank_report(bank, max_order=8)
+        assert rep.guarantee_floor == 4
         assert not rep.floor_violations
-        floor = rep.guarantee_floor
-        for nu in bank.sys.gamma_prime:
-            assert diagnostics(bank.t[nu], 6).vanishing_moments >= floor
-            assert diagnostics(bank.t_d[nu], 6).vanishing_moments >= floor
+        assert min(r.diag.vanishing_moments for r in rep.filters if r.nu is not None) == 4
+        assert verify_combined_biorthogonality(bank).passed
 
 
 def test_build_pcs_bank_preconditions():

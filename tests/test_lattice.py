@@ -51,6 +51,9 @@ def test_eta_domain_checks():
         eta(sys, 1, (0, 0))
     with pytest.raises(DomainError):
         eta(sys, 1, (4, 1))  # not a stored representative
+    for nu in [(1,), (1, 1, 0)]:  # one coordinate too short, one too long
+        with pytest.raises(DomainError):
+            eta(sys, 1, nu)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
@@ -99,6 +102,11 @@ def test_count_is_p_power_for_primes(p, n, convention):
     for g in itertools.product(range(p), repeat=n):
         if any(g):
             assert zero_count(sys.gamma, p, g) == p ** (n - 1)
+    # a position is read from the residues alone: p * k shifts keep it
+    for i, nu in enumerate(sys.gamma):
+        assert sys.index_of(nu) == i
+        for k in (-2, -1, 1, 3):
+            assert sys.index_of([x + p * k * (j + 1) for j, x in enumerate(nu)]) == i
 
 
 def test_conventions_agree_through_residues():

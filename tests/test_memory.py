@@ -55,6 +55,10 @@ CHECK_BOUND = 0.1
 WRITER_BOUND = 1 / 20
 # the far-tap bank's tap tables beside those of the box bank, in bytes
 FAR_TABLES_ALLOWANCE = 16 * 1024
+# CPython's free-list churn moves a traced peak by a few hundred bytes; the
+# far-tap and box levels on 243x243 both peak at 581 360 B, and a wrap pad
+# adds about 113 kB
+FREE_LIST_ALLOWANCE = 1024
 # box p=5 n=3: the checked load peaks at 1.05 times the unchecked one, which
 # is the parsed bank (5.0 MiB traced); holding all 2q re-derived masks at once
 # read 2.07
@@ -136,7 +140,7 @@ def test_far_tap_level_peaks_no_higher_than_box():
     # offsets' remainders nearest zero (up to 34) peaked at 1.47. Both kernels
     # are planned and run once before either is traced: a plan freed or kept
     # changes how many tuples CPython's free list holds, and that alone moves
-    # a traced peak by up to a few hundred bytes.
+    # a traced peak by up to a few hundred bytes (FREE_LIST_ALLOWANCE).
     far = to_1d(filter_from_json(json.loads((FIXTURES / "far_tap_p3.json").read_text())))
     y = np.random.default_rng(0).standard_normal((243, 243))
     kerns = []
@@ -145,7 +149,7 @@ def test_far_tap_level_peaks_no_higher_than_box():
         kerns.append(LevelKernels(bank.sys, bank.g1d, bank.h1d))
         kerns[-1].decompose_level(y)
     far_peak, box_peak = (traced_peak(lambda: kern.decompose_level(y))[1] for kern in kerns)
-    assert far_peak <= box_peak, (far_peak / y.nbytes, box_peak / y.nbytes)
+    assert far_peak <= box_peak + FREE_LIST_ALLOWANCE, (far_peak, box_peak)
 
 
 def test_bank_writer_streams(tmp_path):
