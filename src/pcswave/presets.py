@@ -1,43 +1,51 @@
 """Stock 1-D generator filters and the banks built from them.
 
-These are the small filters the documentation, fixtures, and test corpus lean
-on: box (Haar-type) lowpass filters for any prime dilation, and a dilation-3
-interpolatory filter with fourth-order accuracy whose lifted bank keeps
-5-tap highpass filters.
+Each is a p-adic interpolatory filter of G. Deslauriers and S. Dubuc
+("Symmetric iterative interpolation processes", Constructive Approximation 5,
+1989), of accuracy and flatness 2r for any prime p; order 0 is the box filter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from .errors import DomainError
+from .arith import is_prime
+from .errors import CompositeDilation, DomainError
 from .filterbank import WaveletFilterBank, build_pcs_bank
 from .filters import Filter1D, filter_1d
 from .lattice import CENTERED, STANDARD
 
 
-def box_filter_1d(p: int, centered: bool = True) -> Filter1D:
-    """All-ones lowpass filter with dilation p (the Haar-type generator).
+def interp_filter_1d(p: int, r: int, centered: bool = True) -> Filter1D:
+    """Interpolatory lowpass filter with prime dilation p and accuracy 2r: for
+    each residue s (-(p-1)/2 .. (p-1)/2 when centered, odd p only, else
+    0 .. p-1), tap s - p*j is the Lagrange weight at s/p of node j among
+    1-r .. r (s > 0), -r .. r-1 (s < 0), or the one node 0 (s = 0 or r = 0)."""
+    if not is_prime(p):
+        raise CompositeDilation(f"dilation must be prime, got {p}")
+    if r < 0:
+        raise DomainError(f"interpolation order must be >= 0, got {r}")
+    if centered and p % 2 == 0:
+        raise DomainError("a centered generator needs an odd p")
+    half = (p - 1) // 2 if centered else 0
+    taps = {}
+    for s in range(-half, p - half):
+        nodes = (0,) if s == 0 or r == 0 else range(1 - r, r + 1) if s > 0 else range(-r, r)
+        for j in nodes:
+            taps[s - p * j] = prod(Fraction(s - p * i, p * (j - i)) for i in nodes if i != j)
+    return filter_1d(p, taps)
 
-    Centered taps sit on -(p-1)/2 .. (p-1)/2 (odd p only); non-centered taps
-    on 0 .. p-1. Either way the filter is interpolatory and lowpass.
-    """
-    if centered:
-        if p % 2 == 0:
-            raise DomainError("centered box filter needs an odd p")
-        half = (p - 1) // 2
-        return filter_1d(p, {k: 1 for k in range(-half, half + 1)})
-    return filter_1d(p, {k: 1 for k in range(p)})
+
+def box_filter_1d(p: int, centered: bool = True) -> Filter1D:
+    """All-ones lowpass filter with dilation p (the Haar-type generator): the
+    order-0 :func:`interp_filter_1d`, on -(p-1)/2 .. (p-1)/2 or on 0 .. p-1."""
+    return interp_filter_1d(p, 0, centered)
 
 
 def interp_deg4_filter_1d() -> Filter1D:
     """Interpolatory dilation-3 lowpass filter with accuracy (and flatness) 4."""
-    c = Fraction(1, 81)
-    return filter_1d(3, {
-        -5: -4 * c, -4: -5 * c, -2: 30 * c, -1: 60 * c,
-        0: 1,
-        1: 60 * c, 2: 30 * c, 4: -5 * c, 5: -4 * c,
-    })
+    return interp_filter_1d(3, 2)
 
 
 def box_bank(p: int, n: int) -> WaveletFilterBank:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,9 +8,25 @@ from operator import add, mul
 import pytest
 
 from pcswave.errors import DimensionMismatch
-from pcswave.filterbank import VerificationReport
+from pcswave.filterbank import VerificationReport, build_pcs_bank
 from pcswave.filters import Filter1D, filter_1d
 from pcswave.polyphase import LaurentPoly, PolyphaseMatrix
+from pcswave.presets import interp_filter_1d
+
+# (p, r, n) of the interpolatory banks the guarantee is checked on; p = 5 with
+# n = 3 is left out, since its report alone takes seconds
+INTERP_BANKS = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 3), (3, 3, 2), (5, 2, 2),
+                (7, 2, 2), (11, 2, 1), (13, 2, 1)]
+
+
+@functools.cache
+def interp_bank(p: int, r: int, n: int):
+    """The bank with G = H = the order-r interpolatory filter, centered for an
+    odd p, built once per session (the p=7 n=2 one takes about 0.6 s); callers
+    must not change it."""
+    centered = p % 2 == 1
+    H = interp_filter_1d(p, r, centered)
+    return build_pcs_bank(H, H, n, "centered" if centered else "standard")
 
 
 def random_lowpass_1d(rng: random.Random, p: int, max_taps: int = 5) -> Filter1D:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcswave.cosetsum import prime_coset_sum
-from pcswave.errors import (DimensionMismatch, FormatError, NotInterpolatory,
-                            NotLowpass, PcswaveError)
+from pcswave.errors import (CompositeDilation, DimensionMismatch, DomainError, FormatError,
+                            NotInterpolatory, NotLowpass, PcswaveError)
 from pcswave.filterbank import (WaveletFilterBank, bank_from_json, bank_polyphase_matrices,
                                 bank_report, bank_to_json, build_general, build_pcs_bank,
                                 pcs_bank_masks, verify_combined_biorthogonality,
@@ -22,11 +22,11 @@ from pcswave.filters import (FilterND, filter_1d, filter_from_json, filter_nd, h
                              write_json)
 from pcswave.lattice import make_coset_system
 from pcswave.polyphase import LaurentPoly, eta_sum
-from pcswave.presets import (box_bank, box_filter_1d, deg4_bank,
-                             interp_deg4_filter_1d)
+from pcswave.presets import (box_bank, box_filter_1d, deg4_bank, interp_deg4_filter_1d,
+                             interp_filter_1d)
 
-from conftest import (FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d,
-                      verify_polyphase_matrices)
+from conftest import (FAR_TAPS, INTERP_BANKS, far_tap_1d, interp_bank,
+                      random_interpolatory_1d, random_lowpass_1d, verify_polyphase_matrices)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -342,17 +342,34 @@ def test_corollary_biorthogonality(rng):
         assert is_interpolatory(bank.tau_d)
 
 
-def test_vanishing_moment_floor():
-    # G = H = the degree-4 interpolatory filter: every t and t_d vanishes to
-    # the guarantee floor, here 4, and the bank passes S.A
-    deg4 = interp_deg4_filter_1d()
-    for n in (2, 3):
-        bank = build_pcs_bank(deg4, deg4, n, "centered")
-        rep = bank_report(bank, max_order=8)
-        assert rep.guarantee_floor == 4
-        assert not rep.floor_violations
-        assert min(r.diag.vanishing_moments for r in rep.filters if r.nu is not None) == 4
-        assert verify_combined_biorthogonality(bank).passed
+def _moved_tap(f):
+    """f with 1/100 moved between two of its taps of residue class 1: still
+    lowpass and interpolatory, but of accuracy and flatness 1."""
+    taps = dict(f.taps)
+    a, b = sorted(k for k in taps if k % f.p == 1)[:2]
+    taps[a] += Fraction(1, 100)
+    taps[b] -= Fraction(1, 100)
+    return filter_1d(f.p, taps)
+
+
+@pytest.mark.parametrize("p, r, n, moved", [
+    pytest.param(p, r, n, False, id=f"p{p}-r{r}-n{n}") for p, r, n in INTERP_BANKS] + [
+    pytest.param(p, r, 2, True, id=f"p{p}-r{r}-n2-moved") for p, r in [(5, 2), (2, 3), (7, 2)]])
+def test_vanishing_moment_floor(p, r, n, moved):
+    # the paper's guarantee: with G = H = the order-r interpolatory filter,
+    # of accuracy and flatness 2r, every t and t_d vanishes to order 2r and
+    # no further, and the bank passes S.A; a tap moved within its residue
+    # class drops the floor, and the least moment with it, to 1
+    bank = interp_bank(p, r, n)
+    if moved:
+        H = _moved_tap(bank.h1d)
+        bank = build_pcs_bank(H, H, n, bank.sys.convention)
+    floor = 1 if moved else 2 * r
+    rep = bank_report(bank, max_order=8)
+    assert rep.guarantee_floor == floor
+    assert not rep.floor_violations
+    assert min(f.diag.vanishing_moments for f in rep.filters if f.nu is not None) == floor
+    assert verify_combined_biorthogonality(bank).passed
 
 
 def test_build_pcs_bank_preconditions():
@@ -368,6 +385,16 @@ def test_build_pcs_bank_preconditions():
         build_pcs_bank(filter_1d(3, {0: 1}), box_filter_1d(3), 2)
     with pytest.raises(DimensionMismatch):
         build_pcs_bank(box_filter_1d(5), box_filter_1d(3), 2)
+    # the stock generators exist for a prime p and an order r >= 0 only
+    for p in (-3, 1, 9):
+        with pytest.raises(CompositeDilation, match=f"^dilation must be prime, got {p}$"):
+            box_filter_1d(p)
+    with pytest.raises(CompositeDilation, match="^dilation must be prime, got 9$"):
+        interp_filter_1d(9, 2, centered=False)
+    with pytest.raises(DomainError):
+        interp_filter_1d(3, -1)
+    with pytest.raises(DomainError):
+        box_filter_1d(2)
 
 
 def test_build_pcs_bank_refuses_disagreeing_routes(monkeypatch):
@@ -530,6 +557,18 @@ def _fixture_banks():
             for g_name, G in fs for h_name, H in fs
             for n in (1, 2, 3) if p ** n <= 125
             for convention in ["standard"] + (["centered"] if p % 2 else [])]
+
+
+def test_fixture_generators_are_interp_filters():
+    # every stock fixture is a case (p, r, centered) of the one formula
+    cases = {"box_p2": (2, 0, False), "box_p3_centered": (3, 0, True),
+             "box_p3_standard": (3, 0, False), "box_p5_centered": (5, 0, True),
+             "box_p7_centered": (7, 0, True), "interp_p3_deg4": (3, 2, True)}
+    stems = {path.stem for path in FIXTURE_DIR.glob("*.json")}
+    assert stems - set(cases) == {"far_tap_p3"}
+    for stem, (p, r, centered) in cases.items():
+        f = to_1d(filter_from_json(json.loads((FIXTURE_DIR / f"{stem}.json").read_text())))
+        assert f == interp_filter_1d(p, r, centered), stem
 
 
 @pytest.mark.parametrize("G, H, n, convention", _fixture_banks())

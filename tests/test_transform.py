@@ -28,8 +28,8 @@ from pcswave.tensor import MultiresCoeffs, Tensor
 from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
                                pcs_complexity_constant, reconstruct_fast)
 
-from conftest import (FAR_TAPS, far_tap_1d, random_interpolatory_1d, random_lowpass_1d,
-                      reconstruct_direct)
+from conftest import (FAR_TAPS, INTERP_BANKS, far_tap_1d, interp_bank, random_interpolatory_1d,
+                      random_lowpass_1d, reconstruct_direct)
 
 
 def rational_tensor(rng, shape):
@@ -246,6 +246,23 @@ def test_p7_bank_roundtrip(rng):
     assert reconstruct_fast(c, bank) == y
 
 
+@pytest.mark.parametrize("p, r, n, shape", [
+    pytest.param(p, r, n, shape, id=f"p{p}-r{r}-n{n}") for p, r, n, shape in [
+        (2, 2, 3, (8, 8, 8)), (2, 3, 2, (16, 16)), (3, 2, 2, (27, 27)), (3, 2, 3, (9, 9, 9)),
+        (3, 3, 2, (27, 27)), (5, 2, 2, (25, 25)), (7, 2, 2, (49, 49))]])
+def test_interp_bank_transforms(p, r, n, shape, rng):
+    # the order-4 and order-6 banks of the guarantee have non-unit taps in
+    # every phase: exact fast == direct, and both round trips, over two levels
+    bank = interp_bank(p, r, n)
+    y = rational_tensor(rng, shape)
+    c = decompose_fast(y, bank, 2)
+    assert coeffs_equal(c, decompose_direct(y, bank, 2))
+    assert reconstruct_fast(c, bank) == y
+    data = np.random.default_rng(0).integers(-50, 51, shape).astype(np.float64)
+    back = reconstruct_fast(decompose_fast(Tensor.from_numpy(data), bank, 2), bank)
+    assert np.max(np.abs(back.data - data)) <= 1e-12 * np.max(np.abs(data))
+
+
 EXACT_VALUES = st.one_of(
     st.just(0), st.integers(-10 ** 6, 10 ** 6),
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
@@ -421,10 +438,13 @@ def _drawer(kind):
 
 # deg4 on 9x9 over 2 levels has a 1x1 coarse array, narrower than its tap reach.
 # Box p=5 n=3 and p=7 n=2 have unit taps whose rolls split rows, which are
-# added from a scratch copy. Their analysis inputs hold -0.0, NaN and +-inf;
-# their synthesis inputs do not, since box taps span a 5^3 or 7^2 coarse grid
-# and one NaN among the coefficients would reach every output sample.
-PIN_IDS = ["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros", "box_p5_n3", "box_p7_n2"]
+# added from a scratch copy. The order-4 p=7 n=2 bank has non-unit taps on
+# all 48 cosets, 1152 predict taps over 49-sample phases. Analysis inputs of
+# p >= 5 hold -0.0, NaN and +-inf; their synthesis inputs do not, since their
+# taps span the whole 5^3 or 7^2 coarse grid and one NaN among the
+# coefficients would reach every output sample.
+PIN_IDS = ["deg4_n2", "box_p3_n3", "deg4_9x9", "signed_zeros", "box_p5_n3", "box_p7_n2",
+           "interp_p7_n2"]
 OUTPUT_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
      "ed2c71ac1b2c33dde65b008a75455feffbe5b3a46ced5c4d87ebd3ebfeab7c3b"),
@@ -438,6 +458,8 @@ OUTPUT_PINS = [
      "083ec2b0772b3cffedb55102aabb06f7288edfdde72796f3182edf7464c34b27"),
     (lambda: box_bank(7, 2), (49, 49), "specials",
      "f9e8850521bce17963d3e57ad802a4f3bd03883f5cbdc6ae2810b13167b1469e"),
+    (lambda: interp_bank(7, 2, 2), (49, 49), "specials",
+     "52ab040c04b7bb11c1fd2758b7cb1930840b97824f8299be620c87f23207eb92"),
 ]
 SYNTHESIS_PINS = [
     (lambda: deg4_bank(2), (81, 81), "normal",
@@ -452,6 +474,8 @@ SYNTHESIS_PINS = [
      "bc2295019adeb22b8ba2ae52e8eb0f21bbad45b5d8110ddc2d9ccb248b27b2a7"),
     (lambda: box_bank(7, 2), (49, 49), "normal",
      "971638cc90990fd3da011417fa694b13b6ed33a5368a3d1150cb979b7f23b2df"),
+    (lambda: interp_bank(7, 2, 2), (49, 49), "normal",
+     "fe70dc996d8b5c4b8ebf7ee79a39bb155e3294cb08ce5ecfd2cd365acbb89f9f"),
 ]
 
 
