@@ -1,8 +1,8 @@
 """Stock 1-D generator filters and the banks built from them.
 
-Each is a p-adic interpolatory filter of G. Deslauriers and S. Dubuc
-("Symmetric iterative interpolation processes", Constructive Approximation 5,
-1989), of accuracy and flatness 2r for any prime p; order 0 is the box filter.
+Each generator is a p-adic interpolatory filter of G. Deslauriers and
+S. Dubuc ("Symmetric iterative interpolation processes", Constructive
+Approximation 5, 1989), of accuracy and flatness 2r for any prime p.
 """
 
 from __future__ import annotations

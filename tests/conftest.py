@@ -22,8 +22,8 @@ INTERP_BANKS = [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 3), (3, 3, 2), (5, 2, 2)
 @functools.cache
 def interp_bank(p: int, r: int, n: int):
     """The bank with G = H = the order-r interpolatory filter, centered for an
-    odd p, built once per session (the p=7 n=2 one takes about 0.6 s); callers
-    must not change it."""
+    odd p. It is built once per session, since the p=7 n=2 one takes about half
+    a second, so callers must not change it."""
     centered = p % 2 == 1
     H = interp_filter_1d(p, r, centered)
     return build_pcs_bank(H, H, n, "centered" if centered else "standard")

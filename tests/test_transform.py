@@ -28,7 +28,7 @@ from pcswave.tensor import MultiresCoeffs, Tensor
 from pcswave.transform import (count_ops, decompose_direct, decompose_fast,
                                pcs_complexity_constant, reconstruct_fast)
 
-from conftest import (FAR_TAPS, INTERP_BANKS, far_tap_1d, interp_bank, random_interpolatory_1d,
+from conftest import (FAR_TAPS, far_tap_1d, interp_bank, random_interpolatory_1d,
                       random_lowpass_1d, reconstruct_direct)
 
 
